@@ -30,7 +30,6 @@ from .states import (
     product_state,
     reduced_site_populations,
     sector_decompose,
-    sector_recompose,
     sector_traces,
     temperature_of,
     thermal_populations,

@@ -182,8 +182,7 @@ def _integrator_from_manifest(entry) -> IntegratorConfig:
         raise ManifestError("'integrator' must be an object")
     entry = dict(entry)
     kwargs = {}
-    for field in ("rel_tol", "abs_tol", "initial_step", "max_step",
-                  "dense_grid_spacing"):
+    for field in ("rel_tol", "abs_tol", "initial_step", "max_step"):
         if field in entry:
             kwargs[field] = float(entry.pop(field))
     _reject_unknown(entry, "integrator")

@@ -6,9 +6,12 @@ The generator implemented throughout is
 
 with H built from XXZ-type pair couplings J_nm (Delta_nm anisotropies), all
 of which commute with the total spin-z. That conservation law is what the
-sector-blocked fast path exploits: a blocked state stays blocked, each block
-evolves on its own, and per-site dephasing collapses to one Hadamard product
-per block (see sectors.py).
+whole module is built on: a generator holds its Hamiltonian as one block per
+excitation sector, a blocked state stays blocked, each block evolves on its
+own, and per-site dephasing collapses to one Hadamard product per block (see
+sectors.py). Generators are assembled sector by sector from a SpinNetwork,
+the partial-swap window included; a dense 2^N Hamiltonian is built (and
+cached) only when a state carrying inter-sector coherence is evolved.
 
 Two evolution routes exist deliberately:
 
@@ -137,82 +140,96 @@ def blocked_xxz_hamiltonian(net: SpinNetwork) -> list[np.ndarray]:
 class LindbladGenerator:
     """Hamiltonian plus per-site sigma^z dephasing at rate Gamma >= 0.
 
+    The Hamiltonian is held as its sector blocks, which is all the blocked
+    routes read; `hamiltonian` scatters them into a dense Observable on first
+    use (only states with inter-sector coherence need it). Constructing from
+    an Observable gathers its blocks and rejects a Hamiltonian that mixes
+    sectors, since every guarantee the package checks assumes z-conservation.
+
     `dephasing_sites` restricts the dissipator to a subset of site labels
     (None = every site); the protocol uses that to keep the external qubit
     coherent during swap windows unless asked otherwise.
 
-    Instances are immutable by convention and cache their sector blocks and
-    eigendecompositions, so reuse the same generator across protocol steps.
+    Instances are immutable by convention and cache their eigendecompositions
+    and propagators, so reuse the same generator across protocol steps.
     """
 
     def __init__(self, hamiltonian: Observable, dephasing_rate: float = 0.0,
-                 dephasing_sites: tuple[int, ...] | None = None,
-                 _blocks: list[np.ndarray] | None = None):
+                 dephasing_sites: tuple[int, ...] | None = None):
+        reg = hamiltonian.register
+        leak = sectors.max_intersector_coherence(hamiltonian.matrix, reg.count)
+        if leak > Z_CONSERVATION_TOL:
+            raise DomainError(
+                f"Hamiltonian does not conserve total spin-z: max "
+                f"inter-sector |H| = {leak:.3e}")
+        self._setup(reg, sectors.gather_blocks(hamiltonian.matrix, reg.count),
+                    dephasing_rate, dephasing_sites)
+
+    def _setup(self, register: SpinRegister, blocks: list[np.ndarray],
+               dephasing_rate: float, dephasing_sites) -> None:
         if not math.isfinite(dephasing_rate) or dephasing_rate < 0:
             raise DomainError(f"dephasing rate must be >= 0, got {dephasing_rate}")
-        self.hamiltonian = hamiltonian
+        self.register = register
         self.dephasing_rate = float(dephasing_rate)
         if dephasing_sites is not None:
             dephasing_sites = tuple(sorted(dephasing_sites))
             for s in dephasing_sites:
-                if s not in hamiltonian.register.labels:
+                if s not in register.labels:
                     raise DomainError(f"dephasing site {s} not in register")
         self.dephasing_sites = dephasing_sites
+        self._blocks = blocks
         self._cache: dict = {}
-        if _blocks is not None:
-            self._cache["blocks"] = _blocks
+
+    @classmethod
+    def _from_blocks(cls, register: SpinRegister, blocks: list[np.ndarray],
+                     dephasing_rate: float, dephasing_sites
+                     ) -> "LindbladGenerator":
+        gen = cls.__new__(cls)
+        gen._setup(register, blocks, dephasing_rate, dephasing_sites)
+        return gen
 
     @classmethod
     def from_network(cls, net: SpinNetwork, dephasing_rate: float = 0.0,
                      dephasing_sites: tuple[int, ...] | None = None
                      ) -> "LindbladGenerator":
-        """Build with the blocked Hamiltonian constructed directly (exact
-        z-conservation by construction, no dense slicing)."""
-        blocks = blocked_xxz_hamiltonian(net)
-        dense = sectors.scatter_blocks(blocks, net.register.count)
-        return cls(Observable(net.register, dense), dephasing_rate,
-                   dephasing_sites, _blocks=blocks)
+        """Build from the network's sector blocks (exact z-conservation by
+        construction, no dense matrix)."""
+        return cls._from_blocks(net.register, blocked_xxz_hamiltonian(net),
+                                dephasing_rate, dephasing_sites)
 
     @property
-    def register(self) -> SpinRegister:
-        return self.hamiltonian.register
+    def hamiltonian(self) -> Observable:
+        """Dense H, scattered from the sector blocks on first use."""
+        if "dense" not in self._cache:
+            self._cache["dense"] = Observable(
+                self.register,
+                sectors.scatter_blocks(self._blocks, self.register.count))
+        return self._cache["dense"]
 
     def without_dephasing(self) -> "LindbladGenerator":
         """A Gamma = 0 twin sharing this generator's spectral caches.
 
-        The cache only ever holds Hamiltonian-derived objects (sector blocks,
+        The cache only ever holds Hamiltonian-derived objects (dense H,
         eigensystems, propagators), all independent of the dephasing rate, so
         the twin can reuse them wholesale. Used by the waiting-time optimizer,
         which always works with the coherent dynamics.
         """
         if self.dephasing_rate == 0:
             return self
-        twin = LindbladGenerator(self.hamiltonian, 0.0, self.dephasing_sites)
+        twin = LindbladGenerator._from_blocks(self.register, self._blocks, 0.0,
+                                              self.dephasing_sites)
         twin._cache = self._cache
         return twin
 
     # -- caches ------------------------------------------------------------
 
-    def hamiltonian_blocks(self) -> list[np.ndarray] | None:
-        """Sector blocks of H, or None if H does not conserve total spin-z."""
-        if "blocks" not in self._cache:
-            n = self.register.count
-            h = self.hamiltonian.matrix
-            if sectors.max_intersector_coherence(h, n) > Z_CONSERVATION_TOL:
-                self._cache["blocks"] = None
-            else:
-                self._cache["blocks"] = sectors.gather_blocks(h, n)
-        return self._cache["blocks"]
+    def hamiltonian_blocks(self) -> list[np.ndarray]:
+        """Sector blocks of H, l = 0..N."""
+        return self._blocks
 
     def block_eigensystems(self) -> list[tuple[np.ndarray, np.ndarray]]:
         if "block_eig" not in self._cache:
-            blocks = self.hamiltonian_blocks()
-            if blocks is None:
-                raise DomainError("Hamiltonian does not conserve total spin-z")
-            self._cache["block_eig"] = [
-                np.linalg.eigh(b) if b.size else (np.zeros(0), np.zeros((0, 0)))
-                for b in blocks
-            ]
+            self._cache["block_eig"] = [np.linalg.eigh(b) for b in self._blocks]
         return self._cache["block_eig"]
 
     def dense_eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
@@ -220,27 +237,13 @@ class LindbladGenerator:
             self._cache["dense_eig"] = np.linalg.eigh(self.hamiltonian.matrix)
         return self._cache["dense_eig"]
 
-    def _sign_columns(self) -> list[int] | None:
-        if self.dephasing_sites is None:
-            return None
-        labels = self.register.labels
-        return [labels.index(s) for s in self.dephasing_sites]
-
-    def _dense_weights(self) -> tuple[np.ndarray, int]:
-        n = self.register.count
-        cols = self._sign_columns()
-        if cols is None:
-            return sectors.dense_dephasing_weights(n), n
-        s = sectors.dense_spin_signs(n)[:, cols]
-        return s @ s.T, len(cols)
-
-    def _block_weights(self, l: int) -> tuple[np.ndarray, int]:
-        n = self.register.count
-        cols = self._sign_columns()
-        if cols is None:
-            return sectors.dephasing_weights(n, l), n
-        s = sectors.spin_signs(n, l)[:, cols]
-        return s @ s.T, len(cols)
+    def _weights(self, signs: np.ndarray) -> tuple[np.ndarray, int]:
+        """Dephasing weights W = s s^T and the dephased-site count, for the
+        basis whose per-site spin signs are the rows of `signs`."""
+        if self.dephasing_sites is not None:
+            labels = self.register.labels
+            signs = signs[:, [labels.index(s) for s in self.dephasing_sites]]
+        return signs @ signs.T, signs.shape[1]
 
     def blocked_propagators(self, duration: float) -> list[np.ndarray]:
         """Per-sector unitaries exp(-i H_l t), cached for a few durations.
@@ -251,12 +254,8 @@ class LindbladGenerator:
         """
         key = ("prop", float(duration))
         if key not in self._cache:
-            props = []
-            for d, u in self.block_eigensystems():
-                if d.size:
-                    props.append((u * np.exp(-1j * d * duration)) @ u.conj().T)
-                else:
-                    props.append(np.zeros((0, 0), dtype=complex))
+            props = [(u * np.exp(-1j * d * duration)) @ u.conj().T
+                     for d, u in self.block_eigensystems()]
             stale = [k for k in self._cache if isinstance(k, tuple) and k[0] == "prop"]
             for k in stale[:max(0, len(stale) - 7)]:
                 del self._cache[k]
@@ -268,13 +267,7 @@ def apply_generator(gen: LindbladGenerator, state: QuantumState) -> np.ndarray:
     """d(rho)/dt as a dense matrix: i[rho, H] + dissipator."""
     if gen.register.labels != state.register.labels:
         raise DomainError("generator and state registers do not match")
-    rho = state.matrix
-    h = gen.hamiltonian.matrix
-    out = 1j * (rho @ h - h @ rho)
-    if gen.dephasing_rate > 0:
-        w, n_sites = gen._dense_weights()
-        out = out + gen.dephasing_rate * (w * rho - n_sites * rho)
-    return out
+    return _dense_rhs(gen)(0.0, state.matrix)
 
 
 # --------------------------------------------------------------------------
@@ -282,26 +275,17 @@ def apply_generator(gen: LindbladGenerator, state: QuantumState) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def _dense_rhs(gen: LindbladGenerator) -> Callable[[float, np.ndarray], np.ndarray]:
-    h = gen.hamiltonian.matrix
-    gamma = gen.dephasing_rate
-    if gamma > 0:
-        w, n_sites = gen._dense_weights()
-
-    def rhs(_t, y):
-        # For Hermitian y, (H y)^dag = y H, so one product gives both sides
-        # of the commutator and the result is Hermitian to the last bit.
-        m = h @ y
-        d = 1j * (m.conj().T - m)
-        if gamma > 0:
-            d += gamma * (w * y - n_sites * y)
-        return d
-
-    return rhs
+    """The master equation on dense 2^N matrices (the reference route)."""
+    w, n_sites = gen._weights(sectors.dense_spin_signs(gen.register.count)) \
+        if gen.dephasing_rate > 0 else (None, 0)
+    return _block_rhs(gen.hamiltonian.matrix, gen.dephasing_rate, w, n_sites)
 
 
 def _block_rhs(h_l: np.ndarray, gamma: float, w_l: np.ndarray | None,
                n_sites: int) -> Callable[[float, np.ndarray], np.ndarray]:
     def rhs(_t, y):
+        # For Hermitian y, (H y)^dag = y H, so one product gives both sides
+        # of the commutator and the result is Hermitian to the last bit.
         m = h_l @ y
         d = 1j * (m.conj().T - m)
         if gamma > 0:
@@ -352,10 +336,9 @@ def evolve(state: QuantumState, gen: LindbladGenerator, duration: float,
            cfg: IntegratorConfig | None = None) -> QuantumState:
     """Adaptive RKF4(5) integration of the master equation.
 
-    Blocked states with a z-conserving Hamiltonian evolve sector by sector;
-    anything else goes through the dense route (a blocked state whose
-    Hamiltonian mixes sectors is densified first, since it would not stay
-    blocked anyway).
+    Blocked states, and dense states without inter-sector coherence, evolve
+    sector by sector; a state with inter-sector coherence goes through the
+    dense route.
     """
     final, _ = evolve_sampled(state, gen, duration, cfg)
     return final
@@ -371,19 +354,16 @@ def evolve_sampled(state: QuantumState, gen: LindbladGenerator, duration: float,
         raise DomainError(f"duration must be >= 0, got {duration}")
     cfg = cfg or IntegratorConfig()
 
-    if gen.hamiltonian_blocks() is not None:
-        if not state.is_blocked:
-            # A dense input without inter-sector coherence stays blocked
-            # under this generator, so route it through the fast path.
-            coherence = sectors.max_intersector_coherence(
-                state.matrix, state.register.count)
-            if coherence <= Z_CONSERVATION_TOL:
-                state = sector_decompose(state)
-        if state.is_blocked:
-            return _evolve_blocked(state, gen, duration, cfg, t_eval)
-    dense_state = state.to_dense()
-    rho0 = dense_state.matrix
-    rho0 = 0.5 * (rho0 + rho0.conj().T)
+    if not state.is_blocked:
+        # A dense input without inter-sector coherence stays blocked under a
+        # z-conserving generator, so route it through the blocked path.
+        coherence = sectors.max_intersector_coherence(
+            state.matrix, state.register.count)
+        if coherence <= Z_CONSERVATION_TOL:
+            state = sector_decompose(state)
+    if state.is_blocked:
+        return _evolve_blocked(state, gen, duration, cfg, t_eval)
+    rho0 = 0.5 * (state.matrix + state.matrix.conj().T)
     result = rkf45(_dense_rhs(gen), rho0, duration, cfg, t_eval)
     repaired, = _repair_positivity([result.y], cfg, duration)
     final = QuantumState(state.register, dense=repaired, validate=False)
@@ -400,11 +380,6 @@ def _evolve_blocked(state, gen, duration, cfg, t_eval):
     sampled: dict[float, list[np.ndarray]] = {}
     eval_times = list(t_eval) if t_eval is not None else []
     for l, block in enumerate(state.blocks):
-        if not block.size:
-            out_blocks.append(block.copy())
-            for t in eval_times:
-                sampled.setdefault(t, []).append(block.copy())
-            continue
         if not block.any():
             # An empty sector stays empty (the generator is linear and
             # sector-preserving); skip the integrator entirely.
@@ -412,7 +387,8 @@ def _evolve_blocked(state, gen, duration, cfg, t_eval):
             for t in eval_times:
                 sampled.setdefault(t, []).append(np.zeros_like(block))
             continue
-        w_l, n_sites = gen._block_weights(l) if gamma > 0 else (None, n)
+        w_l, n_sites = gen._weights(sectors.spin_signs(n, l)) \
+            if gamma > 0 else (None, n)
         y0 = 0.5 * (block + block.conj().T)
         result = rkf45(_block_rhs(h_blocks[l], gamma, w_l, n_sites),
                        y0, duration, cfg, eval_times)
@@ -440,19 +416,15 @@ def evolve_exact(state: QuantumState, gen: LindbladGenerator,
         raise DomainError("exact propagation requires zero dephasing")
     if gen.register.labels != state.register.labels:
         raise DomainError("generator and state registers do not match")
-    if state.is_blocked and gen.hamiltonian_blocks() is not None:
+    if state.is_blocked:
         props = gen.blocked_propagators(duration)
-        out = []
-        for block, p in zip(state.blocks, props):
-            if block.size and block.any():
-                out.append(p @ block @ p.conj().T)
-            else:
-                out.append(np.zeros_like(block))
+        out = [p @ block @ p.conj().T if block.any() else np.zeros_like(block)
+               for block, p in zip(state.blocks, props)]
         return QuantumState(state.register, blocks=out, validate=False)
     d, u = gen.dense_eigensystem()
     phase = np.exp(-1j * d * duration)
     prop = (u * phase) @ u.conj().T
-    rho = prop @ state.to_dense().matrix @ prop.conj().T
+    rho = prop @ state.matrix @ prop.conj().T
     return QuantumState(state.register, dense=rho, validate=False)
 
 
@@ -499,18 +471,20 @@ class SwapSpec:
     mode "perfect": instantaneous SWAP.
     mode "partial": a rectangular window of Heisenberg coupling of strength
     J_I between qubit (site 0) and target (site 1), lasting pi/(4 J_I) --
-    exactly a SWAP up to phases when nothing else acts. Optional background
-    Hamiltonians act during the window (None means zero). `window_dephasing_
-    rate` applies per-site dephasing during the window to every probe site,
-    and to the qubit as well only if `dephase_qubit` is set; None means
-    "inherit the ambient rate" (the protocol fills it in from its config;
-    standalone partial_swap treats it as zero).
+    exactly a SWAP up to phases when nothing else acts. `probe_background`
+    is the probe's own spin network (sites 1..N), which keeps acting during
+    the window (None means no background); the window generator is built
+    from the qubit-target hop plus that network, sector by sector, like
+    every other generator. `window_dephasing_rate` applies per-site
+    dephasing during the window to every probe site, and to the qubit as
+    well only if `dephase_qubit` is set; None means "inherit the ambient
+    rate" (the protocol fills it in from its config; standalone
+    partial_swap treats it as zero).
     """
 
     mode: str
     interaction_strength: float | None = None
-    probe_background: Observable | None = None
-    qubit_background: Observable | None = None
+    probe_background: SpinNetwork | None = None
     window_dephasing_rate: float | None = None
     dephase_qubit: bool = False
 
@@ -524,9 +498,6 @@ class SwapSpec:
         if self.window_dephasing_rate is not None and \
                 self.window_dephasing_rate < 0:
             raise DomainError("window dephasing rate must be >= 0")
-        if self.qubit_background is not None and \
-                self.qubit_background.register.count != 1:
-            raise DomainError("qubit background must be a single-site observable")
 
     @classmethod
     def perfect(cls) -> "SwapSpec":
@@ -545,31 +516,29 @@ class SwapSpec:
 
 def window_generator(joint_register: SpinRegister, spec: SwapSpec
                      ) -> LindbladGenerator:
-    """The Lindblad generator active during a partial-swap window."""
+    """The Lindblad generator active during a partial-swap window: the
+    qubit-target hop J_I sigma_0 . sigma_1 followed by the probe background's
+    couplings, on the joint register."""
     if spec.mode != "partial":
         raise DomainError("window generator only exists for partial swaps")
     labels = joint_register.labels
     if labels[0] != 0 or 1 not in labels:
         raise DomainError("joint register must contain the qubit site 0 and "
                           "target site 1")
-    net = SpinNetwork(joint_register, {(0, 1): spec.interaction_strength},
-                      {(0, 1): 1.0})
-    h = sectors.scatter_blocks(blocked_xxz_hamiltonian(net), joint_register.count)
-    if spec.probe_background is not None:
-        hp = spec.probe_background
-        if hp.register.labels != labels[1:]:
+    couplings = {(0, 1): spec.interaction_strength}
+    anisotropies = {(0, 1): 1.0}
+    background = spec.probe_background
+    if background is not None:
+        if background.register.labels != labels[1:]:
             raise DomainError(
-                f"probe background register {hp.register.labels} does not "
-                f"match probe sites {labels[1:]}"
-            )
-        h = h + np.kron(np.eye(2), hp.matrix)
-    if spec.qubit_background is not None:
-        h = h + np.kron(spec.qubit_background.matrix,
-                        np.eye(joint_register.dim // 2))
+                f"probe background register {background.register.labels} "
+                f"does not match probe sites {labels[1:]}")
+        couplings.update(background.couplings)
+        anisotropies.update(background.anisotropies)
     sites = None if spec.dephase_qubit else labels[1:]
-    rate = spec.window_dephasing_rate or 0.0
-    return LindbladGenerator(Observable(joint_register, h), rate,
-                             dephasing_sites=sites)
+    return LindbladGenerator.from_network(
+        SpinNetwork(joint_register, couplings, anisotropies),
+        spec.window_dephasing_rate or 0.0, dephasing_sites=sites)
 
 
 def partial_swap(joint_state: QuantumState, spec: SwapSpec,

@@ -12,7 +12,7 @@ density-matrix right-hand sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,32 +47,19 @@ class IntegratorConfig:
     """Tolerances and step limits for the adaptive integrator.
 
     The step fields are in the same time units as the durations passed to
-    evolve(); the defaults assume J*t-like dimensionless time of order one
-    (protocol code rescales them by 1/J).
+    evolve(); the defaults assume J*t-like dimensionless time of order one.
     """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
     initial_step: float = 1e-3
     max_step: float = 0.1
-    dense_grid_spacing: float = 0.01
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise DomainError("tolerances must be positive")
         if self.initial_step <= 0 or self.max_step <= 0:
             raise DomainError("step sizes must be positive")
-        if self.dense_grid_spacing <= 0:
-            raise DomainError("grid spacing must be positive")
-
-    def scaled(self, time_factor: float) -> "IntegratorConfig":
-        """Rescale the time-dimensioned fields (tolerances untouched)."""
-        return replace(
-            self,
-            initial_step=self.initial_step * time_factor,
-            max_step=self.max_step * time_factor,
-            dense_grid_spacing=self.dense_grid_spacing * time_factor,
-        )
 
 
 @dataclass

@@ -64,38 +64,3 @@ def site_operator(register: SpinRegister, label: int, op: np.ndarray) -> np.ndar
     for m in mats[1:]:
         out = np.kron(out, m)
     return out
-
-
-def total_sz(register: SpinRegister) -> np.ndarray:
-    """Diagonal of sum_n sigma^z_n over the register's basis."""
-    n = register.count
-    idx = np.arange(1 << n)
-    total = np.zeros(1 << n)
-    for pos in range(n):
-        total += 1.0 - 2.0 * ((idx >> (n - 1 - pos)) & 1)
-    return total
-
-
-def swap_permutation(register: SpinRegister, i: int, j: int) -> np.ndarray:
-    """Index permutation implementing the SWAP of two sites.
-
-    SWAP is a basis permutation, so conjugation reduces to fancy indexing
-    (exact, no round-off).
-    """
-    if i == j:
-        raise DomainError("swap needs two distinct sites")
-    bi, bj = register.bit_position(i), register.bit_position(j)
-    idx = np.arange(register.dim)
-    bit_i = (idx >> bi) & 1
-    bit_j = (idx >> bj) & 1
-    swapped = idx & ~(1 << bi) & ~(1 << bj)
-    swapped |= bit_j << bi
-    swapped |= bit_i << bj
-    return swapped
-
-
-def swap_unitary(register: SpinRegister, i: int, j: int) -> np.ndarray:
-    perm = swap_permutation(register, i, j)
-    u = np.zeros((register.dim, register.dim), dtype=complex)
-    u[perm, np.arange(register.dim)] = 1.0
-    return u

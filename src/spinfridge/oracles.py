@@ -42,7 +42,6 @@ from .dynamics import (
     partial_swap,
     perfect_swap,
     window_generator,
-    xxz_network_hamiltonian,
 )
 from .errors import DomainError
 from .protocol import (
@@ -154,7 +153,7 @@ def random_channel_sample(rng: np.random.Generator, probe_size: int,
         net = SpinNetwork(reg, couplings, deltas)
         spec = SwapSpec.partial(
             j_i,
-            probe_background=xxz_network_hamiltonian(net),
+            probe_background=net,
             window_dephasing_rate=gamma,
         )
         wgen = window_generator(joint_reg, spec)
@@ -288,7 +287,6 @@ def oracle_stationary_state(net: SpinNetwork | None = None,
     start = time.perf_counter()
     joint_reg = SpinRegister.with_qubit(n)
     joint_net = SpinNetwork(joint_reg, net.couplings, net.anisotropies)
-    probe_h = xxz_network_hamiltonian(net)
     stationary = thermal_product_state([bath_beta_tilde] * n)
     perturbed = thermal_product_state([2.0 * bath_beta_tilde] * n)
 
@@ -302,7 +300,7 @@ def oracle_stationary_state(net: SpinNetwork | None = None,
         swaps: list[tuple[str, Callable[[QuantumState], QuantumState]]] = [
             ("perfect", lambda s: perfect_swap(s, 0, 1)),
         ]
-        spec = SwapSpec.partial(5.0, probe_background=probe_h,
+        spec = SwapSpec.partial(5.0, probe_background=net,
                                 window_dephasing_rate=gamma)
         wgen = window_generator(joint_reg, spec)
         swaps.append(

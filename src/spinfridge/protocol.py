@@ -56,7 +56,7 @@ from .states import (
     von_neumann_entropy,
 )
 
-_TIE_TOL = 1e-12          # population ties on the optimization grid
+_TIE_TOL = 1e-12          # ties: grid populations; emitted vs bath beta
 _ACCOUNTING_TOL = 1e-9    # slack on the entropy inequalities
 
 
@@ -238,9 +238,7 @@ def _integrated_population_curve(state: QuantumState, gen: LindbladGenerator,
     reduced to the end spin's population segment by segment so the pass
     never holds more than a bounded slice of dense output.
     """
-    n = state.register.count
-    bits = _site1_bits(n)
-    dense_bits = ((np.arange(state.register.dim) >> (n - 1)) & 1).astype(float)
+    bits = _site1_bits(state.register.count)
     curve = np.zeros(times.size)
     segment = 64
     for start in range(0, times.size, segment):
@@ -249,13 +247,9 @@ def _integrated_population_curve(state: QuantumState, gen: LindbladGenerator,
         _, samples = evolve_sampled(state, gen, chunk[-1] - origin, cfg,
                                     t_eval=chunk - origin)
         for offset, (_, s) in enumerate(samples):
-            if s.is_blocked:
-                curve[start + offset] = sum(
-                    float(np.real(np.diag(block)) @ b)
-                    for block, b in zip(s.blocks, bits) if block.size)
-            else:
-                curve[start + offset] = float(
-                    np.real(np.diag(s.matrix)) @ dense_bits)
+            curve[start + offset] = sum(
+                float(np.real(np.diag(block)) @ b)
+                for block, b in zip(s.blocks, bits))
         state = samples[-1][1]
     return curve
 
@@ -349,10 +343,15 @@ def attach_thermal_qubit(state: QuantumState, beta_tilde: float) -> QuantumState
 
 
 def _efficiency(bath_beta: float, out_beta: float) -> float:
-    """eta = 1 - bath/out, with the stationary and pure-output edges fixed."""
+    """eta = 1 - bath/out, with the stationary and pure-output edges fixed.
+
+    An emission within a relative _TIE_TOL of the bath is stationary: eta
+    is exactly 0 rather than the sign of the last rounding bit. (Scaling by
+    the finite out_beta keeps a pure bath, bath_beta = inf, out of the tie.)
+    """
     if math.isinf(out_beta):
         return 0.0 if math.isinf(bath_beta) else 1.0
-    if out_beta == bath_beta:
+    if abs(out_beta - bath_beta) <= _TIE_TOL * out_beta:
         return 0.0
     return 1.0 - bath_beta / out_beta
 
@@ -417,14 +416,14 @@ def cool_step(
 # --------------------------------------------------------------------------
 
 def _resolve_swap(spec: SwapSpec, cfg: ProtocolConfig,
-                  chain_h) -> tuple[SwapSpec, LindbladGenerator | None]:
+                  chain: SpinNetwork) -> tuple[SwapSpec, LindbladGenerator | None]:
     """Fill a partial SwapSpec's open slots from the protocol config."""
     if spec.mode != "partial":
         return spec, None
     resolved = replace(
         spec,
         probe_background=spec.probe_background if spec.probe_background
-        is not None else chain_h,
+        is not None else chain,
         window_dephasing_rate=spec.window_dephasing_rate
         if spec.window_dephasing_rate is not None else cfg.dephasing_rate,
     )
@@ -443,7 +442,7 @@ def run_protocol(cfg: ProtocolConfig,
     n = cfg.probe_size
     net = SpinNetwork.uniform_chain(n, cfg.coupling)
     gen = LindbladGenerator.from_network(net, cfg.dephasing_rate)
-    swap, window_gen = _resolve_swap(cfg.swap, cfg, gen.hamiltonian)
+    swap, window_gen = _resolve_swap(cfg.swap, cfg, net)
 
     if initial_probe is None:
         probe = thermal_product_state(cfg.probe_beta_tildes)

@@ -72,15 +72,6 @@ def spin_signs(n: int, l: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def dephasing_weights(n: int, l: int) -> np.ndarray:
-    """W[i,j] = s_i . s_j for sector l of n spins (see module docstring)."""
-    s = spin_signs(n, l)
-    w = s @ s.T
-    w.setflags(write=False)
-    return w
-
-
-@lru_cache(maxsize=None)
 def dense_spin_signs(n: int) -> np.ndarray:
     """Per-site sigma^z signs of every computational-basis state."""
     shifts = np.arange(n - 1, -1, -1)
@@ -88,14 +79,6 @@ def dense_spin_signs(n: int) -> np.ndarray:
     signs = (1 - 2 * bits).astype(np.float64)
     signs.setflags(write=False)
     return signs
-
-
-@lru_cache(maxsize=None)
-def dense_dephasing_weights(n: int) -> np.ndarray:
-    s = dense_spin_signs(n)
-    w = s @ s.T
-    w.setflags(write=False)
-    return w
 
 
 def max_intersector_coherence(matrix: np.ndarray, n: int) -> float:

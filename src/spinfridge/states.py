@@ -14,8 +14,12 @@ States exist in two representations:
   spins in |1>), valid only when every inter-sector coherence of the dense
   equivalent is exactly zero by construction.
 
-The blocked form is what makes N=10 protocol runs cheap: the largest block is
-C(10,5) = 252 instead of 1024, and blocks evolve independently.
+The blocked form is the protocol's working representation, because every
+generator on its path conserves total spin-z: the largest block of a 10-spin
+probe is C(10,5) = 252 instead of 1024, blocks evolve independently, and the
+partial trace maps blocks to blocks one traced-out site at a time. A dense
+matrix is materialized only on request (`matrix`, `to_dense`) or for states
+carrying inter-sector coherence.
 """
 
 from __future__ import annotations
@@ -315,40 +319,36 @@ def _partial_trace_dense(state: QuantumState, sub: SpinRegister) -> QuantumState
 
 
 def _partial_trace_blocked(state: QuantumState, sub: SpinRegister) -> QuantumState:
-    n = state.register.count
+    """Trace out the dropped sites one at a time, least significant first.
+
+    Dropping only sites after column i leaves site i at column i, so its
+    bit position in the shrinking register is (count - 1 - i).
+    """
     labels = state.register.labels
-    keep_idx = [labels.index(l) for l in sub.labels]
-    env_idx = [i for i in range(n) if i not in keep_idx]
-    nk, ne = len(keep_idx), len(env_idx)
+    blocks = state.blocks
+    n = len(labels)
+    for i in reversed(range(len(labels))):
+        if labels[i] not in sub.labels:
+            blocks = _trace_out_bit(blocks, n, n - 1 - i)
+            n -= 1
+    return QuantumState(sub, blocks=blocks, validate=False)
 
-    # Bit-compression lookup tables over all n-bit integers.
-    all_ints = np.arange(1 << n)
-    kept_code = np.zeros(1 << n, dtype=np.int64)
-    env_code = np.zeros(1 << n, dtype=np.int64)
-    for out_pos, i in enumerate(keep_idx):
-        bit = (all_ints >> (n - 1 - i)) & 1
-        kept_code |= bit << (nk - 1 - out_pos)
-    for out_pos, i in enumerate(env_idx):
-        bit = (all_ints >> (n - 1 - i)) & 1
-        env_code |= bit << (ne - 1 - out_pos)
 
-    reduced_pos = sectors.sector_positions(nk)
-    env_pops = sectors.popcounts(ne)
-    red_bases = sectors.sector_bases(nk)
-    out_blocks = [np.zeros((len(b), len(b)), dtype=complex) for b in red_bases]
+def _trace_out_bit(blocks, n: int, bit: int) -> list[np.ndarray]:
+    """Sector blocks of n - 1 sites after tracing out the site at `bit`.
 
-    for l, basis in enumerate(sectors.sector_bases(n)):
-        block = state.blocks[l]
-        if not block.size:
-            continue
-        kb = kept_code[basis]
-        eb = env_code[basis]
-        for e in np.unique(eb):
-            idx = np.nonzero(eb == e)[0]
-            lp = l - int(env_pops[e])
-            pos = reduced_pos[kb[idx]]
-            out_blocks[lp][np.ix_(pos, pos)] += block[np.ix_(idx, idx)]
-    return QuantumState(sub, blocks=out_blocks, validate=False)
+    Reduced block l = B_l[z, z] + B_{l+1}[o, o], where z picks the sector-l
+    states with the bit clear and o the sector-(l+1) states with it set.
+    Deleting the bit maps either pick, in order, onto the ascending sector-l
+    basis of n - 1 sites, so no reindexing is needed.
+    """
+    bases = sectors.sector_bases(n)
+    out = []
+    for l in range(n):
+        z = np.flatnonzero(((bases[l] >> bit) & 1) == 0)
+        o = np.flatnonzero((bases[l + 1] >> bit) & 1)
+        out.append(blocks[l][np.ix_(z, z)] + blocks[l + 1][np.ix_(o, o)])
+    return out
 
 
 def clamped_eigenvalues(state: QuantumState) -> np.ndarray:
@@ -440,13 +440,6 @@ def sector_decompose(state: QuantumState) -> QuantumState:
         )
     blocks = sectors.gather_blocks(state.matrix, n)
     return QuantumState(state.register, blocks=blocks, validate=False)
-
-
-def sector_recompose(state: QuantumState) -> QuantumState:
-    """Dense form of a blocked state (identity on dense states)."""
-    if not state.is_blocked:
-        return state
-    return state.to_dense()
 
 
 def sector_traces(state: QuantumState) -> np.ndarray:

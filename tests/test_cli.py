@@ -73,6 +73,14 @@ class TestManifestValidation:
         assert main(["cool", "--manifest", str(manifest)]) == 2
         assert "stepz" in capsys.readouterr().err
 
+    def test_unknown_integrator_field(self, tmp_path, capsys):
+        manifest = write_manifest(
+            tmp_path / "m.json", kind="cool", out=str(tmp_path),
+            config={"probe_sizes": [2], "bath_beta_tilde": 0.2, "steps": 1,
+                    "integrator": {"dense_grid_spacing": 0.01}})
+        assert main(["cool", "--manifest", str(manifest)]) == 2
+        assert "dense_grid_spacing" in capsys.readouterr().err
+
     def test_bad_seed_rejected(self, tmp_path):
         manifest = write_manifest(tmp_path / "m.json", kind="cool", seed=-1,
                                   config={})

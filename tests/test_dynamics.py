@@ -32,6 +32,7 @@ from spinfridge import (
 )
 from spinfridge.dynamics import _dense_rhs
 from spinfridge.integrate import rkf45
+from spinfridge.operators import PAULIS, site_operator
 
 from conftest import random_blocked_state, random_dense_state
 
@@ -55,8 +56,16 @@ class TestGeneratorConstruction:
     def test_from_network_blocks_match_dense(self):
         gen = chain_generator(3)
         blocks = gen.hamiltonian_blocks()
-        assert blocks is not None
         assert [len(b) for b in blocks] == [1, 3, 3, 1]
+        dense = xxz_network_hamiltonian(SpinNetwork.uniform_chain(3, 1.0))
+        np.testing.assert_allclose(gen.hamiltonian.matrix, dense.matrix,
+                                   atol=1e-12)
+
+    def test_sector_mixing_hamiltonian_rejected(self):
+        reg = SpinRegister.of_size(2)
+        sx1 = Observable(reg, site_operator(reg, 1, PAULIS["x"]))
+        with pytest.raises(DomainError):
+            LindbladGenerator(sx1)
 
     def test_without_dephasing_shares_caches(self):
         gen = chain_generator(3, 0.7)
@@ -225,12 +234,12 @@ class TestPartialSwap:
         # A competing probe Hamiltonian degrades the swap; raising the
         # interaction strength shortens the window and restores it.
         state = self.qubit_probe_state(0.4, 2)
-        h_probe = xxz_network_hamiltonian(SpinNetwork.uniform_chain(2, 1.0))
+        probe_net = SpinNetwork.uniform_chain(2, 1.0)
         ideal = perfect_swap(state, 0, 1)
         dist = {
             j: trace_distance(
                 partial_swap(state, SwapSpec.partial(
-                    j, probe_background=h_probe)), ideal)
+                    j, probe_background=probe_net)), ideal)
             for j in (2.0, 20.0, 200.0)
         }
         assert dist[200.0] < dist[20.0] < dist[2.0]
@@ -239,11 +248,42 @@ class TestPartialSwap:
     def test_background_changes_outcome(self):
         # The probe's own couplings act during a finite window.
         state = self.qubit_probe_state(0.4, 2)
-        h_probe = xxz_network_hamiltonian(SpinNetwork.uniform_chain(2, 1.0))
+        probe_net = SpinNetwork.uniform_chain(2, 1.0)
         bare = partial_swap(state, SwapSpec.partial(3.0))
         dressed = partial_swap(state, SwapSpec.partial(
-            3.0, probe_background=h_probe))
+            3.0, probe_background=probe_net))
         assert trace_distance(bare, dressed) > 1e-6
+
+    @pytest.mark.parametrize("dephase_qubit", [False, True])
+    def test_window_blocks_match_dense_construction(self, rng, dephase_qubit):
+        # J_I sigma_0 . sigma_1 + I (x) H_background, built densely here,
+        # against the sector blocks the window generator assembles.
+        probe = SpinRegister.of_size(3)
+        pairs = [(1, 2), (1, 3), (2, 3)]
+        background = SpinNetwork(
+            probe, {p: float(rng.uniform(-1, 1)) for p in pairs},
+            {p: float(rng.uniform(0, 2)) for p in pairs})
+        j_i = 4.3
+        joint = SpinRegister.with_qubit(3)
+        hop = sum(site_operator(joint, 0, PAULIS[a])
+                  @ site_operator(joint, 1, PAULIS[a]) for a in "xyz")
+        dense = j_i * hop + np.kron(
+            np.eye(2), xxz_network_hamiltonian(background).matrix)
+        gen = window_generator(joint, SwapSpec.partial(
+            j_i, probe_background=background, window_dephasing_rate=0.3,
+            dephase_qubit=dephase_qubit))
+        expected = LindbladGenerator(Observable(joint, dense))
+        for a, b in zip(gen.hamiltonian_blocks(),
+                        expected.hamiltonian_blocks()):
+            np.testing.assert_allclose(a, b, atol=1e-12, rtol=0)
+        assert gen.dephasing_rate == 0.3
+        assert gen.dephasing_sites == (None if dephase_qubit else (1, 2, 3))
+
+    def test_background_register_must_match_probe(self):
+        background = SpinNetwork.uniform_chain(2, 1.0)
+        with pytest.raises(DomainError):
+            window_generator(SpinRegister.with_qubit(3),
+                             SwapSpec.partial(5.0, probe_background=background))
 
     def test_window_generator_requires_qubit_slot(self):
         with pytest.raises(DomainError):

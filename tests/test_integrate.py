@@ -28,17 +28,10 @@ class TestConfig:
         {"abs_tol": -1e-9},
         {"initial_step": 0.0},
         {"max_step": -1.0},
-        {"dense_grid_spacing": 0.0},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(DomainError):
             IntegratorConfig(**kwargs)
-
-    def test_scaled_rescales_time_fields_only(self):
-        cfg = IntegratorConfig().scaled(2.0)
-        assert cfg.rel_tol == 1e-9 and cfg.abs_tol == 1e-11
-        assert cfg.initial_step == 2e-3
-        assert cfg.max_step == 0.2
 
 
 class TestAccuracy:

@@ -8,19 +8,27 @@ import pytest
 from spinfridge import (
     DomainError,
     Observable,
+    QuantumState,
     SpinRegister,
     heisenberg_hamiltonian,
+    perfect_swap,
     xxz_network_hamiltonian,
 )
 from spinfridge.dynamics import SpinNetwork, blocked_xxz_hamiltonian
-from spinfridge.operators import (
-    PAULIS,
-    site_operator,
-    swap_permutation,
-    swap_unitary,
-    total_sz,
-)
-from spinfridge.sectors import scatter_blocks
+from spinfridge.operators import PAULIS, site_operator
+from spinfridge.sectors import dense_spin_signs, scatter_blocks
+
+
+def total_sz(register: SpinRegister) -> np.ndarray:
+    """Diagonal of sum_n sigma^z_n over the register's basis."""
+    return dense_spin_signs(register.count).sum(axis=1)
+
+
+def swapped(matrix: np.ndarray, i: int, j: int) -> np.ndarray:
+    """SWAP_ij M SWAP_ij, through perfect_swap on an unvalidated state."""
+    n = int(np.log2(matrix.shape[0]))
+    state = QuantumState(SpinRegister.of_size(n), dense=matrix, validate=False)
+    return perfect_swap(state, i, j).matrix
 
 
 class TestObservable:
@@ -58,23 +66,29 @@ class TestSiteOperator:
 
 class TestSwapMatrices:
     def test_permutation_exchanges_bits(self):
-        reg = SpinRegister.of_size(2)
-        perm = swap_permutation(reg, 1, 2)
         # |01> (index 1) <-> |10> (index 2)
-        assert list(perm) == [0, 2, 1, 3]
+        proj = np.diag([0, 1, 0, 0]).astype(complex)
+        np.testing.assert_array_equal(swapped(proj, 1, 2),
+                                      np.diag([0, 0, 1, 0]))
 
     def test_unitary_is_permutation_matrix(self):
-        reg = SpinRegister.of_size(3)
-        u = swap_unitary(reg, 1, 3)
-        np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-15)
-        assert set(np.abs(u).ravel()) <= {0.0, 1.0}
+        # SWAP_13 maps every basis projector onto a basis projector, and
+        # distinct ones onto distinct ones.
+        images = []
+        for k in range(8):
+            proj = np.zeros((8, 8), dtype=complex)
+            proj[k, k] = 1.0
+            out = swapped(proj, 1, 3)
+            assert set(out.ravel()) <= {0.0, 1.0}
+            assert np.count_nonzero(out) == 1
+            images.append(int(np.argmax(np.diag(out).real)))
+        assert sorted(images) == list(range(8))
 
     def test_conjugation_swaps_site_operators(self):
         reg = SpinRegister.of_size(2)
-        u = swap_unitary(reg, 1, 2)
         sx1 = site_operator(reg, 1, PAULIS["x"])
         sx2 = site_operator(reg, 2, PAULIS["x"])
-        np.testing.assert_allclose(u @ sx1 @ u.conj().T, sx2, atol=1e-15)
+        np.testing.assert_allclose(swapped(sx1, 1, 2), sx2, atol=1e-15)
 
 
 class TestSpinNetwork:

@@ -30,6 +30,7 @@ from spinfridge import (
     thermal_product_state,
     trace_distance,
 )
+from spinfridge import sectors
 
 
 def chain_generator(n: int, gamma: float = 0.0) -> LindbladGenerator:
@@ -181,12 +182,18 @@ class TestOptimizeWaitingTime:
 
 class TestCoolStep:
     def test_stationary_probe_emits_at_bath(self):
-        probe = thermal_product_state([0.2] * 3)
-        next_probe, qubit, record = cool_step(
-            probe, 0.2, chain_generator(3), SwapSpec.perfect(), tau=1.3)
-        assert record.qubit_out.beta_tilde == pytest.approx(0.2, abs=1e-12)
-        assert record.eta == 0.0
-        assert trace_distance(next_probe, probe) < 1e-12
+        # Several of these cases read the emitted beta_tilde a rounding bit
+        # away from the bath; eta must still be exactly zero.
+        for n in (2, 3, 4, 5):
+            probe = thermal_product_state([0.2] * n)
+            gen = chain_generator(n)
+            for tau in (0.0, 0.7, 1.3, 2.9):
+                next_probe, qubit, record = cool_step(
+                    probe, 0.2, gen, SwapSpec.perfect(), tau=tau)
+                assert record.qubit_out.beta_tilde == pytest.approx(
+                    0.2, abs=1e-12)
+                assert record.eta == 0.0
+                assert trace_distance(next_probe, probe) < 1e-12
 
     def test_pure_probe_first_step(self):
         probe = thermal_product_state([math.inf] * 2)
@@ -204,6 +211,26 @@ class TestCoolStep:
 
 
 class TestRunProtocol:
+    @pytest.mark.parametrize("swap", [SwapSpec.perfect(),
+                                      SwapSpec.partial(5.0)])
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    def test_protocol_path_stays_blocked(self, monkeypatch, swap, gamma):
+        # Every generator and state on the protocol path is sector-blocked;
+        # the one dense matrix built is the emitted qubit's 2x2 read-out.
+        largest = []
+        scatter = sectors.scatter_blocks
+
+        def recording(blocks, n):
+            largest.append(n)
+            return scatter(blocks, n)
+
+        monkeypatch.setattr(sectors, "scatter_blocks", recording)
+        cfg = ProtocolConfig(probe_size=6, bath_beta_tilde=0.2, steps=2,
+                             dephasing_rate=gamma, swap=swap)
+        report = run_protocol(cfg)
+        assert len(report.records) == 2
+        assert largest and max(largest) <= 1
+
     def test_two_site_ideal_run(self):
         report = run_protocol(ProtocolConfig(2, 0.2, steps=3))
         # step 1: the polarized probe hands out a pure qubit

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -22,7 +23,6 @@ from spinfridge import (
     product_state,
     reduced_site_populations,
     sector_decompose,
-    sector_recompose,
     sector_traces,
     temperature_of,
     thermal_populations,
@@ -144,7 +144,7 @@ class TestThermalStates:
 class TestQuantumState:
     def test_dense_blocked_roundtrip(self, rng):
         state = random_blocked_state(rng, 3)
-        back = sector_decompose(sector_recompose(state))
+        back = sector_decompose(state.to_dense())
         assert trace_distance(state, back) < 1e-14
 
     def test_trace_validation(self):
@@ -181,12 +181,22 @@ class TestPartialTrace:
         assert temperature_of(site2).beta_tilde == pytest.approx(1.2, abs=1e-12)
 
     def test_blocked_and_dense_routes_agree(self, rng):
-        state = random_blocked_state(rng, 4)
-        dense = state.to_dense()
-        for keep in [(1,), (2, 4), (1, 2, 3)]:
-            a = partial_trace(state, keep)
-            b = partial_trace(dense, keep)
-            assert trace_distance(a, b) < 1e-12
+        # Every proper keep subset, on probe registers 1..N and on a joint
+        # register 0..N (the protocol's qubit-plus-probe layout).
+        states = [random_blocked_state(rng, n) for n in range(2, 6)]
+        joint = random_blocked_state(rng, 4)
+        states.append(QuantumState(SpinRegister.with_qubit(3),
+                                   blocks=joint.blocks))
+        for state in states:
+            labels = state.register.labels
+            dense = state.to_dense()
+            for size in range(1, len(labels)):
+                for keep in itertools.combinations(labels, size):
+                    a = partial_trace(state, keep)
+                    b = partial_trace(dense, keep)
+                    assert a.is_blocked
+                    assert a.register.labels == keep
+                    assert trace_distance(a, b) < 1e-12
 
     def test_keep_everything_is_identity(self, rng):
         state = random_dense_state(rng, 2)
