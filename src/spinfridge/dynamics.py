@@ -13,12 +13,15 @@ sectors.py). Generators are assembled sector by sector from a SpinNetwork,
 the partial-swap window included; a dense 2^N Hamiltonian is built (and
 cached) only when a state carrying inter-sector coherence is evolved.
 
-Two evolution routes exist deliberately:
+Two evolution routes, one per regime:
 
-* evolve()       -- adaptive RKF4(5), dense or blocked; the reference method.
-* evolve_exact() -- eigendecomposition propagator, Gamma = 0 only; used by
-                    the protocol for its unitary segments and as the
-                    independent check the integrator is validated against.
+* evolve_exact() -- exact, one coherence block X_lm (rows in sector l,
+                    columns in sector m) at a time: the cached sector
+                    unitaries at Gamma = 0, the exponential of the block
+                    Liouvillian at Gamma > 0 (up to six sites). The
+                    protocol's coherent segments and every oracle use it.
+* evolve()       -- adaptive RKF4(5); the protocol's dephased segments, and
+                    the reference the exact route is checked against.
 """
 
 from __future__ import annotations
@@ -37,6 +40,11 @@ from .registers import SpinRegister
 from .states import QuantumState, sector_decompose, trace_distance
 
 Z_CONSERVATION_TOL = 1e-12
+# Largest coherence block (d_l * d_m entries) propagated exactly under
+# dephasing: C(6,3)^2, the middle sector of a six-site register.
+MAX_LIOUVILLIAN_BLOCK = 400
+# Durations whose propagators a generator keeps, per kind of propagator.
+_KEPT_DURATIONS = 8
 
 
 # --------------------------------------------------------------------------
@@ -209,10 +217,11 @@ class LindbladGenerator:
     def without_dephasing(self) -> "LindbladGenerator":
         """A Gamma = 0 twin sharing this generator's spectral caches.
 
-        The cache only ever holds Hamiltonian-derived objects (dense H,
-        eigensystems, propagators), all independent of the dephasing rate, so
-        the twin can reuse them wholesale. Used by the waiting-time optimizer,
-        which always works with the coherent dynamics.
+        Everything in the cache derives from the Hamiltonian alone, except
+        the dephased propagators, whose keys carry the rate and the dephased
+        sites; so the twin reuses the cache wholesale and never reads a
+        dephased entry. Used by the waiting-time optimizer, which always
+        works with the coherent dynamics.
         """
         if self.dephasing_rate == 0:
             return self
@@ -232,35 +241,96 @@ class LindbladGenerator:
             self._cache["block_eig"] = [np.linalg.eigh(b) for b in self._blocks]
         return self._cache["block_eig"]
 
-    def dense_eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        if "dense_eig" not in self._cache:
-            self._cache["dense_eig"] = np.linalg.eigh(self.hamiltonian.matrix)
-        return self._cache["dense_eig"]
-
-    def _weights(self, signs: np.ndarray) -> tuple[np.ndarray, int]:
-        """Dephasing weights W = s s^T and the dephased-site count, for the
-        basis whose per-site spin signs are the rows of `signs`."""
+    def _weights(self, rows: np.ndarray, cols: np.ndarray
+                 ) -> tuple[np.ndarray, int]:
+        """Dephasing weights W = s_rows s_cols^T and the dephased-site count,
+        between the bases whose per-site spin signs are the rows of `rows`
+        and of `cols`."""
         if self.dephasing_sites is not None:
             labels = self.register.labels
-            signs = signs[:, [labels.index(s) for s in self.dephasing_sites]]
-        return signs @ signs.T, signs.shape[1]
+            keep = [labels.index(s) for s in self.dephasing_sites]
+            rows, cols = rows[:, keep], cols[:, keep]
+        return rows @ cols.T, rows.shape[1]
+
+    def _cached(self, key: tuple, build: Callable[[], list]) -> list:
+        """The cache entry `key`, built on a miss. Entries of one kind
+        (key[0]) are bounded, oldest evicted first, because optimized
+        protocols produce a fresh duration per step."""
+        if key not in self._cache:
+            stale = [k for k in self._cache
+                     if isinstance(k, tuple) and k[0] == key[0]]
+            for k in stale[:max(0, len(stale) - (_KEPT_DURATIONS - 1))]:
+                del self._cache[k]
+            self._cache[key] = build()
+        return self._cache[key]
 
     def blocked_propagators(self, duration: float) -> list[np.ndarray]:
         """Per-sector unitaries exp(-i H_l t), cached for a few durations.
 
         Repeated durations (fixed-wait protocols, swap windows) hit the
-        cache; optimized protocols produce a fresh duration per step, so the
-        cache is bounded to keep memory flat over long runs.
+        cache; the bound keeps memory flat over long optimized runs.
         """
-        key = ("prop", float(duration))
-        if key not in self._cache:
-            props = [(u * np.exp(-1j * d * duration)) @ u.conj().T
-                     for d, u in self.block_eigensystems()]
-            stale = [k for k in self._cache if isinstance(k, tuple) and k[0] == "prop"]
-            for k in stale[:max(0, len(stale) - 7)]:
-                del self._cache[k]
-            self._cache[key] = props
-        return self._cache[key]
+        return self._cached(
+            ("prop", float(duration)),
+            lambda: [(u * np.exp(-1j * d * duration)) @ u.conj().T
+                     for d, u in self.block_eigensystems()])
+
+    def dephased_propagators(self, duration: float) -> list[np.ndarray]:
+        """Per-sector exp(t L_ll) acting on row-major vec(X_ll), cached for
+        a few durations like `blocked_propagators`."""
+        key = ("liouvillian", self.dephasing_rate, self.dephasing_sites,
+               float(duration))
+        return self._cached(key, lambda: [
+            _expm(duration * self.block_liouvillian(l, l))
+            for l in range(self.register.count + 1)])
+
+    def block_liouvillian(self, l: int, m: int) -> np.ndarray:
+        """Generator of the coherence block X_lm in row-major vec form,
+
+            L_lm = -i (H_l (x) 1 - 1 (x) H_m^T) + Gamma diag(vec(W_lm) - n),
+
+        the Hadamard-form master equation `_block_rhs` integrates. Raises
+        DomainError above MAX_LIOUVILLIAN_BLOCK entries.
+        """
+        h_l, h_m = self._blocks[l], self._blocks[m]
+        size = len(h_l) * len(h_m)
+        if size > MAX_LIOUVILLIAN_BLOCK:
+            raise DomainError(
+                f"coherence block ({l},{m}) of a {self.register.count}-site "
+                f"register has {size} entries; exact dephased propagation "
+                f"stops at {MAX_LIOUVILLIAN_BLOCK}")
+        n = self.register.count
+        w, n_sites = self._weights(sectors.spin_signs(n, l),
+                                   sectors.spin_signs(n, m))
+        gen = -1j * (np.kron(h_l, np.eye(len(h_m)))
+                     - np.kron(np.eye(len(h_l)), h_m.T))
+        gen[np.diag_indices(size)] += self.dephasing_rate * (w.ravel() - n_sites)
+        return gen
+
+
+# Taylor degree of _expm: once ||A||_1 <= 1/2 the truncation error is below
+# (1/2)^15 / 15! ~ 2e-17 relative.
+_TAYLOR_ORDER = 14
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring a truncated Taylor series.
+
+    numpy only, on purpose: numpy and scipy each bundle their own OpenBLAS,
+    and alternating between their two thread pools on these small matrices
+    costs more than the exponentials (see Al-Mohy & Higham, SIAM J. Matrix
+    Anal. Appl. 31, 970 (2009) for the method scipy.linalg.expm refines).
+    """
+    norm = float(np.abs(a).sum(axis=0).max())
+    squarings = max(0, math.ceil(math.log2(2.0 * norm))) if norm > 0 else 0
+    a = a / 2.0 ** squarings
+    out = term = np.eye(len(a), dtype=complex)
+    for k in range(1, _TAYLOR_ORDER + 1):
+        term = term @ a / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
 
 
 def apply_generator(gen: LindbladGenerator, state: QuantumState) -> np.ndarray:
@@ -276,7 +346,8 @@ def apply_generator(gen: LindbladGenerator, state: QuantumState) -> np.ndarray:
 
 def _dense_rhs(gen: LindbladGenerator) -> Callable[[float, np.ndarray], np.ndarray]:
     """The master equation on dense 2^N matrices (the reference route)."""
-    w, n_sites = gen._weights(sectors.dense_spin_signs(gen.register.count)) \
+    signs = sectors.dense_spin_signs(gen.register.count)
+    w, n_sites = gen._weights(signs, signs) \
         if gen.dephasing_rate > 0 else (None, 0)
     return _block_rhs(gen.hamiltonian.matrix, gen.dephasing_rate, w, n_sites)
 
@@ -366,8 +437,8 @@ def evolve_sampled(state: QuantumState, gen: LindbladGenerator, duration: float,
     rho0 = 0.5 * (state.matrix + state.matrix.conj().T)
     result = rkf45(_dense_rhs(gen), rho0, duration, cfg, t_eval)
     repaired, = _repair_positivity([result.y], cfg, duration)
-    final = QuantumState(state.register, dense=repaired, validate=False)
-    samples = [(t, QuantumState(state.register, dense=y, validate=False))
+    final = QuantumState._adopt(state.register, dense=repaired)
+    samples = [(t, QuantumState._adopt(state.register, dense=y))
                for t, y in result.samples]
     return final, samples
 
@@ -387,7 +458,8 @@ def _evolve_blocked(state, gen, duration, cfg, t_eval):
             for t in eval_times:
                 sampled.setdefault(t, []).append(np.zeros_like(block))
             continue
-        w_l, n_sites = gen._weights(sectors.spin_signs(n, l)) \
+        signs = sectors.spin_signs(n, l)
+        w_l, n_sites = gen._weights(signs, signs) \
             if gamma > 0 else (None, n)
         y0 = 0.5 * (block + block.conj().T)
         result = rkf45(_block_rhs(h_blocks[l], gamma, w_l, n_sites),
@@ -396,9 +468,9 @@ def _evolve_blocked(state, gen, duration, cfg, t_eval):
         for t, y in result.samples:
             sampled.setdefault(t, []).append(y)
     out_blocks = _repair_positivity(out_blocks, cfg, duration)
-    final = QuantumState(state.register, blocks=out_blocks, validate=False)
+    final = QuantumState._adopt(state.register, blocks=out_blocks)
     samples = [
-        (t, QuantumState(state.register, blocks=blks, validate=False))
+        (t, QuantumState._adopt(state.register, blocks=blks))
         for t, blks in sorted(sampled.items())
     ]
     return final, samples
@@ -406,26 +478,49 @@ def _evolve_blocked(state, gen, duration, cfg, t_eval):
 
 def evolve_exact(state: QuantumState, gen: LindbladGenerator,
                  duration: float) -> QuantumState:
-    """Unitary evolution through the cached eigendecomposition of H.
+    """Exact propagation, one coherence block X_lm at a time.
 
-    Only valid for Gamma = 0; this is the independent reference route the
-    RKF path is checked against, and the protocol's fast path for waits and
-    swap windows without dephasing.
+    X_lm -> U_l X_lm U_m^dag at Gamma = 0; vec(X_lm) -> exp(t L_lm)
+    vec(X_lm) at Gamma > 0 (`block_liouvillian`; raises DomainError beyond
+    six sites), with only the l = m propagators cached. A dense state is
+    split into every pair l <= m, with X_ml = X_lm^dag; exactly-zero
+    blocks are skipped.
     """
-    if gen.dephasing_rate != 0:
-        raise DomainError("exact propagation requires zero dephasing")
     if gen.register.labels != state.register.labels:
         raise DomainError("generator and state registers do not match")
-    if state.is_blocked:
+    if gen.dephasing_rate == 0:
         props = gen.blocked_propagators(duration)
-        out = [p @ block @ p.conj().T if block.any() else np.zeros_like(block)
-               for block, p in zip(state.blocks, props)]
-        return QuantumState(state.register, blocks=out, validate=False)
-    d, u = gen.dense_eigensystem()
-    phase = np.exp(-1j * d * duration)
-    prop = (u * phase) @ u.conj().T
-    rho = prop @ state.matrix @ prop.conj().T
-    return QuantumState(state.register, dense=rho, validate=False)
+
+        def propagate(l, m, x):
+            return props[l] @ x @ props[m].conj().T
+    else:
+        diagonal = gen.dephased_propagators(duration)
+
+        def propagate(l, m, x):
+            if l != m:
+                p = _expm(duration * gen.block_liouvillian(l, m))
+                return (p @ x.reshape(-1)).reshape(x.shape)
+            y = (diagonal[l] @ x.reshape(-1)).reshape(x.shape)
+            # exp(t L_ll) keeps X_ll Hermitian only up to rounding.
+            return 0.5 * (y + y.conj().T)
+
+    if state.is_blocked:
+        out = [propagate(l, l, block) if block.any() else np.zeros_like(block)
+               for l, block in enumerate(state.blocks)]
+        return QuantumState._adopt(state.register, blocks=out)
+    bases = sectors.sector_bases(state.register.count)
+    rho = state.matrix
+    out = np.zeros_like(rho)
+    for l, rows in enumerate(bases):
+        for m in range(l, len(bases)):
+            cols = bases[m]
+            x = rho[np.ix_(rows, cols)]
+            if x.any():
+                y = propagate(l, m, x)
+                out[np.ix_(rows, cols)] = y
+                if m != l:
+                    out[np.ix_(cols, rows)] = y.conj().T
+    return QuantumState._adopt(state.register, dense=out)
 
 
 # --------------------------------------------------------------------------
@@ -452,9 +547,9 @@ def perfect_swap(state: QuantumState, i: int, j: int) -> QuantumState:
             swapped = _swap_bits(basis, bi, bj)
             perm = positions[swapped]
             out.append(block[np.ix_(perm, perm)])
-        return QuantumState(reg, blocks=out, validate=False)
+        return QuantumState._adopt(reg, blocks=out)
     idx = _swap_bits(np.arange(reg.dim), bi, bj)
-    return QuantumState(reg, dense=state.matrix[np.ix_(idx, idx)], validate=False)
+    return QuantumState._adopt(reg, dense=state.matrix[np.ix_(idx, idx)])
 
 
 def _swap_bits(values: np.ndarray, bi: int, bj: int) -> np.ndarray:

@@ -31,15 +31,12 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .dynamics import (
-    IntegratorConfig,
     LindbladGenerator,
     SpinNetwork,
     SwapSpec,
     conserves_z_excitation,
-    evolve,
     evolve_exact,
     is_unital,
-    partial_swap,
     perfect_swap,
     window_generator,
 )
@@ -66,6 +63,15 @@ _COOL_TOL = 1e-9
 _FIXED_POINT_TOL = 1e-8
 _DISPLACEMENT_MIN = 1e-6
 _MAJORIZATION_TOL = 1e-10
+# Probe sites an oracle accepts: with the qubit that is the six-site register
+# the exact dephased propagation of evolve_exact stops at.
+_MAX_PROBE_SITES = 5
+
+
+def _check_probe_size(sites: int, oracle: str) -> None:
+    if sites > _MAX_PROBE_SITES:
+        raise DomainError(f"{oracle} oracle is a small-system check "
+                          f"(N <= {_MAX_PROBE_SITES}), got {sites}")
 
 
 # --------------------------------------------------------------------------
@@ -114,15 +120,14 @@ class ChannelSample:
 
 
 def random_channel_sample(rng: np.random.Generator, probe_size: int,
-                          check_seed: int = 0,
-                          integrator: IntegratorConfig | None = None
-                          ) -> ChannelSample:
+                          check_seed: int = 0) -> ChannelSample:
     """Draw a z-conserving network, dephasing rate, wait, and swap.
 
     Couplings are uniform in [-1, 1] on every pair, anisotropies uniform in
     [0, 2], so the Hamiltonian commutes with total spin-z by construction.
     The dephasing rate mixes point masses at 0 and J with a uniform draw so
-    both edge regimes always appear across a batch.
+    both edge regimes always appear across a batch. The wait and the swap
+    window both propagate exactly through `evolve_exact`.
     """
     reg = SpinRegister.of_size(probe_size)
     labels = reg.labels
@@ -157,16 +162,12 @@ def random_channel_sample(rng: np.random.Generator, probe_size: int,
             window_dephasing_rate=gamma,
         )
         wgen = window_generator(joint_reg, spec)
-        swap_fn = lambda s: partial_swap(s, spec, integrator, _gen=wgen)  # noqa: E731
+        swap_fn = lambda s: evolve_exact(s, wgen, spec.window_duration)  # noqa: E731
         params["swap"] = f"partial J_I={j_i:.4g}"
         desc = params["swap"]
 
     def apply(joint: QuantumState) -> QuantumState:
-        if gamma == 0:
-            waited = evolve_exact(joint, wait_gen, tau)
-        else:
-            waited = evolve(joint, wait_gen, tau, integrator)
-        return swap_fn(waited)
+        return swap_fn(evolve_exact(joint, wait_gen, tau))
 
     sample = ChannelSample(
         description=f"wait tau={tau:.4g}, gamma={gamma:.4g}, {desc}",
@@ -187,31 +188,24 @@ def random_channel_sample(rng: np.random.Generator, probe_size: int,
 
 def oracle_always_cools(trials: int = 500, max_sites: int = 4,
                         seed: int = 20260814,
-                        inject_violation: bool = False,
-                        integrator: IntegratorConfig | None = None
-                        ) -> OracleResult:
+                        inject_violation: bool = False) -> OracleResult:
     """Randomized check that no emitted qubit is ever hotter than the bath.
 
-    Each trial draws a probe size in {2..max_sites}, a channel sample, a
-    bath temperature, valid per-site probe temperatures (all at least as
-    cold as the bath, with point masses at equality and at fully
-    polarized), and runs one to three rounds, checking every emission.
+    Each trial draws a probe size in {2..max_sites} (max_sites <= 5), a
+    channel sample, a bath temperature, valid per-site probe temperatures
+    (all at least as cold as the bath, with point masses at equality and at
+    fully polarized), and runs one to three rounds, checking every emission.
 
     `inject_violation=True` deliberately starts every probe hotter than the
     bath (beta_tilde = bath/2) to confirm the oracle detects the failure.
     """
-    if integrator is None:
-        # Same tolerances as the protocol default; only the step ceiling is
-        # raised, because these systems are tiny and slow and the error
-        # controller (not the cap) should set the pace.
-        integrator = IntegratorConfig(max_step=0.5)
+    _check_probe_size(max_sites, "always-cools")
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     coldest = math.inf
     for trial in range(trials):
         n = int(rng.integers(2, max_sites + 1))
-        sample = random_channel_sample(rng, n, check_seed=seed + trial,
-                                       integrator=integrator)
+        sample = random_channel_sample(rng, n, check_seed=seed + trial)
         bath = float(rng.uniform(0.05, 3.0))
         temps = []
         for _ in range(n):
@@ -266,9 +260,7 @@ def oracle_stationary_state(net: SpinNetwork | None = None,
                             dephasing_rates: Sequence[float] = (0.0, 0.3),
                             bath_beta_tilde: float = 0.2,
                             tau_count: int = 10,
-                            seed: int = 7,
-                            integrator: IntegratorConfig | None = None
-                            ) -> OracleResult:
+                            seed: int = 7) -> OracleResult:
     """Fixed-point and displacement check for the bath product state.
 
     For each dephasing rate, each sampled waiting time, and each swap
@@ -280,8 +272,7 @@ def oracle_stationary_state(net: SpinNetwork | None = None,
     if net is None:
         net = SpinNetwork.uniform_chain(4, 1.0)
     n = net.register.count
-    if n > 5:
-        raise DomainError("stationarity oracle is a small-system check (N <= 5)")
+    _check_probe_size(n, "stationarity")
     rng = np.random.default_rng(seed)
     taus = rng.uniform(0.0, n, size=tau_count)
     start = time.perf_counter()
@@ -297,34 +288,20 @@ def oracle_stationary_state(net: SpinNetwork | None = None,
     for gamma in dephasing_rates:
         wait_gen = LindbladGenerator.from_network(joint_net, gamma,
                                                   dephasing_sites=net.register.labels)
-        swaps: list[tuple[str, Callable[[QuantumState], QuantumState]]] = [
-            ("perfect", lambda s: perfect_swap(s, 0, 1)),
-        ]
         spec = SwapSpec.partial(5.0, probe_background=net,
                                 window_dephasing_rate=gamma)
         wgen = window_generator(joint_reg, spec)
-        swaps.append(
+        swaps: list[tuple[str, Callable[[QuantumState], QuantumState]]] = [
+            ("perfect", lambda s: perfect_swap(s, 0, 1)),
             ("partial J_I=5",
-             lambda s, _spec=spec, _w=wgen: partial_swap(s, _spec, integrator,
-                                                         _gen=_w)))
-
-        def one_round(probe, tau, swap_fn):
-            joint = attach_thermal_qubit(probe, bath_beta_tilde)
-            if gamma == 0:
-                waited = evolve_exact(joint, wait_gen, tau)
-            else:
-                waited = evolve(joint, wait_gen, tau, integrator)
-            return swap_fn(waited)
+             lambda s: evolve_exact(s, wgen, spec.window_duration)),
+        ]
 
         for tau in taus:
             for swap_name, swap_fn in swaps:
                 trials += 1
                 fixed_in = attach_thermal_qubit(stationary, bath_beta_tilde)
-                if gamma == 0:
-                    waited = evolve_exact(fixed_in, wait_gen, tau)
-                else:
-                    waited = evolve(fixed_in, wait_gen, tau, integrator)
-                fixed_out = swap_fn(waited)
+                fixed_out = swap_fn(evolve_exact(fixed_in, wait_gen, tau))
                 dev = trace_distance(fixed_out, fixed_in)
                 worst_fixed = max(worst_fixed, dev)
                 if dev > _FIXED_POINT_TOL and witness is None:
@@ -336,7 +313,9 @@ def oracle_stationary_state(net: SpinNetwork | None = None,
                         "swap": swap_name,
                         "trace_distance": float(dev),
                     }
-                moved = one_round(perturbed, tau, swap_fn)
+                moved = swap_fn(evolve_exact(
+                    attach_thermal_qubit(perturbed, bath_beta_tilde),
+                    wait_gen, tau))
                 probe_after = partial_trace(moved, keep=net.register.labels)
                 best_displacement = max(
                     best_displacement,
@@ -498,18 +477,17 @@ def _reset_site_one(state: QuantumState) -> QuantumState:
 
 def oracle_majorization(trials: int = 300, max_sites: int = 4,
                         seed: int = 99,
-                        negative_control: bool = False,
-                        integrator: IntegratorConfig | None = None
-                        ) -> OracleResult:
+                        negative_control: bool = False) -> OracleResult:
     """Within-sector spectral dominance under the evolution channel.
 
-    Each trial draws a random blocked state and a random z-conserving
-    network with a dephasing rate from {0, 0.5, uniform}, evolves for a
-    random time, and checks that each sector's sorted spectrum before
+    Each trial draws a random blocked state on 2..max_sites (<= 5) sites
+    and a random z-conserving network with a dephasing rate from
+    {0, 0.5, uniform}, evolves exactly for a random time, and checks that each sector's sorted spectrum before
     majorizes the one after. With `negative_control=True` the channel is
     replaced by a non-unital site reset, which must be caught violating
     dominance.
     """
+    _check_probe_size(max_sites, "majorization")
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     strictest = 0.0
@@ -533,10 +511,8 @@ def oracle_majorization(trials: int = 300, max_sites: int = 4,
             # the reset creates no inter-sector coherence, so the blocked
             # view below is exact
             out = sector_decompose(_reset_site_one(state))
-        elif gamma == 0:
-            out = evolve_exact(state, gen, tau)
         else:
-            out = evolve(state, gen, tau, integrator)
+            out = evolve_exact(state, gen, tau)
         before = SectorSpectrum.from_state(state)
         after = SectorSpectrum.from_state(out)
         for l, (b, a) in enumerate(zip(before.spectra, after.spectra)):

@@ -325,7 +325,7 @@ def attach_thermal_qubit(state: QuantumState, beta_tilde: float) -> QuantumState
     p0, p1 = thermal_populations(beta_tilde)
     if not state.is_blocked:
         joint = np.kron(np.diag([p0, p1]).astype(complex), state.matrix)
-        return QuantumState(joint_reg, dense=joint, validate=False)
+        return QuantumState._adopt(joint_reg, dense=joint)
     n = reg.count
     probe_blocks = state.blocks
     sizes = [len(b) for b in sectors.sector_bases(n)]
@@ -339,7 +339,7 @@ def attach_thermal_qubit(state: QuantumState, beta_tilde: float) -> QuantumState
         if d_dn:
             block[d_up:, d_up:] = p1 * probe_blocks[l - 1]
         out.append(block)
-    return QuantumState(joint_reg, blocks=out, validate=False)
+    return QuantumState._adopt(joint_reg, blocks=out)
 
 
 def _efficiency(bath_beta: float, out_beta: float) -> float:

@@ -109,6 +109,21 @@ class QuantumState:
 
     def __init__(self, register: SpinRegister, *, dense=None, blocks=None,
                  validate: bool = True):
+        self._store(register, dense, blocks, copy=True)
+        if validate:
+            self._validate()
+
+    @classmethod
+    def _adopt(cls, register: SpinRegister, *, dense=None,
+               blocks=None) -> "QuantumState":
+        """Wrap arrays an internal caller has just built, unvalidated and
+        uncopied. They are made read-only in place, so the caller must hold
+        no other reference it means to write through."""
+        state = cls.__new__(cls)
+        state._store(register, dense, blocks, copy=False)
+        return state
+
+    def _store(self, register: SpinRegister, dense, blocks, copy: bool):
         if (dense is None) == (blocks is None):
             raise DomainError("exactly one of dense/blocks must be given")
         self.register = register
@@ -119,7 +134,8 @@ class QuantumState:
                     f"matrix shape {dense.shape} does not match register "
                     f"dimension {register.dim}"
                 )
-            dense = dense.copy()
+            if copy:
+                dense = dense.copy()
             dense.setflags(write=False)
             self._dense = dense
             self._blocks = None
@@ -136,13 +152,12 @@ class QuantumState:
                     raise DomainError(
                         f"sector {l} block has shape {b.shape}, expected {(d, d)}"
                     )
-                b = b.copy()
+                if copy:
+                    b = b.copy()
                 b.setflags(write=False)
                 clean.append(b)
             self._dense = None
             self._blocks = tuple(clean)
-        if validate:
-            self._validate()
 
     # -- constructors ------------------------------------------------------
 
@@ -315,7 +330,7 @@ def _partial_trace_dense(state: QuantumState, sub: SpinRegister) -> QuantumState
     dk, de = 1 << len(keep_idx), 1 << len(env_idx)
     t = t.transpose(perm).reshape(dk, de, dk, de)
     reduced = np.trace(t, axis1=1, axis2=3)
-    return QuantumState(sub, dense=reduced, validate=False)
+    return QuantumState._adopt(sub, dense=reduced)
 
 
 def _partial_trace_blocked(state: QuantumState, sub: SpinRegister) -> QuantumState:
@@ -331,7 +346,7 @@ def _partial_trace_blocked(state: QuantumState, sub: SpinRegister) -> QuantumSta
         if labels[i] not in sub.labels:
             blocks = _trace_out_bit(blocks, n, n - 1 - i)
             n -= 1
-    return QuantumState(sub, blocks=blocks, validate=False)
+    return QuantumState._adopt(sub, blocks=blocks)
 
 
 def _trace_out_bit(blocks, n: int, bit: int) -> list[np.ndarray]:

@@ -96,11 +96,70 @@ class TestApplyGenerator:
         assert np.abs(rhs).max() < 1e-13
 
 
+def random_network_generator(rng, n: int, gamma: float,
+                             dephasing_sites=None) -> LindbladGenerator:
+    """All-to-all XXZ network with random couplings and anisotropies."""
+    reg = SpinRegister.of_size(n)
+    pairs = [(a, b) for i, a in enumerate(reg.labels)
+             for b in reg.labels[i + 1:]]
+    net = SpinNetwork(reg, {p: float(rng.uniform(-1, 1)) for p in pairs},
+                      {p: float(rng.uniform(0, 2)) for p in pairs})
+    return LindbladGenerator.from_network(net, gamma, dephasing_sites)
+
+
 class TestEvolveExact:
-    def test_requires_zero_dephasing(self, rng):
-        gen = chain_generator(2, 0.1)
+    def test_dephased_route_rejects_large_blocks(self):
+        # Sector 5 of ten sites has 252 states: 252^2 > 400 entries.
+        gen = chain_generator(10, 0.5)
+        state = thermal_product_state([0.3] * 10)
         with pytest.raises(DomainError):
-            evolve_exact(random_dense_state(rng, 2), gen, 1.0)
+            evolve_exact(state, gen, 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("subset", [False, True])
+    def test_dephased_matches_tight_rkf45_on_coherent_states(
+            self, rng, n, subset):
+        # Random dense states carry coherence between every pair of
+        # sectors, so every (l, m) block Liouvillian is exercised.
+        sites = tuple(range(2, n + 1)) if subset else None
+        gen = random_network_generator(rng, n, 0.7, sites)
+        state = random_dense_state(rng, n)
+        exact = evolve_exact(state, gen, 1.3).matrix
+        tight = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
+        reference = rkf45(_dense_rhs(gen), state.matrix, 1.3, tight).y
+        assert np.abs(exact - reference).max() <= 1e-12
+
+    @pytest.mark.parametrize("norm", [0.0, 1e-3, 1.0, 30.0, 300.0, 1000.0])
+    def test_taylor_exponential_matches_scipy(self, rng, norm):
+        from scipy.linalg import expm
+
+        from spinfridge.dynamics import _expm
+        # Mostly coherent with weak damping, like a block Liouvillian, so
+        # exp(a) stays of order one even at the largest norm.
+        g = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        a = -1j * (g + g.conj().T) - np.diag(rng.uniform(0, 0.05, size=12))
+        a *= norm / np.abs(a).sum(axis=0).max()
+        gap = np.abs(_expm(a) - expm(a)).max()
+        assert gap <= 1e-13 * max(1.0, norm)
+
+    def test_dephased_composition(self, rng):
+        gen = random_network_generator(rng, 3, 0.4)
+        for state in (random_dense_state(rng, 3), random_blocked_state(rng, 3)):
+            one = evolve_exact(evolve_exact(state, gen, 0.8), gen, 1.1)
+            two = evolve_exact(state, gen, 1.9)
+            assert trace_distance(one, two) < 1e-12
+
+    def test_twin_keeps_the_unitary_route(self, rng):
+        # The Gamma = 0 twin shares the dephased generator's cache; the
+        # dephased propagators cached there must never reach it.
+        gen = random_network_generator(rng, 3, 0.5)
+        state = random_blocked_state(rng, 3)
+        dephased = evolve_exact(state, gen, 1.2)
+        twin = evolve_exact(state, gen.without_dephasing(), 1.2)
+        unitary = evolve_exact(state, LindbladGenerator(gen.hamiltonian), 1.2)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(twin.blocks, unitary.blocks))
+        assert trace_distance(dephased, unitary) > 1e-3
 
     def test_preserves_entropy(self, rng):
         gen = chain_generator(3)

@@ -107,6 +107,29 @@ class TestMajorization:
         assert result.witness is not None
 
 
+class TestExactRoute:
+    def test_oracles_never_call_the_integrator(self, monkeypatch):
+        from spinfridge import dynamics
+        calls = []
+        original = dynamics.rkf45
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "rkf45", counted)
+        assert oracle_always_cools(trials=20, max_sites=3)
+        assert oracle_stationary_state()
+        assert oracle_majorization(trials=40, max_sites=3)
+        assert calls == []
+
+    def test_six_site_probes_rejected(self):
+        with pytest.raises(DomainError):
+            oracle_always_cools(trials=1, max_sites=6)
+        with pytest.raises(DomainError):
+            oracle_majorization(trials=1, max_sites=6)
+
+
 class TestSectorSpectrum:
     def test_from_blocked_state(self, rng):
         state = random_blocked_state(rng, 3)

@@ -167,6 +167,21 @@ class TestQuantumState:
         state = random_dense_state(rng, 2)
         assert state.eigenvalues().sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_adopt_keeps_arrays_and_freezes_them(self, rng):
+        # Internal callers hand over arrays they just built; the public
+        # constructor keeps copying.
+        state = random_blocked_state(rng, 2)
+        blocks = [b.copy() for b in state.blocks]
+        dense = state.to_dense().matrix.copy()
+        adopted = QuantumState._adopt(state.register, blocks=blocks)
+        assert all(a is b for a, b in zip(adopted.blocks, blocks))
+        assert not any(b.flags.writeable for b in blocks)
+        whole = QuantumState._adopt(state.register, dense=dense)
+        assert whole.matrix is dense and not dense.flags.writeable
+        fresh = np.eye(4, dtype=complex) / 4
+        assert QuantumState(state.register, dense=fresh).matrix is not fresh
+        assert fresh.flags.writeable
+
 
 # --------------------------------------------------------------------------
 # partial trace and site populations
