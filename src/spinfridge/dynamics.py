@@ -43,7 +43,7 @@ Z_CONSERVATION_TOL = 1e-12
 # Largest coherence block (d_l * d_m entries) propagated exactly under
 # dephasing: C(6,3)^2, the middle sector of a six-site register.
 MAX_LIOUVILLIAN_BLOCK = 400
-# Durations whose propagators a generator keeps, per kind of propagator.
+# Entries a generator keeps per kind: propagator durations or scan grids.
 _KEPT_DURATIONS = 8
 
 
@@ -255,7 +255,7 @@ class LindbladGenerator:
     def _cached(self, key: tuple, build: Callable[[], list]) -> list:
         """The cache entry `key`, built on a miss. Entries of one kind
         (key[0]) are bounded, oldest evicted first, because optimized
-        protocols produce a fresh duration per step."""
+        protocols produce a fresh duration (or scan grid) per step."""
         if key not in self._cache:
             stale = [k for k in self._cache
                      if isinstance(k, tuple) and k[0] == key[0]]

@@ -44,6 +44,7 @@ from .errors import DomainError
 from .protocol import (
     ProtocolConfig,
     ProtocolReport,
+    _prepend_site,
     attach_thermal_qubit,
     entropy_accounting,
     run_protocol,
@@ -52,7 +53,6 @@ from .registers import SpinRegister
 from .states import (
     QuantumState,
     partial_trace,
-    sector_decompose,
     temperature_of,
     thermal_product_state,
     trace_distance,
@@ -464,17 +464,6 @@ def _random_blocked_state(rng: np.random.Generator, n: int) -> QuantumState:
                         blocks=[b / total for b in blocks])
 
 
-def _reset_site_one(state: QuantumState) -> QuantumState:
-    """Negative control: re-prepare site 1 in its ground state."""
-    rest = partial_trace(state, keep=state.register.labels[1:]) \
-        if state.register.count > 1 else None
-    if rest is None:
-        dense = np.diag([0.0, 1.0]).astype(complex)
-    else:
-        dense = np.kron(np.diag([0.0, 1.0]).astype(complex), rest.matrix)
-    return QuantumState(state.register, dense=dense)
-
-
 def oracle_majorization(trials: int = 300, max_sites: int = 4,
                         seed: int = 99,
                         negative_control: bool = False) -> OracleResult:
@@ -508,9 +497,9 @@ def oracle_majorization(trials: int = 300, max_sites: int = 4,
         tau = float(rng.uniform(0.0, 2.0))
         gen = LindbladGenerator.from_network(net, gamma)
         if negative_control:
-            # the reset creates no inter-sector coherence, so the blocked
-            # view below is exact
-            out = sector_decompose(_reset_site_one(state))
+            # non-unital: re-prepare site 1 in its ground state (beta = inf)
+            out = _prepend_site(partial_trace(state, keep=labels[1:]),
+                                labels[0], math.inf)
         else:
             out = evolve_exact(state, gen, tau)
         before = SectorSpectrum.from_state(state)

@@ -8,6 +8,10 @@ leaves colder than the bath whenever every probe site started at least as
 cold -- that is the invariant the whole package is built to exhibit -- and
 the probe pays for it by creeping toward the bath's product state.
 
+A perfect swap followed by the detach is a site reset: the emitted qubit is
+site 1's marginal, and the next probe is chi(beta_bath) (x) Tr_1 rho_waited,
+so that round never builds the N+1-site joint register.
+
 Waiting times are either fixed (J*tau = 1 by default) or optimized per step
 by scanning the end spin's excited-state population over a uniform J*tau
 grid on [0, N] in a single pass and picking the earliest maximum. The
@@ -37,7 +41,6 @@ from .dynamics import (
     evolve_exact,
     evolve_sampled,
     partial_swap,
-    perfect_swap,
     window_generator,
 )
 from .errors import DomainError, PopulationInversionError
@@ -49,6 +52,7 @@ from .states import (
     partial_trace,
     reduced_site_populations,
     sector_decompose,
+    spectrum_entropy,
     temperature_of,
     thermal_populations,
     thermal_product_state,
@@ -215,16 +219,17 @@ def _exact_population_curve(state: QuantumState, gen: LindbladGenerator,
     so tr[rho(t) P] is a double sum over eigenpairs that evaluates on the
     whole grid at once.
     """
-    n = state.register.count
-    bits = _site1_bits(n)
     curve = np.zeros(times.size)
-    for (d, u), block, b in zip(gen.block_eigensystems(), state.blocks, bits):
+    eigs = gen.block_eigensystems()
+    # P = U^dag diag(b) U and the phases depend on the generator and grid only
+    scan = gen._cached(("scan", times.tobytes()), lambda: [
+        (u.conj().T @ (b[:, None] * u), np.exp(-1j * np.outer(d, times)))
+        for (d, u), b in zip(eigs, _site1_bits(state.register.count))])
+    for (_, u), block, (p, v) in zip(eigs, state.blocks, scan):
         if not block.size or not block.any():
             continue
         a = u.conj().T @ block @ u
-        p = u.conj().T @ (b[:, None] * u)
         c = a * p.T
-        v = np.exp(-1j * np.outer(d, times))
         curve += np.einsum("jt,jt->t", v, c @ v.conj()).real
     return curve
 
@@ -311,35 +316,38 @@ def optimize_waiting_time(
 # --------------------------------------------------------------------------
 
 def attach_thermal_qubit(state: QuantumState, beta_tilde: float) -> QuantumState:
-    """Prepend a fresh thermal qubit as site 0.
-
-    The joint state is chi(beta) (x) rho. For a sector-blocked probe the
-    joint blocks assemble directly: joint sector l is the direct sum of
-    p0 * (probe sector l) and p1 * (probe sector l-1), because site 0 is
-    the most significant bit of the joint index.
-    """
-    reg = state.register
-    if 0 in reg.labels:
+    """Prepend a fresh thermal qubit as site 0: chi(beta) (x) rho."""
+    if 0 in state.register.labels:
         raise DomainError("register already contains the qubit site 0")
-    joint_reg = SpinRegister((0,) + reg.labels)
+    return _prepend_site(state, 0, beta_tilde)
+
+
+def _prepend_site(rest: QuantumState | None, label: int,
+                  beta_tilde: float) -> QuantumState:
+    """chi(beta) as site `label` in front of `rest` (None: no other site).
+
+    For a sector-blocked rest the blocks assemble directly: sector l is the
+    direct sum of p0 * (rest sector l) and p1 * (rest sector l-1), because
+    the new site is the most significant bit of the joint index.
+    """
+    labels = (label,) + (rest.register.labels if rest is not None else ())
     p0, p1 = thermal_populations(beta_tilde)
-    if not state.is_blocked:
-        joint = np.kron(np.diag([p0, p1]).astype(complex), state.matrix)
-        return QuantumState._adopt(joint_reg, dense=joint)
-    n = reg.count
-    probe_blocks = state.blocks
-    sizes = [len(b) for b in sectors.sector_bases(n)]
+    if rest is not None and not rest.is_blocked:
+        joint = np.kron(np.diag([p0, p1]).astype(complex), rest.matrix)
+        return QuantumState._adopt(SpinRegister(labels), dense=joint)
+    rest_blocks = rest.blocks if rest is not None else [np.ones((1, 1))]
+    n = len(rest_blocks) - 1
     out = []
     for l in range(n + 2):
-        d_up = sizes[l] if l <= n else 0          # qubit |0>, probe sector l
-        d_dn = sizes[l - 1] if 1 <= l <= n + 1 else 0
+        d_up = len(rest_blocks[l]) if l <= n else 0   # new site |0>
+        d_dn = len(rest_blocks[l - 1]) if l else 0
         block = np.zeros((d_up + d_dn, d_up + d_dn), dtype=complex)
         if d_up:
-            block[:d_up, :d_up] = p0 * probe_blocks[l]
+            block[:d_up, :d_up] = p0 * rest_blocks[l]
         if d_dn:
-            block[d_up:, d_up:] = p1 * probe_blocks[l - 1]
+            block[d_up:, d_up:] = p1 * rest_blocks[l - 1]
         out.append(block)
-    return QuantumState._adopt(joint_reg, blocks=out)
+    return QuantumState._adopt(SpinRegister(labels), blocks=out)
 
 
 def _efficiency(bath_beta: float, out_beta: float) -> float:
@@ -366,13 +374,15 @@ def cool_step(
     *,
     coupling: float = 1.0,
     _window_gen: LindbladGenerator | None = None,
-    _reference: QuantumState | None = None,
 ) -> tuple[QuantumState, QuantumState, StepRecord]:
     """One protocol round: wait tau, attach chi(bath), swap, detach.
 
     Returns (next probe, emitted qubit, record). `tau` is physical time;
     the record stores J*tau using `coupling`. The emitted qubit carries
-    label 0; the probe keeps labels 1..N.
+    label 0; the probe keeps labels 1..N. A perfect swap is a site reset:
+    the emitted qubit is site 1's marginal of the waited probe, site 1 is
+    re-prepared in chi(bath), and the spectra of the rest's sector blocks
+    give the next probe's entropy and distance.
     """
     if tau < 0:
         raise DomainError(f"waiting time must be >= 0, got {tau}")
@@ -385,28 +395,51 @@ def cool_step(
             waited = evolve(probe, gen, tau, cfg)
     else:
         waited = probe
-    joint = attach_thermal_qubit(waited, bath_beta_tilde)
+    labels, n = probe.register.labels, probe.register.count
+    p0, p1 = thermal_populations(bath_beta_tilde)
+    spectra = None  # the next probe's sector spectra, when it is blocked
     if swap.mode == "perfect":
-        swapped = perfect_swap(joint, 0, 1)
+        site = partial_trace(waited, keep=labels[:1])
+        qubit = QuantumState._adopt(SpinRegister((0,)), dense=site._dense,
+                                    blocks=site._blocks)
+        rest = partial_trace(waited, keep=labels[1:]) if labels[1:] else None
+        next_probe = _prepend_site(rest, labels[0], bath_beta_tilde)
+        if next_probe.is_blocked:
+            # block l of the next probe is p0 rest_l (+) p1 rest_{l-1}
+            mu = [np.linalg.eigvalsh(b) for b in rest.blocks] \
+                if rest is not None else [np.ones(1)]
+            spectra = [np.concatenate((p0 * up, p1 * down)) for up, down
+                       in zip(mu + [np.zeros(0)], [np.zeros(0)] + mu)]
     else:
-        swapped = partial_swap(joint, swap, cfg, _gen=_window_gen)
-    next_probe = partial_trace(swapped, keep=probe.register.labels)
-    qubit = partial_trace(swapped, keep=(0,))
+        swapped = partial_swap(attach_thermal_qubit(waited, bath_beta_tilde),
+                               swap, cfg, _gen=_window_gen)
+        next_probe = partial_trace(swapped, keep=labels)
+        qubit = partial_trace(swapped, keep=(0,))
+        if next_probe.is_blocked:
+            spectra = [np.linalg.eigvalsh(b) for b in next_probe.blocks]
+    if spectra is not None:
+        # the bath product's block l is c_l * I, so one spectrum per block
+        # gives both S = -sum lambda ln lambda and D = 1/2 sum |lambda - c_l|
+        entropy = spectrum_entropy(np.sort(np.concatenate(spectra)))
+        distance = float(0.5 * sum(np.abs(vals - p0 ** (n - l) * p1 ** l).sum()
+                                   for l, vals in enumerate(spectra)))
+    else:
+        entropy = von_neumann_entropy(next_probe)
+        distance = trace_distance(next_probe, thermal_product_state(
+            [bath_beta_tilde] * n, next_probe.register))
 
     record_t = temperature_of(qubit)
     eta = _efficiency(bath_beta_tilde, record_t.beta_tilde)
     s_bath = binary_entropy(bath_beta_tilde)
     drop = s_bath - von_neumann_entropy(qubit)
-    reference = _reference if _reference is not None else \
-        thermal_product_state([bath_beta_tilde] * probe.register.count)
     record = StepRecord(
         index=0,
         wait_jtau=tau * coupling,
         qubit_out=record_t,
         eta=eta,
         qubit_entropy_drop=drop,
-        probe_entropy=von_neumann_entropy(next_probe),
-        distance_to_pseudothermal=trace_distance(next_probe, reference),
+        probe_entropy=entropy,
+        distance_to_pseudothermal=distance,
     )
     return next_probe, qubit, record
 
@@ -474,8 +507,7 @@ def run_protocol(cfg: ProtocolConfig,
             jtau = cfg.fixed_jtau
         probe, _, record = cool_step(
             probe, cfg.bath_beta_tilde, gen, swap, jtau / cfg.coupling,
-            cfg.integrator, coupling=cfg.coupling,
-            _window_gen=window_gen, _reference=reference)
+            cfg.integrator, coupling=cfg.coupling, _window_gen=window_gen)
         records.append(replace(record, index=k, predicted=predicted))
 
     return ProtocolReport(

@@ -277,7 +277,8 @@ def product_state(factors: Sequence[QuantumState]) -> QuantumState:
 
 def thermal_product_state(beta_tildes: Sequence[float],
                           register: SpinRegister | None = None) -> QuantumState:
-    """Blocked product of single-site thermal states.
+    """Blocked product of single-site thermal states, diagonal and
+    non-negative by construction, so it is not validated.
 
     Identical sites get bit-identical diagonal entries inside each sector
     (powers rather than order-dependent products), so stationary states are
@@ -303,7 +304,7 @@ def thermal_product_state(beta_tildes: Sequence[float],
             for s in range(n):
                 diag = diag * pops[s, bits[:, s]]
         blocks.append(np.diag(diag).astype(complex))
-    return QuantumState.from_blocks(blocks, register)
+    return QuantumState._adopt(register, blocks=blocks)
 
 
 # --------------------------------------------------------------------------
@@ -366,19 +367,18 @@ def _trace_out_bit(blocks, n: int, bit: int) -> list[np.ndarray]:
     return out
 
 
-def clamped_eigenvalues(state: QuantumState) -> np.ndarray:
-    """Eigenvalues with the [-1e-10, 0) floor applied; raises below it."""
-    vals = state.eigenvalues()
+def von_neumann_entropy(state: QuantumState) -> float:
+    """-sum lambda ln lambda in nats, with 0 ln 0 = 0."""
+    return spectrum_entropy(state.eigenvalues())
+
+
+def spectrum_entropy(vals: np.ndarray) -> float:
+    """Entropy of an ascending spectrum, the [-1e-10, 0) floor read as 0;
+    raises below the floor."""
     if vals.size and vals[0] < EIGENVALUE_FLOOR:
         raise InvalidStateError(
             f"eigenvalue {vals[0]:.3e} below floor {EIGENVALUE_FLOOR}"
         )
-    return np.clip(vals, 0.0, None)
-
-
-def von_neumann_entropy(state: QuantumState) -> float:
-    """-sum lambda ln lambda in nats, with 0 ln 0 = 0."""
-    vals = clamped_eigenvalues(state)
     pos = vals[vals > 0]
     return float(-(pos * np.log(pos)).sum())
 

@@ -4,6 +4,7 @@ runs, entropy bookkeeping, finite-shot thermometry."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from spinfridge import (
     DomainError,
     LindbladGenerator,
     ProtocolConfig,
+    QuantumState,
     SpinNetwork,
     SwapSpec,
     attach_thermal_qubit,
@@ -20,6 +22,8 @@ from spinfridge import (
     default_grid,
     entropy_accounting,
     estimate_temperature,
+    evolve,
+    evolve_exact,
     ideal_waiting_schedule,
     optimize_waiting_time,
     partial_trace,
@@ -29,8 +33,12 @@ from spinfridge import (
     thermal_populations,
     thermal_product_state,
     trace_distance,
+    von_neumann_entropy,
 )
-from spinfridge import sectors
+from spinfridge import dynamics, protocol, sectors
+from spinfridge.protocol import _exact_population_curve
+
+from conftest import random_blocked_state
 
 
 def chain_generator(n: int, gamma: float = 0.0) -> LindbladGenerator:
@@ -179,6 +187,28 @@ class TestOptimizeWaitingTime:
         with pytest.raises(DomainError):
             optimize_waiting_time(probe, chain_generator(2))
 
+    def test_scan_arrays_are_cached_on_the_generator(self):
+        probe = self.post_first_swap_probe(n=4)
+        times = default_grid(4, 0.05)
+        key = ("scan", times.tobytes())
+        fresh = _exact_population_curve(probe, chain_generator(4), times)
+        gen = chain_generator(4, 0.5)
+        cold = _exact_population_curve(probe, gen.without_dephasing(), times)
+        entry = gen._cache[key]
+        warm = _exact_population_curve(probe, gen.without_dephasing(), times)
+        assert np.array_equal(cold, fresh) and np.array_equal(warm, fresh)
+        # a second twin shares the parent's cache: same entry, no rebuild
+        assert gen._cache[key] is entry
+        assert [k for k in gen._cache if k[0] == "scan"] == [key]
+        # the cache keeps eight grids; a ninth evicts the oldest
+        twin = gen.without_dephasing()
+        grids = [times] + [default_grid(4, 0.05) + 0.01 * i
+                           for i in range(1, 9)]
+        for grid in grids[1:]:
+            _exact_population_curve(probe, twin, grid)
+        scans = [k for k in gen._cache if k[0] == "scan"]
+        assert scans == [("scan", g.tobytes()) for g in grids[1:]]
+
 
 class TestCoolStep:
     def test_stationary_probe_emits_at_bath(self):
@@ -209,6 +239,39 @@ class TestCoolStep:
         with pytest.raises(DomainError):
             cool_step(probe, 0.2, chain_generator(1), SwapSpec.perfect(), -1.0)
 
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_site_reset_matches_attach_swap_trace(self, rng, n, gamma,
+                                                  dense):
+        # A perfect swap plus the detach re-prepares site 1 in chi(bath).
+        # Reference: the explicit joint register, swapped and traced.
+        bath, tau = 0.3, 0.7
+        cold = thermal_product_state([2.0] * n)
+        mixed = [0.8 * a + 0.2 * b for a, b in
+                 zip(cold.blocks, random_blocked_state(rng, n).blocks)]
+        probe = QuantumState.from_blocks(mixed, cold.register)
+        if dense:
+            probe = probe.to_dense()
+        gen = chain_generator(n, gamma)
+        next_probe, qubit, record = cool_step(probe, bath, gen,
+                                              SwapSpec.perfect(), tau)
+
+        waited = evolve_exact(probe, gen, tau) if gamma == 0 \
+            else evolve(probe, gen, tau)
+        swapped = perfect_swap(attach_thermal_qubit(waited, bath), 0, 1)
+        ref_probe = partial_trace(swapped, keep=probe.register.labels)
+        ref_qubit = partial_trace(swapped, keep=(0,))
+        assert next_probe.register == ref_probe.register
+        assert qubit.register == ref_qubit.register
+        assert np.abs(next_probe.matrix - ref_probe.matrix).max() <= 1e-15
+        assert np.abs(qubit.matrix - ref_qubit.matrix).max() <= 1e-15
+        assert record.probe_entropy == pytest.approx(
+            von_neumann_entropy(ref_probe), abs=1e-13)
+        assert record.distance_to_pseudothermal == pytest.approx(
+            trace_distance(ref_probe, thermal_product_state([bath] * n)),
+            abs=1e-13)
+
 
 class TestRunProtocol:
     @pytest.mark.parametrize("swap", [SwapSpec.perfect(),
@@ -230,6 +293,31 @@ class TestRunProtocol:
         report = run_protocol(cfg)
         assert len(report.records) == 2
         assert largest and max(largest) <= 1
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    def test_perfect_swap_run_builds_no_joint_register(self, monkeypatch,
+                                                        gamma):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for module, name in ((dynamics, "perfect_swap"),
+                             (protocol, "attach_thermal_qubit"),
+                             (protocol, "partial_trace")):
+            monkeypatch.setattr(module, name,
+                                counting(name, getattr(module, name)))
+        # a perfect_swap bound into the protocol module is counted too
+        monkeypatch.setattr(protocol, "perfect_swap", dynamics.perfect_swap,
+                            raising=False)
+        cfg = ProtocolConfig(probe_size=5, bath_beta_tilde=0.2, steps=6,
+                             dephasing_rate=gamma)
+        run_protocol(cfg)
+        assert calls["perfect_swap"] == calls["attach_thermal_qubit"] == 0
+        assert calls["partial_trace"] == 2 * cfg.steps
 
     def test_two_site_ideal_run(self):
         report = run_protocol(ProtocolConfig(2, 0.2, steps=3))

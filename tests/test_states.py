@@ -127,6 +127,28 @@ class TestThermalStates:
         assert state.is_blocked
         assert len(state.blocks) == 4
 
+    def test_thermal_product_skips_validation(self, monkeypatch):
+        betas = [0.3, 1.1, math.inf, 0.3]
+
+        def refuse(state):
+            raise AssertionError("thermal product was validated")
+
+        monkeypatch.setattr(QuantumState, "_validate", refuse)
+        state = thermal_product_state(betas)
+        monkeypatch.undo()
+        # the validating constructor accepts the same blocks, and they are
+        # the blocks of the dense Kronecker product
+        validated = QuantumState.from_blocks(state.blocks, state.register)
+        kron = sector_decompose(product_state(
+            [thermal_qubit(b) for b in betas]))
+        for block, check, want in zip(state.blocks, validated.blocks,
+                                      kron.blocks):
+            assert np.array_equal(block, check)
+            assert np.array_equal(block, want)
+            assert not block.flags.writeable
+        with pytest.raises(DomainError):
+            thermal_product_state([0.3, -0.5])
+
     def test_uniform_thermal_sector_entries_are_bit_identical(self):
         # Within a sector every basis state carries p0^(n-l) p1^l; the
         # uniform builder must produce exactly equal diagonal entries so
