@@ -44,7 +44,7 @@ Z_CONSERVATION_TOL = 1e-12
 # dephasing: C(6,3)^2, the middle sector of a six-site register.
 MAX_LIOUVILLIAN_BLOCK = 400
 # Entries a generator keeps per kind: propagator durations or scan grids.
-_KEPT_DURATIONS = 8
+_KEPT_DURATIONS = 2
 
 
 # --------------------------------------------------------------------------
@@ -241,16 +241,15 @@ class LindbladGenerator:
             self._cache["block_eig"] = [np.linalg.eigh(b) for b in self._blocks]
         return self._cache["block_eig"]
 
-    def _weights(self, rows: np.ndarray, cols: np.ndarray
-                 ) -> tuple[np.ndarray, int]:
-        """Dephasing weights W = s_rows s_cols^T and the dephased-site count,
-        between the bases whose per-site spin signs are the rows of `rows`
-        and of `cols`."""
+    def _dephasing(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Gamma (W - n), the dissipator's Hadamard factor between the bases
+        whose per-site spin signs are the rows of `rows` and of `cols`:
+        W = s_rows s_cols^T over the n dephased sites."""
         if self.dephasing_sites is not None:
             labels = self.register.labels
             keep = [labels.index(s) for s in self.dephasing_sites]
             rows, cols = rows[:, keep], cols[:, keep]
-        return rows @ cols.T, rows.shape[1]
+        return self.dephasing_rate * (rows @ cols.T - rows.shape[1])
 
     def _cached(self, key: tuple, build: Callable[[], list]) -> list:
         """The cache entry `key`, built on a miss. Entries of one kind
@@ -300,11 +299,10 @@ class LindbladGenerator:
                 f"register has {size} entries; exact dephased propagation "
                 f"stops at {MAX_LIOUVILLIAN_BLOCK}")
         n = self.register.count
-        w, n_sites = self._weights(sectors.spin_signs(n, l),
-                                   sectors.spin_signs(n, m))
         gen = -1j * (np.kron(h_l, np.eye(len(h_m)))
                      - np.kron(np.eye(len(h_l)), h_m.T))
-        gen[np.diag_indices(size)] += self.dephasing_rate * (w.ravel() - n_sites)
+        gen[np.diag_indices(size)] += self._dephasing(
+            sectors.spin_signs(n, l), sectors.spin_signs(n, m)).ravel()
         return gen
 
 
@@ -346,21 +344,31 @@ def apply_generator(gen: LindbladGenerator, state: QuantumState) -> np.ndarray:
 
 def _dense_rhs(gen: LindbladGenerator) -> Callable[[float, np.ndarray], np.ndarray]:
     """The master equation on dense 2^N matrices (the reference route)."""
-    signs = sectors.dense_spin_signs(gen.register.count)
-    w, n_sites = gen._weights(signs, signs) \
-        if gen.dephasing_rate > 0 else (None, 0)
-    return _block_rhs(gen.hamiltonian.matrix, gen.dephasing_rate, w, n_sites)
+    return _block_rhs(gen, gen.hamiltonian.matrix,
+                      sectors.dense_spin_signs(gen.register.count))
 
 
-def _block_rhs(h_l: np.ndarray, gamma: float, w_l: np.ndarray | None,
-               n_sites: int) -> Callable[[float, np.ndarray], np.ndarray]:
+def _block_rhs(gen: LindbladGenerator, h_l: np.ndarray, signs: np.ndarray
+               ) -> Callable[[float, np.ndarray], np.ndarray]:
+    """-i [H_l, y] + Gamma (W - n) o y on the basis whose per-site spin signs
+    are the rows of `signs`, with `gen`'s rate and dephased sites. A real H_l
+    (every XXZ network) multiplies y's float view: half a complex product."""
+    h_re, h_im = (np.ascontiguousarray(part) for part in (h_l.real, h_l.imag))
+    h_im = h_im if h_im.any() else None
+    g = gen._dephasing(signs, signs) if gen.dephasing_rate > 0 else None
+
     def rhs(_t, y):
+        y = np.ascontiguousarray(y, dtype=complex)
+        m = (h_re @ y.view(float)).view(complex)
+        if h_im is not None:
+            m += 1j * (h_im @ y.view(float)).view(complex)
         # For Hermitian y, (H y)^dag = y H, so one product gives both sides
-        # of the commutator and the result is Hermitian to the last bit.
-        m = h_l @ y
-        d = 1j * (m.conj().T - m)
-        if gamma > 0:
-            d += gamma * (w_l * y - n_sites * y)
+        # of the commutator, i (m^dag - m): Hermitian to the last bit.
+        d = np.conjugate(m.T, out=np.empty_like(m))
+        d -= m
+        d *= 1j
+        if g is not None:
+            d += np.multiply(g, y, out=m)
         return d
 
     return rhs
@@ -411,8 +419,7 @@ def evolve(state: QuantumState, gen: LindbladGenerator, duration: float,
     sector by sector; a state with inter-sector coherence goes through the
     dense route.
     """
-    final, _ = evolve_sampled(state, gen, duration, cfg)
-    return final
+    return evolve_sampled(state, gen, duration, cfg)[0]
 
 
 def evolve_sampled(state: QuantumState, gen: LindbladGenerator, duration: float,
@@ -446,7 +453,6 @@ def evolve_sampled(state: QuantumState, gen: LindbladGenerator, duration: float,
 def _evolve_blocked(state, gen, duration, cfg, t_eval):
     n = state.register.count
     h_blocks = gen.hamiltonian_blocks()
-    gamma = gen.dephasing_rate
     out_blocks = []
     sampled: dict[float, list[np.ndarray]] = {}
     eval_times = list(t_eval) if t_eval is not None else []
@@ -458,11 +464,8 @@ def _evolve_blocked(state, gen, duration, cfg, t_eval):
             for t in eval_times:
                 sampled.setdefault(t, []).append(np.zeros_like(block))
             continue
-        signs = sectors.spin_signs(n, l)
-        w_l, n_sites = gen._weights(signs, signs) \
-            if gamma > 0 else (None, n)
         y0 = 0.5 * (block + block.conj().T)
-        result = rkf45(_block_rhs(h_blocks[l], gamma, w_l, n_sites),
+        result = rkf45(_block_rhs(gen, h_blocks[l], sectors.spin_signs(n, l)),
                        y0, duration, cfg, eval_times)
         out_blocks.append(result.y)
         for t, y in result.samples:

@@ -6,6 +6,11 @@ and the 5th-order solution is the one propagated (local extrapolation) --
 that is what keeps the global error at J*t = 10 below the 1e-8 acceptance
 bound with the default tolerances.
 
+y and the stages k1..k6 share one buffer per integration: each stage
+argument, and y5 with the embedded error y5 - y4, is one real product of
+h-scaled tableau rows with the buffer's float view, written into two
+scratch rows of the same buffer.
+
 The integrator knows nothing about quantum mechanics; dynamics.py feeds it
 density-matrix right-hand sides.
 """
@@ -21,8 +26,7 @@ from .errors import DomainError, IntegrationError
 
 # Fehlberg nodes and stage coefficients.
 _C = np.array([0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2])
-_A = (
-    (),
+_A = (  # rows for k2..k6
     (1 / 4,),
     (3 / 32, 9 / 32),
     (1932 / 2197, -7200 / 2197, 7296 / 2197),
@@ -31,6 +35,10 @@ _A = (
 )
 _B4 = np.array([25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0])
 _B5 = np.array([16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55])
+# Tableau rows over the buffer [y, k1..k6]: k2..k6's arguments, y5, y5 - y4.
+_ROWS = np.zeros((7, 7))
+_ROWS[:5, 1:6] = [a + (0.0,) * (5 - len(a)) for a in _A]
+_ROWS[5:, 1:] = _B5, _B5 - _B4
 
 _SAFETY = 0.9
 # The propagated (5th-order) solution accrues global error well below the
@@ -83,26 +91,25 @@ def rkf45(rhs: Callable[[float, np.ndarray], np.ndarray],
     """
     if duration < 0:
         raise DomainError(f"duration must be >= 0, got {duration}")
-    y = np.array(y0, dtype=complex)
     eval_times = list(t_eval) if t_eval is not None else []
     if any(t < 0 or t > duration for t in eval_times):
         raise DomainError("t_eval times must lie inside [0, duration]")
+    buf = np.empty((9,) + np.shape(y0), dtype=complex)  # y, k1..k6, 2 scratch
+    buf[0] = y0
+    flat = buf.reshape(9, -1).view(float)
+    y = buf[0]  # the current state; accepted steps overwrite it in place
     samples: list[tuple[float, np.ndarray]] = []
     next_eval = 0
     while next_eval < len(eval_times) and eval_times[next_eval] <= 0.0:
         samples.append((0.0, y.copy()))
         next_eval += 1
-    if duration == 0:
-        return IntegrationResult(y, samples, 0, 0)
 
     t = 0.0
     h = min(cfg.initial_step, cfg.max_step, duration)
     taken = rejected = 0
     h_floor = max(1e-14 * duration, 5e-292)
 
-    while t < duration:
-        if duration - t <= h_floor:
-            break  # fp-level remainder; the end point has been reached
+    while duration - t > h_floor:  # an fp-level remainder counts as the end
         target = None
         h = min(h, cfg.max_step, duration - t)
         if next_eval < len(eval_times) and t + h >= eval_times[next_eval] - 1e-15:
@@ -116,44 +123,34 @@ def rkf45(rhs: Callable[[float, np.ndarray], np.ndarray],
                 continue
             raise IntegrationError("step-size underflow", t=t, step=h, ratio=np.inf)
 
-        k1 = rhs(t, y)
-        k2 = rhs(t + _C[1] * h, y + h * (_A[1][0] * k1))
-        k3 = rhs(t + _C[2] * h, y + h * (_A[2][0] * k1 + _A[2][1] * k2))
-        k4 = rhs(t + _C[3] * h,
-                 y + h * (_A[3][0] * k1 + _A[3][1] * k2 + _A[3][2] * k3))
-        k5 = rhs(t + _C[4] * h,
-                 y + h * (_A[4][0] * k1 + _A[4][1] * k2 + _A[4][2] * k3
-                          + _A[4][3] * k4))
-        k6 = rhs(t + _C[5] * h,
-                 y + h * (_A[5][0] * k1 + _A[5][1] * k2 + _A[5][2] * k3
-                          + _A[5][3] * k4 + _A[5][4] * k5))
-        # _B4[1] = _B4[5] = _B5[1] = 0: those stages drop out of the sums.
-        y5 = y + h * (_B5[0] * k1 + _B5[2] * k3 + _B5[3] * k4
-                      + _B5[4] * k5 + _B5[5] * k6)
-        y4 = y + h * (_B4[0] * k1 + _B4[2] * k3 + _B4[3] * k4 + _B4[4] * k5)
+        coef = h * _ROWS
+        coef[:6, 0] = 1.0  # the weight of y; 0 in the error row
+        buf[1] = rhs(t, y)
+        for i in range(1, 6):
+            np.matmul(coef[i - 1, :i + 1], flat[:i + 1], out=flat[7])
+            buf[i + 1] = rhs(t + _C[i] * h, buf[7])
+        np.matmul(coef[5:], flat[:7], out=flat[7:])
+        y5, err = buf[7], buf[8]
 
-        if not np.all(np.isfinite(y5.view(float))):
+        if not np.all(np.isfinite(y5)):
             raise IntegrationError("non-finite state", t=t, step=h, ratio=np.inf)
 
         scale = _ERR_MARGIN * (cfg.abs_tol + cfg.rel_tol * np.abs(y5))
-        ratio = float((np.abs(y5 - y4) / scale).max())
+        ratio = float((np.abs(err) / scale).max())
 
         if ratio <= 1.0:
             taken += 1
             t = target if target is not None else t + h
-            y = y5
+            y[...] = y5
             if target is not None:
                 samples.append((t, y.copy()))
                 next_eval += 1
-            if taken + rejected > _MAX_STEPS:
-                raise IntegrationError("step budget exhausted", t=t, step=h,
-                                       ratio=ratio)
         else:
             rejected += 1
-            if rejected > _MAX_STEPS:
-                raise IntegrationError("step budget exhausted", t=t, step=h,
-                                       ratio=ratio)
+        if taken + rejected > _MAX_STEPS:
+            raise IntegrationError("step budget exhausted", t=t, step=h,
+                                   ratio=ratio)
         factor = _SAFETY * ratio ** -0.2 if ratio > 0 else _MAX_GROW
         h = h * min(_MAX_GROW, max(_MIN_SHRINK, factor))
 
-    return IntegrationResult(y, samples, taken, rejected)
+    return IntegrationResult(y.copy(), samples, taken, rejected)

@@ -30,7 +30,8 @@ from spinfridge import (
     window_generator,
     xxz_network_hamiltonian,
 )
-from spinfridge.dynamics import _dense_rhs
+from spinfridge import sectors
+from spinfridge.dynamics import _block_rhs, _dense_rhs
 from spinfridge.integrate import rkf45
 from spinfridge.operators import PAULIS, site_operator
 
@@ -94,6 +95,45 @@ class TestApplyGenerator:
         state = thermal_product_state([0.8] * 3)
         rhs = apply_generator(gen, state)
         assert np.abs(rhs).max() < 1e-13
+
+
+class TestBlockRhs:
+    @pytest.mark.parametrize("complex_h", [False, True])
+    @pytest.mark.parametrize("gamma", [0.0, 0.7])
+    def test_matches_textbook_master_equation(self, rng, complex_h, gamma):
+        # Sector l = 4 of eight sites (d = 70), a z-conserving block by
+        # construction; a complex H takes the second, imaginary product.
+        n, l = 8, 4
+        signs = sectors.spin_signs(n, l)
+        d = len(signs)
+        a = rng.normal(size=(d, d)) + 1j * complex_h * rng.normal(size=(d, d))
+        h = a + a.conj().T
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = 0.5 * (x + x.conj().T)
+        w = signs @ signs.T
+        got = _block_rhs(chain_generator(n, gamma), h, signs)(0.0, rho)
+        expected = -1j * (h @ rho - rho @ h) + gamma * (w * rho - n * rho)
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+        assert np.array_equal(got, got.conj().T)
+
+    def test_complex_hopping_matches_exact_route(self, rng):
+        # XY hops plus a J_a (sx sy - sy sx) term: z-conserving with purely
+        # imaginary flip-flop amplitudes, so H's sector blocks are complex.
+        reg = SpinRegister.of_size(4)
+
+        def pair(n, first, second):
+            return (site_operator(reg, n, PAULIS[first])
+                    @ site_operator(reg, n + 1, PAULIS[second]))
+
+        h = sum(rng.uniform(0.5, 1.5) * (pair(n, "x", "x") + pair(n, "y", "y"))
+                + rng.uniform(0.5, 1.5) * (pair(n, "x", "y") - pair(n, "y", "x"))
+                for n in range(1, 4))
+        gen = LindbladGenerator(Observable(reg, h), 0.3)
+        assert any(np.abs(b.imag).max() > 0.1 for b in gen.hamiltonian_blocks())
+        state = random_blocked_state(rng, 4)
+        via_rkf = evolve(state, gen, 2.0)
+        via_exp = evolve_exact(state, gen, 2.0)
+        assert np.abs(via_rkf.matrix - via_exp.matrix).max() < 1e-8
 
 
 def random_network_generator(rng, n: int, gamma: float,

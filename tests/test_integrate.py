@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from spinfridge import DomainError, IntegrationError, IntegratorConfig
 from spinfridge.integrate import rkf45
@@ -84,6 +86,27 @@ class TestDenseOutput:
         assert [t for t, _ in res.samples] == times
         for t, y in res.samples:
             assert abs(y[0] - math.exp(-t)) < 1e-9
+
+    def test_samples_and_result_own_their_memory(self):
+        # The stages share one buffer; no sample, nor the result, may alias
+        # it or each other (the last sample lands on the end point).
+        rng = np.random.default_rng(3)
+        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        a = -0.5j * (b + b.conj().T)  # y' = a y is unitary: |y| stays O(1)
+        y0 = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        times = [0.4, 0.9, 1.5]
+        res = rkf45(lambda t, y: a @ y, y0, 1.5, IntegratorConfig(),
+                    t_eval=times)
+        assert [t for t, _ in res.samples] == times
+        for t, y in res.samples:
+            assert np.abs(y - expm(t * a) @ y0).max() < 1e-8
+        arrays = [y for _, y in res.samples] + [res.y]
+        for p, q in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(p, q)
+        before = [y.copy() for _, y in res.samples]
+        res.y[...] = 0.0
+        for (_, y), kept in zip(res.samples, before):
+            assert np.array_equal(y, kept)
 
     def test_time_zero_sample(self):
         res = rkf45(exp_decay(1.0), np.array([2.0 + 0j]), 1.0,

@@ -200,10 +200,10 @@ class TestOptimizeWaitingTime:
         # a second twin shares the parent's cache: same entry, no rebuild
         assert gen._cache[key] is entry
         assert [k for k in gen._cache if k[0] == "scan"] == [key]
-        # the cache keeps eight grids; a ninth evicts the oldest
+        # the cache keeps _KEPT_DURATIONS grids; one more evicts the oldest
         twin = gen.without_dephasing()
         grids = [times] + [default_grid(4, 0.05) + 0.01 * i
-                           for i in range(1, 9)]
+                           for i in range(1, dynamics._KEPT_DURATIONS + 1)]
         for grid in grids[1:]:
             _exact_population_curve(probe, twin, grid)
         scans = [k for k in gen._cache if k[0] == "scan"]
