@@ -577,7 +577,8 @@ class SwapSpec:
     dephasing during the window to every probe site, and to the qubit as
     well only if `dephase_qubit` is set; None means "inherit the ambient
     rate" (the protocol fills it in from its config; standalone
-    partial_swap treats it as zero).
+    partial_swap treats it as zero). At rate zero `cool_step` applies the
+    window to the probe alone, through its Kraus blocks <q'|W|q>.
     """
 
     mode: str

@@ -9,8 +9,11 @@ cold -- that is the invariant the whole package is built to exhibit -- and
 the probe pays for it by creeping toward the bath's product state.
 
 A perfect swap followed by the detach is a site reset: the emitted qubit is
-site 1's marginal, and the next probe is chi(beta_bath) (x) Tr_1 rho_waited,
-so that round never builds the N+1-site joint register.
+site 1's marginal, and the next probe is chi(beta_bath) (x) Tr_1 rho_waited.
+A coherent (Gamma = 0) window W on a blocked probe is the channel
+rho -> sum_{q,q'} p_q K_{q'q} rho K_{q'q}^dag, K_{q'q} = <q'|W|q> read off
+W's sector unitaries. Neither round builds the N+1-site joint register;
+dephased windows and probes with inter-sector coherence still do.
 
 Waiting times are either fixed (J*tau = 1 by default) or optimized per step
 by scanning the end spin's excited-state population over a uniform J*tau
@@ -382,7 +385,10 @@ def cool_step(
     label 0; the probe keeps labels 1..N. A perfect swap is a site reset:
     the emitted qubit is site 1's marginal of the waited probe, site 1 is
     re-prepared in chi(bath), and the spectra of the rest's sector blocks
-    give the next probe's entropy and distance.
+    give the next probe's entropy and distance. A window without dephasing,
+    on a blocked probe, applies its Kraus blocks <q'|W|q> (quadrants of the
+    joint sector unitaries) to the probe's sectors; other partial swaps
+    attach the qubit, run `partial_swap` and trace out the joint register.
     """
     if tau < 0:
         raise DomainError(f"waiting time must be >= 0, got {tau}")
@@ -411,10 +417,32 @@ def cool_step(
             spectra = [np.concatenate((p0 * up, p1 * down)) for up, down
                        in zip(mu + [np.zeros(0)], [np.zeros(0)] + mu)]
     else:
-        swapped = partial_swap(attach_thermal_qubit(waited, bath_beta_tilde),
-                               swap, cfg, _gen=_window_gen)
-        next_probe = partial_trace(swapped, keep=labels)
-        qubit = partial_trace(swapped, keep=(0,))
+        window = _window_gen if _window_gen is not None else \
+            window_generator(SpinRegister((0,) + labels), swap)
+        if window.dephasing_rate == 0 and waited.is_blocked:
+            # Joint sector L lists its qubit-|0> states first (site 0 is the
+            # most significant bit), so the Kraus blocks <q'|W|q> are the
+            # quadrants of W_L split at d = C(N, L).
+            rho, empty = waited.blocks, np.zeros((0, 0))
+            kept = []  # (qubit-|0> rows, qubit-|1> rows) per joint sector
+            for w, a, b in zip(window.blocked_propagators(swap.window_duration),
+                               rho + (empty,), (empty,) + rho):
+                d = len(a)
+                kept.append(tuple(
+                    p0 * (k0 @ a @ k0.conj().T) + p1 * (k1 @ b @ k1.conj().T)
+                    for k0, k1 in ((w[:d, :d], w[:d, d:]),
+                                   (w[d:, :d], w[d:, d:]))))
+            next_probe = QuantumState._adopt(probe.register, blocks=[
+                z + o for (z, _), (_, o) in zip(kept[:-1], kept[1:])])
+            qubit = QuantumState._adopt(SpinRegister((0,)), blocks=[
+                np.reshape(sum(np.trace(k[q]) for k in kept), (1, 1))
+                for q in (0, 1)])
+        else:
+            swapped = partial_swap(
+                attach_thermal_qubit(waited, bath_beta_tilde), swap, cfg,
+                _gen=window)
+            next_probe = partial_trace(swapped, keep=labels)
+            qubit = partial_trace(swapped, keep=(0,))
         if next_probe.is_blocked:
             spectra = [np.linalg.eigvalsh(b) for b in next_probe.blocks]
     if spectra is not None:
