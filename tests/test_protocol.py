@@ -15,6 +15,7 @@ from spinfridge import (
     ProtocolConfig,
     QuantumState,
     SpinNetwork,
+    SpinRegister,
     SwapSpec,
     attach_thermal_qubit,
     binary_entropy,
@@ -26,6 +27,7 @@ from spinfridge import (
     evolve_exact,
     ideal_waiting_schedule,
     optimize_waiting_time,
+    partial_swap,
     partial_trace,
     perfect_swap,
     run_protocol,
@@ -44,6 +46,31 @@ from conftest import random_blocked_state
 def chain_generator(n: int, gamma: float = 0.0) -> LindbladGenerator:
     return LindbladGenerator.from_network(
         SpinNetwork.uniform_chain(n, 1.0), gamma)
+
+
+def cold_mixed_probe(rng, n: int) -> QuantumState:
+    """A blocked probe colder than any bath used here, with coherences
+    inside each sector: 0.8 chi(2.0)^n + 0.2 (random blocked state)."""
+    cold = thermal_product_state([2.0] * n)
+    return QuantumState.from_blocks(
+        [0.8 * a + 0.2 * b for a, b in
+         zip(cold.blocks, random_blocked_state(rng, n).blocks)],
+        cold.register)
+
+
+def count_calls(monkeypatch, targets) -> Counter:
+    """Count calls to each (module, name) binding for the test's duration."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
 
 
 class TestProtocolConfig:
@@ -247,10 +274,7 @@ class TestCoolStep:
         # A perfect swap plus the detach re-prepares site 1 in chi(bath).
         # Reference: the explicit joint register, swapped and traced.
         bath, tau = 0.3, 0.7
-        cold = thermal_product_state([2.0] * n)
-        mixed = [0.8 * a + 0.2 * b for a, b in
-                 zip(cold.blocks, random_blocked_state(rng, n).blocks)]
-        probe = QuantumState.from_blocks(mixed, cold.register)
+        probe = cold_mixed_probe(rng, n)
         if dense:
             probe = probe.to_dense()
         gen = chain_generator(n, gamma)
@@ -271,6 +295,87 @@ class TestCoolStep:
         assert record.distance_to_pseudothermal == pytest.approx(
             trace_distance(ref_probe, thermal_product_state([bath] * n)),
             abs=1e-13)
+
+    @staticmethod
+    def joint_register_round(probe, bath, gen, spec, tau):
+        """Reference round: wait, attach, partial_swap, two partial traces."""
+        waited = evolve_exact(probe, gen, tau) if tau > 0 else probe
+        swapped = partial_swap(attach_thermal_qubit(waited, bath), spec)
+        return (partial_trace(swapped, keep=probe.register.labels),
+                partial_trace(swapped, keep=(0,)))
+
+    @pytest.mark.parametrize("strength", [1.7, 5.0, 20.0])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_window_round_matches_joint_register(self, rng, n, strength):
+        # A coherent window on a blocked probe is applied as Kraus blocks on
+        # the probe's sectors; the joint register is the reference.
+        bath = 0.3
+        net = SpinNetwork.uniform_chain(n, 1.0)
+        gen = chain_generator(n)
+        spec = SwapSpec.partial(strength, probe_background=net)
+        mixed = cold_mixed_probe(rng, n)
+        reference = thermal_product_state([bath] * n)
+        for probe in (thermal_product_state([0.7] * n), mixed):
+            for tau in (0.0, 0.7, 2.9):
+                next_probe, qubit, record = cool_step(probe, bath, gen, spec,
+                                                      tau)
+                ref_probe, ref_qubit = self.joint_register_round(
+                    probe, bath, gen, spec, tau)
+                assert next_probe.is_blocked and qubit.is_blocked
+                assert next_probe.register == ref_probe.register
+                assert qubit.register == ref_qubit.register
+                for got, want in zip(next_probe.blocks + qubit.blocks,
+                                     ref_probe.blocks + ref_qubit.blocks):
+                    assert np.abs(got - want).max() <= 1e-14
+                assert record.probe_entropy == pytest.approx(
+                    von_neumann_entropy(ref_probe), abs=1e-13)
+                assert record.distance_to_pseudothermal == pytest.approx(
+                    trace_distance(ref_probe, reference), abs=1e-13)
+
+        # A dephased window, or a probe with inter-sector coherence, still
+        # takes the joint register: same operations, same bits.
+        dephased = SwapSpec.partial(strength, probe_background=net,
+                                    window_dephasing_rate=0.3)
+        for probe, swap in ((mixed, dephased), (mixed.to_dense(), spec)):
+            next_probe, qubit, record = cool_step(probe, bath, gen, swap, 0.7)
+            ref_probe, ref_qubit = self.joint_register_round(
+                probe, bath, gen, swap, 0.7)
+            assert np.array_equal(next_probe.matrix, ref_probe.matrix)
+            assert np.array_equal(qubit.matrix, ref_qubit.matrix)
+            assert record.probe_entropy == von_neumann_entropy(ref_probe)
+
+    def test_window_round_matches_extended_precision(self, rng):
+        # One window round on a three-site probe, with exp(-i t H_w) and both
+        # partial traces taken in 30-digit arithmetic on the dense 16 x 16
+        # joint register.
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 30
+        n, bath = 3, 0.3
+        net = SpinNetwork.uniform_chain(n, 1.0)
+        spec = SwapSpec.partial(5.0, probe_background=net)
+        probe = cold_mixed_probe(rng, n)
+        h = dynamics.xxz_network_hamiltonian(SpinNetwork(
+            SpinRegister.with_qubit(n), {(0, 1): 5.0, **net.couplings})).matrix
+        w = mp.expm(-1j * mp.mpf(spec.window_duration) * mp.matrix(
+            [[mp.mpc(complex(x)) for x in row] for row in h]))
+        p0, p1 = thermal_populations(bath)
+        rho = np.kron(np.diag([p0, p1]), probe.matrix)
+        joint = w * mp.matrix(rho.tolist()) * w.H
+        dim = 1 << n
+        want_probe = np.array([[complex(joint[i, j] + joint[dim + i, dim + j])
+                                for j in range(dim)] for i in range(dim)])
+        want_p1 = float(mp.re(sum(joint[dim + i, dim + i]
+                                  for i in range(dim))))
+
+        gen = chain_generator(n)
+        kraus_probe, kraus_qubit, _ = cool_step(probe, bath, gen, spec, 0.0)
+        ref_probe, ref_qubit = self.joint_register_round(probe, bath, gen,
+                                                         spec, 0.0)
+        for got_probe, got_qubit in ((kraus_probe, kraus_qubit),
+                                     (ref_probe, ref_qubit)):
+            assert np.abs(got_probe.matrix - want_probe).max() <= 1e-14
+            assert abs(got_qubit.matrix[1, 1] - want_p1) <= 1e-14
 
 
 class TestRunProtocol:
@@ -297,19 +402,9 @@ class TestRunProtocol:
     @pytest.mark.parametrize("gamma", [0.0, 0.3])
     def test_perfect_swap_run_builds_no_joint_register(self, monkeypatch,
                                                         gamma):
-        calls = Counter()
-
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapped
-
-        for module, name in ((dynamics, "perfect_swap"),
-                             (protocol, "attach_thermal_qubit"),
-                             (protocol, "partial_trace")):
-            monkeypatch.setattr(module, name,
-                                counting(name, getattr(module, name)))
+        calls = count_calls(monkeypatch, ((dynamics, "perfect_swap"),
+                                          (protocol, "attach_thermal_qubit"),
+                                          (protocol, "partial_trace")))
         # a perfect_swap bound into the protocol module is counted too
         monkeypatch.setattr(protocol, "perfect_swap", dynamics.perfect_swap,
                             raising=False)
@@ -318,6 +413,22 @@ class TestRunProtocol:
         run_protocol(cfg)
         assert calls["perfect_swap"] == calls["attach_thermal_qubit"] == 0
         assert calls["partial_trace"] == 2 * cfg.steps
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    def test_coherent_partial_swap_run_builds_no_joint_register(
+            self, monkeypatch, gamma):
+        # A coherent window is applied as Kraus blocks on the probe; a
+        # dephased one (inheriting the run's rate) keeps the joint register.
+        calls = count_calls(monkeypatch, (
+            (protocol, name) for name in
+            ("attach_thermal_qubit", "partial_swap", "partial_trace")))
+        cfg = ProtocolConfig(probe_size=5, bath_beta_tilde=0.2, steps=6,
+                             dephasing_rate=gamma, swap=SwapSpec.partial(5.0))
+        run_protocol(cfg)
+        joint_rounds = cfg.steps if gamma else 0
+        assert calls["attach_thermal_qubit"] == joint_rounds
+        assert calls["partial_swap"] == joint_rounds
+        assert calls["partial_trace"] == 2 * joint_rounds
 
     def test_two_site_ideal_run(self):
         report = run_protocol(ProtocolConfig(2, 0.2, steps=3))
