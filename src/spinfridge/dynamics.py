@@ -16,8 +16,8 @@ cached) only when a state carrying inter-sector coherence is evolved.
 Two evolution routes, one per regime:
 
 * evolve_exact() -- exact, one coherence block X_lm (rows in sector l,
-                    columns in sector m) at a time: the cached sector
-                    unitaries at Gamma = 0, the exponential of the block
+                    columns in sector m) at a time: phases in the sector
+                    eigenbases at Gamma = 0, the exponential of the block
                     Liouvillian at Gamma > 0 (up to six sites). The
                     protocol's coherent segments and every oracle use it.
 * evolve()       -- adaptive RKF4(5); the protocol's dephased segments, and
@@ -185,7 +185,8 @@ class LindbladGenerator:
                 if s not in register.labels:
                     raise DomainError(f"dephasing site {s} not in register")
         self.dephasing_sites = dephasing_sites
-        self._blocks = blocks
+        self._blocks = [b if np.imag(b).any() else np.ascontiguousarray(b.real)
+                        for b in blocks]
         self._cache: dict = {}
 
     @classmethod
@@ -233,7 +234,8 @@ class LindbladGenerator:
     # -- caches ------------------------------------------------------------
 
     def hamiltonian_blocks(self) -> list[np.ndarray]:
-        """Sector blocks of H, l = 0..N."""
+        """Sector blocks of H, l = 0..N; float64 where exactly real (every
+        XXZ network), whichever constructor, so their eigenvectors are real."""
         return self._blocks
 
     def block_eigensystems(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -263,11 +265,21 @@ class LindbladGenerator:
             self._cache[key] = build()
         return self._cache[key]
 
+    def _rotated(self, state: QuantumState) -> list[np.ndarray | None]:
+        """u_l^dag rho_l u_l per block of a blocked state (None if zero), kept
+        for the last (read-only) state object: the scan and its wait share it."""
+        memo = self._cache.get("rotated")
+        if memo is None or memo[0] is not state:
+            memo = self._cache["rotated"] = (state, [
+                _sandwich(u.conj().T, b, u) if b.any() else None
+                for (_, u), b in zip(self.block_eigensystems(), state.blocks)])
+        return memo[1]
+
     def blocked_propagators(self, duration: float) -> list[np.ndarray]:
         """Per-sector unitaries exp(-i H_l t), cached for a few durations.
 
-        Repeated durations (fixed-wait protocols, swap windows) hit the
-        cache; the bound keeps memory flat over long optimized runs.
+        Only the coherent partial-swap window reads them, as its Kraus
+        blocks, and its duration repeats every round.
         """
         return self._cached(
             ("prop", float(duration)),
@@ -329,6 +341,14 @@ def _expm(a: np.ndarray) -> np.ndarray:
     for _ in range(squarings):
         out = out @ out
     return out
+
+
+def _sandwich(left, x, right):
+    """left @ x @ right; real factors multiply complex x's float view."""
+    if np.iscomplexobj(left) or np.iscomplexobj(right):
+        return left @ x @ right
+    m = (left @ np.ascontiguousarray(x).view(float)).view(complex)
+    return (right.T @ np.ascontiguousarray(m.T).view(float)).view(complex).T
 
 
 def apply_generator(gen: LindbladGenerator, state: QuantumState) -> np.ndarray:
@@ -483,19 +503,25 @@ def evolve_exact(state: QuantumState, gen: LindbladGenerator,
                  duration: float) -> QuantumState:
     """Exact propagation, one coherence block X_lm at a time.
 
-    X_lm -> U_l X_lm U_m^dag at Gamma = 0; vec(X_lm) -> exp(t L_lm)
+    X_lm -> u_l (Phi_lm o u_l^dag X_lm u_m) u_m^dag at Gamma = 0 (H_l =
+    u_l D_l u_l^dag, Phi_lm = e^{-i D_l t} (e^{-i D_m t})^dag; a blocked
+    state's rotations are memoized for the scan), vec(X_lm) -> exp(t L_lm)
     vec(X_lm) at Gamma > 0 (`block_liouvillian`; raises DomainError beyond
-    six sites), with only the l = m propagators cached. A dense state is
-    split into every pair l <= m, with X_ml = X_lm^dag; exactly-zero
-    blocks are skipped.
+    six sites; only l = m propagators cached). A dense state is split into
+    every pair l <= m, with X_ml = X_lm^dag; exactly-zero blocks skipped.
     """
     if gen.register.labels != state.register.labels:
         raise DomainError("generator and state registers do not match")
     if gen.dephasing_rate == 0:
-        props = gen.blocked_propagators(duration)
+        eigs = gen.block_eigensystems()
+        phases = [np.exp(-1j * d * duration) for d, _ in eigs]
+        rotated = gen._rotated(state) if state.is_blocked else None
 
         def propagate(l, m, x):
-            return props[l] @ x @ props[m].conj().T
+            (_, u_l), (_, u_m) = eigs[l], eigs[m]
+            a = rotated[l] if rotated else _sandwich(u_l.conj().T, x, u_m)
+            phi = np.outer(phases[l], phases[m].conj())
+            return _sandwich(u_l, phi * a, u_m.conj().T)
     else:
         diagonal = gen.dephased_propagators(duration)
 

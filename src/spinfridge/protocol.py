@@ -218,22 +218,26 @@ def _exact_population_curve(state: QuantumState, gen: LindbladGenerator,
                             times: np.ndarray) -> np.ndarray:
     """p1 of site 1 at every time, from one diagonalization.
 
-    In each sector's eigenbasis, rho(t) picks up phases e^{-i(D_j - D_k)t},
-    so tr[rho(t) P] is a double sum over eigenpairs that evaluates on the
-    whole grid at once.
+    In each sector's eigenbasis a = u^dag rho u picks up phases
+    e^{-i(D_j - D_k)t}. With P = u^dag diag(b) u, the Hermitian
+    c = a o P^T = c_r + i c_i, C = cos(D t) and S = sin(D t), p1 is
+    colsum(C o c_r C) + colsum(S o c_r S) + 2 colsum(S o c_i C): two real
+    products over the grid, c_r [C S] and c_i C (a is the generator's memo).
     """
     curve = np.zeros(times.size)
     eigs = gen.block_eigensystems()
-    # P = U^dag diag(b) U and the phases depend on the generator and grid only
+    # P and [C S] depend on the generator and grid only
     scan = gen._cached(("scan", times.tobytes()), lambda: [
-        (u.conj().T @ (b[:, None] * u), np.exp(-1j * np.outer(d, times)))
+        (u.conj().T @ (b[:, None] * u),
+         np.hstack([f(np.outer(d, times)) for f in (np.cos, np.sin)]))
         for (d, u), b in zip(eigs, _site1_bits(state.register.count))])
-    for (_, u), block, (p, v) in zip(eigs, state.blocks, scan):
-        if not block.size or not block.any():
-            continue
-        a = u.conj().T @ block @ u
-        c = a * p.T
-        curve += np.einsum("jt,jt->t", v, c @ v.conj()).real
+    t = times.size
+    for a, (p, cs) in zip(gen._rotated(state), scan):
+        if a is not None:
+            c = a * p.T
+            both = np.einsum("jt,jt->t", cs, c.real @ cs)
+            curve += both[:t] + both[t:] + 2 * np.einsum(
+                "jt,jt->t", cs[:, t:], c.imag @ cs[:, :t])
     return curve
 
 

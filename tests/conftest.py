@@ -8,7 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from spinfridge import DipolarPair, QuantumState, SpinRegister
+from spinfridge import (
+    DipolarPair,
+    LindbladGenerator,
+    Observable,
+    QuantumState,
+    SpinRegister,
+)
+from spinfridge.operators import PAULIS, site_operator
 from spinfridge.sectors import sector_bases
 
 # Spin-1 operators in the local |m_s = +1, 0, -1> basis.
@@ -78,3 +85,20 @@ def random_blocked_state(rng: np.random.Generator, n: int) -> QuantumState:
         total += float(np.trace(b).real)
     return QuantumState(SpinRegister.of_size(n),
                         blocks=[b / total for b in raw])
+
+
+def complex_hopping_generator(rng: np.random.Generator, n: int,
+                              gamma: float = 0.0) -> LindbladGenerator:
+    """XY hops plus J_a (sx sy - sy sx) on a chain: z-conserving with purely
+    imaginary flip-flop amplitudes, so H's sector blocks are complex."""
+    reg = SpinRegister.of_size(n)
+
+    def pair(site, first, second):
+        return (site_operator(reg, site, PAULIS[first])
+                @ site_operator(reg, site + 1, PAULIS[second]))
+
+    h = np.zeros((reg.dim, reg.dim), dtype=complex)
+    for site in range(1, n):
+        h += rng.uniform(0.5, 1.5) * (pair(site, "x", "x") + pair(site, "y", "y"))
+        h += rng.uniform(0.5, 1.5) * (pair(site, "x", "y") - pair(site, "y", "x"))
+    return LindbladGenerator(Observable(reg, h), gamma)

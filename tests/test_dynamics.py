@@ -35,7 +35,11 @@ from spinfridge.dynamics import _block_rhs, _dense_rhs
 from spinfridge.integrate import rkf45
 from spinfridge.operators import PAULIS, site_operator
 
-from conftest import random_blocked_state, random_dense_state
+from conftest import (
+    complex_hopping_generator,
+    random_blocked_state,
+    random_dense_state,
+)
 
 
 def chain_generator(n: int, gamma: float = 0.0,
@@ -58,6 +62,7 @@ class TestGeneratorConstruction:
         gen = chain_generator(3)
         blocks = gen.hamiltonian_blocks()
         assert [len(b) for b in blocks] == [1, 3, 3, 1]
+        assert all(b.dtype == np.float64 for b in blocks)
         dense = xxz_network_hamiltonian(SpinNetwork.uniform_chain(3, 1.0))
         np.testing.assert_allclose(gen.hamiltonian.matrix, dense.matrix,
                                    atol=1e-12)
@@ -117,18 +122,7 @@ class TestBlockRhs:
         assert np.array_equal(got, got.conj().T)
 
     def test_complex_hopping_matches_exact_route(self, rng):
-        # XY hops plus a J_a (sx sy - sy sx) term: z-conserving with purely
-        # imaginary flip-flop amplitudes, so H's sector blocks are complex.
-        reg = SpinRegister.of_size(4)
-
-        def pair(n, first, second):
-            return (site_operator(reg, n, PAULIS[first])
-                    @ site_operator(reg, n + 1, PAULIS[second]))
-
-        h = sum(rng.uniform(0.5, 1.5) * (pair(n, "x", "x") + pair(n, "y", "y"))
-                + rng.uniform(0.5, 1.5) * (pair(n, "x", "y") - pair(n, "y", "x"))
-                for n in range(1, 4))
-        gen = LindbladGenerator(Observable(reg, h), 0.3)
+        gen = complex_hopping_generator(rng, 4, 0.3)
         assert any(np.abs(b.imag).max() > 0.1 for b in gen.hamiltonian_blocks())
         state = random_blocked_state(rng, 4)
         via_rkf = evolve(state, gen, 2.0)
@@ -188,6 +182,31 @@ class TestEvolveExact:
             one = evolve_exact(evolve_exact(state, gen, 0.8), gen, 1.1)
             two = evolve_exact(state, gen, 1.9)
             assert trace_distance(one, two) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("complex_h", [False, True])
+    def test_eigenbasis_route_matches_sector_unitaries(self, rng, n,
+                                                       complex_h):
+        # The reference is U_l X_lm U_m^dag with U_l = exp(-i H_l tau) from
+        # a complex eigh of each block, applied to every coherence block of
+        # a dense state at once through the direct sum of the U_l.
+        gen = complex_hopping_generator(rng, n) if complex_h \
+            else random_network_generator(rng, n, 0.0)
+        assert all(np.iscomplexobj(b) == (complex_h and 0 < l < n)
+                   for l, b in enumerate(gen.hamiltonian_blocks()))
+        eigs = [np.linalg.eigh(b.astype(complex))
+                for b in gen.hamiltonian_blocks()]
+        for tau in (0.0, 0.7, 2.9, 10.0):
+            units = [(u * np.exp(-1j * d * tau)) @ u.conj().T for d, u in eigs]
+            blocked = random_blocked_state(rng, n)
+            got = evolve_exact(blocked, gen, tau)
+            for u, x, y in zip(units, blocked.blocks, got.blocks):
+                assert np.abs(y - u @ x @ u.conj().T).max() <= 1e-13
+            dense = random_dense_state(rng, n)
+            full = sectors.scatter_blocks(units, n)
+            expected = full @ dense.matrix @ full.conj().T
+            got = evolve_exact(dense, gen, tau).matrix
+            assert np.abs(got - expected).max() <= 1e-13
 
     def test_twin_keeps_the_unitary_route(self, rng):
         # The Gamma = 0 twin shares the dephased generator's cache; the

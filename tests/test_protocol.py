@@ -40,7 +40,7 @@ from spinfridge import (
 from spinfridge import dynamics, protocol, sectors
 from spinfridge.protocol import _exact_population_curve
 
-from conftest import random_blocked_state
+from conftest import complex_hopping_generator, random_blocked_state
 
 
 def chain_generator(n: int, gamma: float = 0.0) -> LindbladGenerator:
@@ -144,7 +144,7 @@ class TestAttachThermalQubit:
         assert trace_distance(rest, probe) < 1e-13
 
     def test_blocked_assembly_matches_dense(self, rng):
-        from conftest import random_blocked_state
+        from conftest import complex_hopping_generator, random_blocked_state
         probe = random_blocked_state(rng, 3)
         blocked = attach_thermal_qubit(probe, 0.4)
         dense = attach_thermal_qubit(probe.to_dense(), 0.4)
@@ -213,6 +213,28 @@ class TestOptimizeWaitingTime:
         probe = thermal_product_state([math.inf] * 3)
         with pytest.raises(DomainError):
             optimize_waiting_time(probe, chain_generator(2))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("complex_h", [False, True])
+    def test_real_scan_matches_complex_phase_sum(self, rng, n, complex_h):
+        # The reference is the complex double sum over eigenpairs from a
+        # complex eigh of each block: sum_jt v_jt (c @ conj(v))_jt with
+        # v = exp(-i D t), c = a o P^T, a = u^dag rho u, P = u^dag diag(b) u.
+        gen = complex_hopping_generator(rng, n) if complex_h \
+            else chain_generator(n)
+        probe = random_blocked_state(rng, n)
+        times = default_grid(n)
+        expected = np.zeros(times.size)
+        for h, block, basis in zip(gen.hamiltonian_blocks(), probe.blocks,
+                                   sectors.sector_bases(n)):
+            d, u = np.linalg.eigh(h.astype(complex))
+            bits = ((basis >> (n - 1)) & 1).astype(float)
+            c = (u.conj().T @ block @ u) * (u.conj().T @ (bits[:, None] * u)).T
+            v = np.exp(-1j * np.outer(d, times))
+            expected += np.einsum("jt,jt->t", v, c @ v.conj()).real
+        curve = _exact_population_curve(probe, gen, times)
+        assert np.abs(curve - expected).max() <= 1e-14
+        assert np.argmax(curve) == np.argmax(expected)
 
     def test_scan_arrays_are_cached_on_the_generator(self):
         probe = self.post_first_swap_probe(n=4)
@@ -429,6 +451,60 @@ class TestRunProtocol:
         assert calls["attach_thermal_qubit"] == joint_rounds
         assert calls["partial_swap"] == joint_rounds
         assert calls["partial_trace"] == 2 * joint_rounds
+
+    def test_ideal_run_rotates_once_per_round(self, monkeypatch):
+        # The scan rotates each probe into the eigenbasis; the wait that
+        # follows reads the same rotation (a zero wait skips evolve_exact).
+        returned = []
+        rotated = LindbladGenerator._rotated
+
+        def spying(gen, state):
+            returned.append(rotated(gen, state))
+            return returned[-1]
+
+        monkeypatch.setattr(LindbladGenerator, "_rotated", spying)
+        cfg = ProtocolConfig(probe_size=5, bath_beta_tilde=0.2, steps=6)
+        report = run_protocol(cfg)
+        waits = sum(r.wait_jtau > 0 for r in report.records)
+        assert waits >= cfg.steps - 1
+        assert len(returned) == cfg.steps + waits
+        assert len({id(r) for r in returned}) == cfg.steps
+
+    def test_equal_state_is_rotated_afresh(self, rng):
+        gen = chain_generator(4)
+        state = random_blocked_state(rng, 4)
+        twin = QuantumState.from_blocks(state.blocks, state.register)
+        first = gen._rotated(state)
+        assert gen._rotated(state) is first
+        again = gen._rotated(twin)
+        assert again is not first
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        assert gen._rotated(state) is not first
+
+    def test_dephased_waits_never_read_the_memo(self, monkeypatch):
+        # At Gamma > 0 the waits run RKF45; only the coherent scans rotate.
+        reads, waiting = [], []
+        rotated, evolve_wait = LindbladGenerator._rotated, protocol.evolve
+
+        def spying(gen, state):
+            reads.append(bool(waiting))
+            return rotated(gen, state)
+
+        def wait(*args, **kwargs):
+            waiting.append(True)
+            try:
+                return evolve_wait(*args, **kwargs)
+            finally:
+                waiting.pop()
+
+        monkeypatch.setattr(LindbladGenerator, "_rotated", spying)
+        monkeypatch.setattr(protocol, "evolve", wait)
+        calls = count_calls(monkeypatch, ((dynamics, "rkf45"),))
+        cfg = ProtocolConfig(probe_size=5, bath_beta_tilde=0.2, steps=6,
+                             dephasing_rate=0.3)
+        run_protocol(cfg)
+        assert reads == [False] * cfg.steps
+        assert calls["rkf45"] > 0
 
     def test_two_site_ideal_run(self):
         report = run_protocol(ProtocolConfig(2, 0.2, steps=3))
