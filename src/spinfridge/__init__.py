@@ -27,10 +27,8 @@ from .states import (
     TemperatureRecord,
     binary_entropy,
     partial_trace,
-    product_state,
     reduced_site_populations,
     sector_decompose,
-    sector_traces,
     temperature_of,
     thermal_populations,
     thermal_product_state,
@@ -44,11 +42,9 @@ from .dynamics import (
     LindbladGenerator,
     SpinNetwork,
     SwapSpec,
-    apply_generator,
     conserves_z_excitation,
     evolve,
     evolve_exact,
-    evolve_sampled,
     heisenberg_hamiltonian,
     is_unital,
     partial_swap,

@@ -161,7 +161,11 @@ def _swap_from_manifest(entry) -> SwapSpec:
         if mode == "partial":
             strength = _take(entry, "interaction_strength", None)
             rate = _take(entry, "window_dephasing_rate", None)
-            dephase_qubit = bool(_take(entry, "dephase_qubit", False))
+            dephase_qubit = _take(entry, "dephase_qubit", False)
+            if not isinstance(dephase_qubit, bool):
+                raise ManifestError(
+                    f"'dephase_qubit' must be true or false, got "
+                    f"{dephase_qubit!r}")
             _reject_unknown(entry, "swap")
             if strength is None:
                 raise ManifestError(
@@ -204,7 +208,6 @@ def _protocol_config(cfg: dict, where: str = "config") -> ProtocolConfig:
         ("waiting_policy", str),
         ("fixed_jtau", float),
         ("grid_spacing", float),
-        ("optimize_with_ideal", bool),
     ):
         if field in cfg:
             kwargs[field] = cast(cfg.pop(field))

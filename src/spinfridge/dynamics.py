@@ -159,7 +159,10 @@ class LindbladGenerator:
     coherent during swap windows unless asked otherwise.
 
     Instances are immutable by convention and cache their eigendecompositions
-    and propagators, so reuse the same generator across protocol steps.
+    and propagators, so reuse the same generator across protocol steps. The
+    cache belongs to this generator alone, so its keys carry neither the
+    rate nor the dephased sites; the waiting-time scan's entries, which read
+    the Hamiltonian alone, sit beside the dephased propagators.
     """
 
     def __init__(self, hamiltonian: Observable, dephasing_rate: float = 0.0,
@@ -214,22 +217,6 @@ class LindbladGenerator:
                 self.register,
                 sectors.scatter_blocks(self._blocks, self.register.count))
         return self._cache["dense"]
-
-    def without_dephasing(self) -> "LindbladGenerator":
-        """A Gamma = 0 twin sharing this generator's spectral caches.
-
-        Everything in the cache derives from the Hamiltonian alone, except
-        the dephased propagators, whose keys carry the rate and the dephased
-        sites; so the twin reuses the cache wholesale and never reads a
-        dephased entry. Used by the waiting-time optimizer, which always
-        works with the coherent dynamics.
-        """
-        if self.dephasing_rate == 0:
-            return self
-        twin = LindbladGenerator._from_blocks(self.register, self._blocks, 0.0,
-                                              self.dephasing_sites)
-        twin._cache = self._cache
-        return twin
 
     # -- caches ------------------------------------------------------------
 
@@ -289,9 +276,7 @@ class LindbladGenerator:
     def dephased_propagators(self, duration: float) -> list[np.ndarray]:
         """Per-sector exp(t L_ll) acting on row-major vec(X_ll), cached for
         a few durations like `blocked_propagators`."""
-        key = ("liouvillian", self.dephasing_rate, self.dephasing_sites,
-               float(duration))
-        return self._cached(key, lambda: [
+        return self._cached(("liouvillian", float(duration)), lambda: [
             _expm(duration * self.block_liouvillian(l, l))
             for l in range(self.register.count + 1)])
 
@@ -349,13 +334,6 @@ def _sandwich(left, x, right):
         return left @ x @ right
     m = (left @ np.ascontiguousarray(x).view(float)).view(complex)
     return (right.T @ np.ascontiguousarray(m.T).view(float)).view(complex).T
-
-
-def apply_generator(gen: LindbladGenerator, state: QuantumState) -> np.ndarray:
-    """d(rho)/dt as a dense matrix: i[rho, H] + dissipator."""
-    if gen.register.labels != state.register.labels:
-        raise DomainError("generator and state registers do not match")
-    return _dense_rhs(gen)(0.0, state.matrix)
 
 
 # --------------------------------------------------------------------------
@@ -439,13 +417,6 @@ def evolve(state: QuantumState, gen: LindbladGenerator, duration: float,
     sector by sector; a state with inter-sector coherence goes through the
     dense route.
     """
-    return evolve_sampled(state, gen, duration, cfg)[0]
-
-
-def evolve_sampled(state: QuantumState, gen: LindbladGenerator, duration: float,
-                   cfg: IntegratorConfig | None = None,
-                   t_eval=None) -> tuple[QuantumState, list[tuple[float, QuantumState]]]:
-    """evolve() plus dense-output samples at the requested times."""
     if gen.register.labels != state.register.labels:
         raise DomainError("generator and state registers do not match")
     if duration < 0:
@@ -460,43 +431,29 @@ def evolve_sampled(state: QuantumState, gen: LindbladGenerator, duration: float,
         if coherence <= Z_CONSERVATION_TOL:
             state = sector_decompose(state)
     if state.is_blocked:
-        return _evolve_blocked(state, gen, duration, cfg, t_eval)
+        return _evolve_blocked(state, gen, duration, cfg)
     rho0 = 0.5 * (state.matrix + state.matrix.conj().T)
-    result = rkf45(_dense_rhs(gen), rho0, duration, cfg, t_eval)
+    result = rkf45(_dense_rhs(gen), rho0, duration, cfg)
     repaired, = _repair_positivity([result.y], cfg, duration)
-    final = QuantumState._adopt(state.register, dense=repaired)
-    samples = [(t, QuantumState._adopt(state.register, dense=y))
-               for t, y in result.samples]
-    return final, samples
+    return QuantumState._adopt(state.register, dense=repaired)
 
 
-def _evolve_blocked(state, gen, duration, cfg, t_eval):
+def _evolve_blocked(state, gen, duration, cfg):
     n = state.register.count
     h_blocks = gen.hamiltonian_blocks()
     out_blocks = []
-    sampled: dict[float, list[np.ndarray]] = {}
-    eval_times = list(t_eval) if t_eval is not None else []
     for l, block in enumerate(state.blocks):
         if not block.any():
             # An empty sector stays empty (the generator is linear and
             # sector-preserving); skip the integrator entirely.
             out_blocks.append(np.zeros_like(block))
-            for t in eval_times:
-                sampled.setdefault(t, []).append(np.zeros_like(block))
             continue
         y0 = 0.5 * (block + block.conj().T)
         result = rkf45(_block_rhs(gen, h_blocks[l], sectors.spin_signs(n, l)),
-                       y0, duration, cfg, eval_times)
+                       y0, duration, cfg)
         out_blocks.append(result.y)
-        for t, y in result.samples:
-            sampled.setdefault(t, []).append(y)
     out_blocks = _repair_positivity(out_blocks, cfg, duration)
-    final = QuantumState._adopt(state.register, blocks=out_blocks)
-    samples = [
-        (t, QuantumState._adopt(state.register, blocks=blks))
-        for t, blks in sorted(sampled.items())
-    ]
-    return final, samples
+    return QuantumState._adopt(state.register, blocks=out_blocks)
 
 
 def evolve_exact(state: QuantumState, gen: LindbladGenerator,
@@ -620,9 +577,10 @@ class SwapSpec:
             j = self.interaction_strength
             if j is None or not math.isfinite(j) or j <= 0:
                 raise DomainError(f"partial swap needs J_I > 0, got {j}")
-        if self.window_dephasing_rate is not None and \
-                self.window_dephasing_rate < 0:
-            raise DomainError("window dephasing rate must be >= 0")
+        rate = self.window_dephasing_rate
+        if rate is not None and not (math.isfinite(rate) and rate >= 0):
+            raise DomainError(
+                f"window dephasing rate must be finite and >= 0, got {rate}")
 
     @classmethod
     def perfect(cls) -> "SwapSpec":

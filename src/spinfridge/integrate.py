@@ -11,14 +11,16 @@ argument, and y5 with the embedded error y5 - y4, is one real product of
 h-scaled tableau rows with the buffer's float view, written into two
 scratch rows of the same buffer.
 
-The integrator knows nothing about quantum mechanics; dynamics.py feeds it
-density-matrix right-hand sides.
+The integrator returns the end state only (no dense output) and knows
+nothing about quantum mechanics; dynamics.py feeds it density-matrix
+right-hand sides.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -64,16 +66,18 @@ class IntegratorConfig:
     max_step: float = 0.1
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise DomainError("tolerances must be positive")
-        if self.initial_step <= 0 or self.max_step <= 0:
-            raise DomainError("step sizes must be positive")
+        # NaN compares False both ways, so each bound is checked positively:
+        # a NaN tolerance would make every error ratio NaN, and the
+        # controller would grow h on each rejection until the step budget.
+        for name in ("rel_tol", "abs_tol", "initial_step", "max_step"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass
 class IntegrationResult:
     y: np.ndarray
-    samples: list[tuple[float, np.ndarray]]
     steps_taken: int
     steps_rejected: int
 
@@ -81,28 +85,14 @@ class IntegrationResult:
 def rkf45(rhs: Callable[[float, np.ndarray], np.ndarray],
           y0: np.ndarray,
           duration: float,
-          cfg: IntegratorConfig,
-          t_eval: Sequence[float] | None = None) -> IntegrationResult:
-    """Integrate dy/dt = rhs(t, y) from t=0 to t=duration.
-
-    `t_eval` (optional, increasing, within [0, duration]) lists times at
-    which the solution is recorded; the step sequence lands on them exactly
-    rather than interpolating.
-    """
+          cfg: IntegratorConfig) -> IntegrationResult:
+    """Integrate dy/dt = rhs(t, y) from t=0 to t=duration."""
     if duration < 0:
         raise DomainError(f"duration must be >= 0, got {duration}")
-    eval_times = list(t_eval) if t_eval is not None else []
-    if any(t < 0 or t > duration for t in eval_times):
-        raise DomainError("t_eval times must lie inside [0, duration]")
     buf = np.empty((9,) + np.shape(y0), dtype=complex)  # y, k1..k6, 2 scratch
     buf[0] = y0
     flat = buf.reshape(9, -1).view(float)
     y = buf[0]  # the current state; accepted steps overwrite it in place
-    samples: list[tuple[float, np.ndarray]] = []
-    next_eval = 0
-    while next_eval < len(eval_times) and eval_times[next_eval] <= 0.0:
-        samples.append((0.0, y.copy()))
-        next_eval += 1
 
     t = 0.0
     h = min(cfg.initial_step, cfg.max_step, duration)
@@ -110,17 +100,8 @@ def rkf45(rhs: Callable[[float, np.ndarray], np.ndarray],
     h_floor = max(1e-14 * duration, 5e-292)
 
     while duration - t > h_floor:  # an fp-level remainder counts as the end
-        target = None
         h = min(h, cfg.max_step, duration - t)
-        if next_eval < len(eval_times) and t + h >= eval_times[next_eval] - 1e-15:
-            target = eval_times[next_eval]
-            h = target - t
         if h <= h_floor:
-            if target is not None and h <= 0:
-                # Duplicate/collapsed eval point: record and move on.
-                samples.append((target, y.copy()))
-                next_eval += 1
-                continue
             raise IntegrationError("step-size underflow", t=t, step=h, ratio=np.inf)
 
         coef = h * _ROWS
@@ -140,11 +121,8 @@ def rkf45(rhs: Callable[[float, np.ndarray], np.ndarray],
 
         if ratio <= 1.0:
             taken += 1
-            t = target if target is not None else t + h
+            t += h
             y[...] = y5
-            if target is not None:
-                samples.append((t, y.copy()))
-                next_eval += 1
         else:
             rejected += 1
         if taken + rejected > _MAX_STEPS:
@@ -153,4 +131,4 @@ def rkf45(rhs: Callable[[float, np.ndarray], np.ndarray],
         factor = _SAFETY * ratio ** -0.2 if ratio > 0 else _MAX_GROW
         h = h * min(_MAX_GROW, max(_MIN_SHRINK, factor))
 
-    return IntegrationResult(y.copy(), samples, taken, rejected)
+    return IntegrationResult(y.copy(), taken, rejected)

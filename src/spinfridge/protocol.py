@@ -18,7 +18,8 @@ dephased windows and probes with inter-sector coherence still do.
 Waiting times are either fixed (J*tau = 1 by default) or optimized per step
 by scanning the end spin's excited-state population over a uniform J*tau
 grid on [0, N] in a single pass and picking the earliest maximum. The
-optimizer always works with the coherent (Gamma = 0) dynamics; real
+optimizer always works with the coherent (Gamma = 0) dynamics, as a
+low-control experimenter who does not know the noise strength would; real
 dephasing only enters when the wait is actually executed.
 
 Temperatures are expressed throughout as beta_tilde = omega/(k_B T), so
@@ -42,7 +43,6 @@ from .dynamics import (
     SwapSpec,
     evolve,
     evolve_exact,
-    evolve_sampled,
     partial_swap,
     window_generator,
 )
@@ -93,7 +93,6 @@ class ProtocolConfig:
     tau_schedule: tuple[float, ...] | None = None
     grid_spacing: float = 0.01
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
-    optimize_with_ideal: bool = True
 
     def __post_init__(self):
         if self.probe_size < 1:
@@ -104,8 +103,9 @@ class ProtocolConfig:
                 f"{self.bath_beta_tilde}")
         if not (math.isfinite(self.coupling) and self.coupling > 0):
             raise DomainError(f"coupling must be > 0, got {self.coupling}")
-        if self.dephasing_rate < 0:
-            raise DomainError("dephasing rate must be >= 0")
+        if not (math.isfinite(self.dephasing_rate) and self.dephasing_rate >= 0):
+            raise DomainError(f"dephasing rate must be finite and >= 0, got "
+                              f"{self.dephasing_rate}")
         if self.steps < 0:
             raise DomainError(f"step count must be >= 0, got {self.steps}")
         if self.waiting_policy not in ("optimized", "fixed", "schedule"):
@@ -223,6 +223,8 @@ def _exact_population_curve(state: QuantumState, gen: LindbladGenerator,
     c = a o P^T = c_r + i c_i, C = cos(D t) and S = sin(D t), p1 is
     colsum(C o c_r C) + colsum(S o c_r S) + 2 colsum(S o c_i C): two real
     products over the grid, c_r [C S] and c_i C (a is the generator's memo).
+    Only H's eigensystems, the scan cache and the rotation memo are read,
+    never the dephasing rate: the curve is the coherent one for every gen.
     """
     curve = np.zeros(times.size)
     eigs = gen.block_eigensystems()
@@ -241,47 +243,19 @@ def _exact_population_curve(state: QuantumState, gen: LindbladGenerator,
     return curve
 
 
-def _integrated_population_curve(state: QuantumState, gen: LindbladGenerator,
-                                 times: np.ndarray,
-                                 cfg: IntegratorConfig) -> np.ndarray:
-    """Same curve via one adaptive-integration pass with dense output.
-
-    Used only when optimizing against the dissipative dynamics; samples are
-    reduced to the end spin's population segment by segment so the pass
-    never holds more than a bounded slice of dense output.
-    """
-    bits = _site1_bits(state.register.count)
-    curve = np.zeros(times.size)
-    segment = 64
-    for start in range(0, times.size, segment):
-        chunk = times[start:start + segment]
-        origin = times[start - 1] if start else 0.0
-        _, samples = evolve_sampled(state, gen, chunk[-1] - origin, cfg,
-                                    t_eval=chunk - origin)
-        for offset, (_, s) in enumerate(samples):
-            curve[start + offset] = sum(
-                float(np.real(np.diag(block)) @ b)
-                for block, b in zip(s.blocks, bits))
-        state = samples[-1][1]
-    return curve
-
-
 def optimize_waiting_time(
     probe: QuantumState,
     gen: LindbladGenerator,
     grid: Sequence[float] | np.ndarray | None = None,
     *,
     coupling: float = 1.0,
-    use_ideal: bool = True,
-    integrator: IntegratorConfig | None = None,
 ) -> tuple[float, TemperatureRecord]:
     """Earliest J*tau on the grid maximizing the end spin's polarization.
 
     Returns (J*tau, predicted temperature of the spin that would be emitted
     after waiting that long). Ties within 1e-12 go to the smallest time. The
-    scan runs on the coherent dynamics by default regardless of the
-    generator's dephasing rate; pass use_ideal=False to scan the dissipative
-    evolution instead (one integration pass with dense output).
+    scan runs on the coherent dynamics whatever the generator's dephasing
+    rate: it reads only the Hamiltonian's sector eigensystems.
     """
     if gen.register.labels != probe.register.labels:
         raise DomainError("generator and probe registers do not match")
@@ -294,14 +268,7 @@ def optimize_waiting_time(
                           "J*tau values >= 0")
     if not probe.is_blocked:
         probe = sector_decompose(probe)  # raises if inter-sector coherence
-    times = jgrid / coupling
-    if use_ideal:
-        curve = _exact_population_curve(probe, gen.without_dephasing(), times)
-    elif gen.dephasing_rate == 0:
-        curve = _exact_population_curve(probe, gen, times)
-    else:
-        curve = _integrated_population_curve(probe, gen, times,
-                                             integrator or IntegratorConfig())
+    curve = _exact_population_curve(probe, gen, jgrid / coupling)
     best = curve.max()
     index = int(np.argmax(curve >= best - _TIE_TOL))
     p1 = min(max(float(curve[index]), 0.0), 1.0)
@@ -531,8 +498,7 @@ def run_protocol(cfg: ProtocolConfig,
         predicted = None
         if cfg.waiting_policy == "optimized":
             jtau, predicted = optimize_waiting_time(
-                probe, gen, grid, coupling=cfg.coupling,
-                use_ideal=cfg.optimize_with_ideal, integrator=cfg.integrator)
+                probe, gen, grid, coupling=cfg.coupling)
         elif cfg.waiting_policy == "schedule":
             jtau = cfg.tau_schedule[k - 1]
         else:

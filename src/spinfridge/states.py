@@ -260,21 +260,6 @@ def thermal_populations(beta_tilde: float) -> tuple[float, float]:
     return p0, 1.0 - p0
 
 
-def product_state(factors: Sequence[QuantumState]) -> QuantumState:
-    """Tensor product in list order; the result is relabeled 1..N_total.
-
-    Dense output. For the protocol's diagonal thermal products prefer
-    :func:`thermal_product_state`, which builds the blocked form directly.
-    """
-    if not factors:
-        raise DomainError("product_state needs at least one factor")
-    out = factors[0].matrix
-    for f in factors[1:]:
-        out = np.kron(out, f.matrix)
-    total = sum(f.register.count for f in factors)
-    return QuantumState.from_dense(out, SpinRegister.of_size(total))
-
-
 def thermal_product_state(beta_tildes: Sequence[float],
                           register: SpinRegister | None = None) -> QuantumState:
     """Blocked product of single-site thermal states, diagonal and
@@ -455,13 +440,6 @@ def sector_decompose(state: QuantumState) -> QuantumState:
         )
     blocks = sectors.gather_blocks(state.matrix, n)
     return QuantumState(state.register, blocks=blocks, validate=False)
-
-
-def sector_traces(state: QuantumState) -> np.ndarray:
-    """Trace carried by each excitation sector, length N+1."""
-    blocked = sector_decompose(state)
-    return np.array([float(np.trace(b).real) if b.size else 0.0
-                     for b in blocked.blocks])
 
 
 def reduced_site_populations(state: QuantumState) -> np.ndarray:

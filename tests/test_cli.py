@@ -81,6 +81,32 @@ class TestManifestValidation:
         assert main(["cool", "--manifest", str(manifest)]) == 2
         assert "dense_grid_spacing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, field", [
+        ({"integrator": {"rel_tol": math.nan}}, "rel_tol"),
+        ({"integrator": {"max_step": math.inf}}, "max_step"),
+        ({"dephasing_rate": math.nan}, "dephasing rate"),
+        ({"swap": {"mode": "partial", "interaction_strength": 5.0,
+                   "window_dephasing_rate": math.inf}}, "window dephasing"),
+        ({"swap": {"mode": "partial", "interaction_strength": 5.0,
+                   "dephase_qubit": "false"}}, "dephase_qubit"),
+        ({"dephasing_rate": 0.3, "optimize_with_ideal": False},
+         "optimize_with_ideal"),
+    ])
+    def test_bad_values_rejected_before_running(self, tmp_path, capsys,
+                                                extra, field):
+        # Python's json reads NaN and Infinity. Each value must fail
+        # validation: a NaN tolerance would spin the integrator toward its
+        # step budget, a non-finite rate would fail only at run time, and
+        # bool("false") is True. Waits always come from the coherent scan,
+        # so there is no switch to a dissipative one.
+        manifest = write_manifest(
+            tmp_path / "m.json", kind="cool", out=str(tmp_path),
+            config={"probe_sizes": [2], "bath_beta_tilde": 0.2, "steps": 1,
+                    **extra})
+        assert main(["cool", "--manifest", str(manifest)]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "fig2a.csv").exists()
+
     def test_bad_seed_rejected(self, tmp_path):
         manifest = write_manifest(tmp_path / "m.json", kind="cool", seed=-1,
                                   config={})
@@ -206,6 +232,12 @@ class TestSweeps:
     def test_empty_grid_is_a_config_error(self, tmp_path):
         manifest = self.sweep_manifest(tmp_path, dephasing_rates=[])
         assert main(["sweep", "--manifest", str(manifest)]) == 2
+
+    def test_non_finite_rate_rejected_before_any_point_runs(self, tmp_path):
+        manifest = self.sweep_manifest(tmp_path,
+                                       dephasing_rates=[0.1, math.nan])
+        assert main(["sweep", "--manifest", str(manifest)]) == 2
+        assert not (tmp_path / "out" / "fig4.csv").exists()
 
     def test_duplicate_grid_rejected(self, tmp_path):
         manifest = self.sweep_manifest(tmp_path,

@@ -16,11 +16,9 @@ from spinfridge import (
     SpinNetwork,
     SpinRegister,
     SwapSpec,
-    apply_generator,
     conserves_z_excitation,
     evolve,
     evolve_exact,
-    evolve_sampled,
     is_unital,
     partial_swap,
     perfect_swap,
@@ -73,32 +71,28 @@ class TestGeneratorConstruction:
         with pytest.raises(DomainError):
             LindbladGenerator(sx1)
 
-    def test_without_dephasing_shares_caches(self):
-        gen = chain_generator(3, 0.7)
-        twin = gen.without_dephasing()
-        assert twin.dephasing_rate == 0.0
-        assert twin._cache is gen._cache
-
 
 class TestApplyGenerator:
+    """The dense right-hand side, d(rho)/dt = i[rho, H] + dissipator."""
+
     def test_rhs_is_traceless(self, rng):
         gen = chain_generator(3, 0.4)
         state = random_dense_state(rng, 3)
-        rhs = apply_generator(gen, state)
+        rhs = _dense_rhs(gen)(0.0, state.matrix)
         assert abs(np.trace(rhs)) < 1e-12
 
     def test_rhs_is_antihermitian_free(self, rng):
         # d(rho)/dt must stay Hermitian.
         gen = chain_generator(2, 0.9)
         state = random_dense_state(rng, 2)
-        rhs = apply_generator(gen, state)
+        rhs = _dense_rhs(gen)(0.0, state.matrix)
         assert np.abs(rhs - rhs.conj().T).max() < 1e-12
 
     def test_thermal_product_is_stationary(self):
         # chi^(x)N commutes with an XXZ chain and with sigma^z dephasing.
         gen = chain_generator(3, 0.6)
         state = thermal_product_state([0.8] * 3)
-        rhs = apply_generator(gen, state)
+        rhs = _dense_rhs(gen)(0.0, state.matrix)
         assert np.abs(rhs).max() < 1e-13
 
 
@@ -208,17 +202,26 @@ class TestEvolveExact:
             got = evolve_exact(dense, gen, tau).matrix
             assert np.abs(got - expected).max() <= 1e-13
 
-    def test_twin_keeps_the_unitary_route(self, rng):
-        # The Gamma = 0 twin shares the dephased generator's cache; the
-        # dephased propagators cached there must never reach it.
+    def test_scan_cache_leaves_the_dephased_route_alone(self, rng):
+        # The waiting-time scan caches its eigenbasis rotation and grid
+        # tables on the dephased generator itself, beside the dephased
+        # propagators; neither kind of entry may leak into the other route.
+        from spinfridge.protocol import _exact_population_curve, default_grid
         gen = random_network_generator(rng, 3, 0.5)
+        fresh = LindbladGenerator(gen.hamiltonian, 0.5)
+        unitary = LindbladGenerator(gen.hamiltonian)
         state = random_blocked_state(rng, 3)
-        dephased = evolve_exact(state, gen, 1.2)
-        twin = evolve_exact(state, gen.without_dephasing(), 1.2)
-        unitary = evolve_exact(state, LindbladGenerator(gen.hamiltonian), 1.2)
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(twin.blocks, unitary.blocks))
-        assert trace_distance(dephased, unitary) > 1e-3
+        times = default_grid(3, 0.1)
+        before = evolve_exact(state, gen, 1.2)
+        curve = _exact_population_curve(state, gen, times)
+        after = evolve_exact(state, gen, 1.2)
+        expected = evolve_exact(state, fresh, 1.2)
+        for got in (before, after):
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(got.blocks, expected.blocks))
+        assert np.array_equal(curve,
+                              _exact_population_curve(state, unitary, times))
+        assert trace_distance(after, evolve_exact(state, unitary, 1.2)) > 1e-3
 
     def test_preserves_entropy(self, rng):
         gen = chain_generator(3)
@@ -261,15 +264,6 @@ class TestEvolveAdaptive:
                       IntegratorConfig()).y
         assert trace_distance(
             blocked, QuantumState(state.register, dense=dense)) < 1e-8
-
-    def test_sampled_times(self, rng):
-        gen = chain_generator(2, 0.3)
-        state = random_blocked_state(rng, 2)
-        final, samples = evolve_sampled(state, gen, 2.0, t_eval=[0.5, 1.0, 2.0])
-        assert [t for t, _ in samples] == [0.5, 1.0, 2.0]
-        assert trace_distance(samples[-1][1], final) < 1e-12
-        direct = evolve(state, gen, 1.0)
-        assert trace_distance(samples[1][1], direct) < 1e-9
 
     def test_register_mismatch_rejected(self, rng):
         gen = chain_generator(3)
@@ -326,6 +320,11 @@ class TestSwapSpec:
     def test_negative_window_rate_rejected(self):
         with pytest.raises(DomainError):
             SwapSpec.partial(5.0, window_dephasing_rate=-0.1)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_window_rate_rejected(self, rate):
+        with pytest.raises(DomainError):
+            SwapSpec.partial(5.0, window_dephasing_rate=rate)
 
     def test_window_duration(self):
         assert SwapSpec.partial(4.0).window_duration \

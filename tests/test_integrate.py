@@ -1,15 +1,15 @@
-"""Adaptive RKF4(5) integrator: accuracy, dense output, failure modes."""
+"""Adaptive RKF4(5) integrator: accuracy, step counts, failure modes."""
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from spinfridge import DomainError, IntegrationError, IntegratorConfig
+from spinfridge import (DomainError, IntegrationError, IntegratorConfig,
+                        ProtocolConfig, dynamics, run_protocol)
 from spinfridge.integrate import rkf45
 
 
@@ -34,6 +34,15 @@ class TestConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(DomainError):
             IntegratorConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "initial_step",
+                                      "max_step"])
+    def test_non_finite_rejected(self, name, value):
+        # A NaN tolerance makes every error ratio NaN, so the controller
+        # would grow the step on each rejection until the step budget.
+        with pytest.raises(DomainError, match=name):
+            IntegratorConfig(**{name: value})
 
 
 class TestAccuracy:
@@ -78,52 +87,59 @@ class TestAccuracy:
         assert abs(res.y[0] - math.exp(2.0)) < 1e-7
 
 
-class TestDenseOutput:
-    def test_samples_land_exactly(self):
-        times = [0.5, 1.25, 3.0]
-        res = rkf45(exp_decay(1.0), np.array([1.0 + 0j]), 3.0,
-                    IntegratorConfig(), t_eval=times)
-        assert [t for t, _ in res.samples] == times
-        for t, y in res.samples:
-            assert abs(y[0] - math.exp(-t)) < 1e-9
+class TestStepCounts:
+    """The step sequence is pinned: a change to the tableau, the controller
+    or the error norm shows up here before it shows up in an artifact."""
 
-    def test_samples_and_result_own_their_memory(self):
-        # The stages share one buffer; no sample, nor the result, may alias
-        # it or each other (the last sample lands on the end point).
+    @staticmethod
+    def forced(t, y):
+        return (3j - 0.5) * y + np.cos(t) * y
+
+    @pytest.mark.parametrize("cfg, taken, rejected", [
+        (IntegratorConfig(), 310, 0),
+        (IntegratorConfig(initial_step=0.5, max_step=1.0), 309, 3),
+    ])
+    def test_fixed_problem(self, cfg, taken, rejected):
+        res = rkf45(self.forced, np.array([1.0 + 0j, 0.5j]), 4.0, cfg)
+        assert (res.steps_taken, res.steps_rejected) == (taken, rejected)
+
+    def test_dephased_fixed_protocol(self, monkeypatch):
+        # The dephased_fixed benchmark configuration at N = 3.
+        counts = []
+
+        def counting(*args, **kwargs):
+            res = rkf45(*args, **kwargs)
+            counts.append((res.steps_taken, res.steps_rejected))
+            return res
+
+        monkeypatch.setattr(dynamics, "rkf45", counting)
+        run_protocol(ProtocolConfig(
+            probe_size=3, bath_beta_tilde=0.2, steps=8, dephasing_rate=0.5,
+            waiting_policy="fixed", fixed_jtau=1.0))
+        assert len(counts) == 26
+        assert tuple(map(sum, zip(*counts))) == (1811, 0)
+
+
+class TestDenseOutput:
+    """Only the end state is returned; it must own its memory."""
+
+    def test_result_owns_its_memory(self):
+        # The state and the stages share one buffer per integration; the
+        # result must be a copy, not a view that keeps all nine rows alive.
         rng = np.random.default_rng(3)
         b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         a = -0.5j * (b + b.conj().T)  # y' = a y is unitary: |y| stays O(1)
         y0 = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-        times = [0.4, 0.9, 1.5]
-        res = rkf45(lambda t, y: a @ y, y0, 1.5, IntegratorConfig(),
-                    t_eval=times)
-        assert [t for t, _ in res.samples] == times
-        for t, y in res.samples:
-            assert np.abs(y - expm(t * a) @ y0).max() < 1e-8
-        arrays = [y for _, y in res.samples] + [res.y]
-        for p, q in itertools.combinations(arrays, 2):
-            assert not np.shares_memory(p, q)
-        before = [y.copy() for _, y in res.samples]
-        res.y[...] = 0.0
-        for (_, y), kept in zip(res.samples, before):
-            assert np.array_equal(y, kept)
-
-    def test_time_zero_sample(self):
-        res = rkf45(exp_decay(1.0), np.array([2.0 + 0j]), 1.0,
-                    IntegratorConfig(), t_eval=[0.0, 1.0])
-        assert res.samples[0][0] == 0.0
-        assert res.samples[0][1][0] == 2.0
+        res = rkf45(lambda t, y: a @ y, y0, 1.5, IntegratorConfig())
+        assert np.abs(res.y - expm(1.5 * a) @ y0).max() < 1e-8
+        assert res.y.flags.owndata and res.y.shape == y0.shape
+        assert not np.shares_memory(res.y, y0)
 
     def test_zero_duration(self):
         res = rkf45(exp_decay(1.0), np.array([1.0 + 0j]), 0.0,
-                    IntegratorConfig(), t_eval=[0.0])
+                    IntegratorConfig())
         assert res.y[0] == 1.0
-        assert len(res.samples) == 1
-
-    def test_out_of_range_eval_rejected(self):
-        with pytest.raises(DomainError):
-            rkf45(exp_decay(1.0), np.array([1.0 + 0j]), 1.0,
-                  IntegratorConfig(), t_eval=[2.0])
+        assert res.steps_taken == res.steps_rejected == 0
 
     def test_negative_duration_rejected(self):
         with pytest.raises(DomainError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -20,10 +21,8 @@ from spinfridge import (
     TemperatureRecord,
     binary_entropy,
     partial_trace,
-    product_state,
     reduced_site_populations,
     sector_decompose,
-    sector_traces,
     temperature_of,
     thermal_populations,
     thermal_product_state,
@@ -33,6 +32,11 @@ from spinfridge import (
 )
 
 from conftest import random_blocked_state, random_dense_state
+
+
+def kron_of(factors):
+    """Dense Kronecker product of states, in list order."""
+    return functools.reduce(np.kron, (f.matrix for f in factors))
 
 
 # --------------------------------------------------------------------------
@@ -117,10 +121,11 @@ class TestThermalStates:
         assert rec.beta_tilde == pytest.approx(1.3, abs=1e-12)
 
     def test_product_matches_kron(self):
-        a, b = thermal_qubit(0.4), thermal_qubit(1.1)
-        via_product = product_state([a, b])
+        via_kron = QuantumState.from_dense(
+            kron_of([thermal_qubit(0.4), thermal_qubit(1.1)]),
+            SpinRegister.of_size(2))
         via_thermal = thermal_product_state([0.4, 1.1])
-        assert trace_distance(via_product, via_thermal) < 1e-14
+        assert trace_distance(via_kron, via_thermal) < 1e-14
 
     def test_thermal_product_is_blocked(self):
         state = thermal_product_state([0.3, 0.3, 0.3])
@@ -139,8 +144,9 @@ class TestThermalStates:
         # the validating constructor accepts the same blocks, and they are
         # the blocks of the dense Kronecker product
         validated = QuantumState.from_blocks(state.blocks, state.register)
-        kron = sector_decompose(product_state(
-            [thermal_qubit(b) for b in betas]))
+        kron = sector_decompose(QuantumState.from_dense(
+            kron_of([thermal_qubit(b) for b in betas]),
+            SpinRegister.of_size(len(betas))))
         for block, check, want in zip(state.blocks, validated.blocks,
                                       kron.blocks):
             assert np.array_equal(block, check)
@@ -320,16 +326,6 @@ class TestSectors:
         plus = np.full((4, 4), 0.25, dtype=complex)  # |++><++|, coherent
         with pytest.raises(SectorMixingError):
             sector_decompose(QuantumState(reg, dense=plus))
-
-    def test_traces_sum_to_one(self, rng):
-        state = random_blocked_state(rng, 4)
-        traces = sector_traces(state)
-        assert traces.shape == (5,)
-        assert traces.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_polarized_state_occupies_top_sector(self):
-        traces = sector_traces(thermal_product_state([math.inf] * 3))
-        np.testing.assert_allclose(traces, [0, 0, 0, 1], atol=1e-14)
 
     def test_sector_sizes_are_binomial(self, rng):
         state = random_blocked_state(rng, 4)
