@@ -10,7 +10,6 @@ implementation.
 """
 
 from .errors import (
-    ConfigError,
     DomainError,
     IntegrationError,
     InvalidStateError,

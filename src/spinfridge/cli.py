@@ -34,6 +34,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 
@@ -76,13 +77,12 @@ def _khz(rad_per_s: float) -> float:
 # manifest handling
 # --------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class Manifest:
     """Parsed and validated run manifest plus provenance for headers."""
 
-    def __init__(self, data: dict, sha256: str, path: str):
-        self.data = data
-        self.sha256 = sha256
-        self.path = path
+    data: dict
+    sha256: str
 
     @property
     def kind(self) -> str:
@@ -134,11 +134,44 @@ def load_manifest(path: str | Path) -> Manifest:
     extra = sorted(set(data) - known)
     if extra:
         raise ManifestError(f"{path}: unknown top-level fields {extra}")
-    return Manifest(data, digest, str(path))
+    if data.get("out") is not None:
+        _checked(data["out"], str, "out")
+    _checked(data.get("config", {}), dict, "config")
+    return Manifest(data, digest)
 
 
-def _take(cfg: dict, field: str, default):
-    return cfg.pop(field, default)
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
+               bool: "true or false", list: "a list", dict: "an object"}
+
+
+def _checked(value, kind: type, name: str):
+    """`value` if it is of the manifest `kind`, else a ManifestError naming
+    `name`. A JSON boolean is neither an integer nor a number; a number
+    field takes any other number a float can hold and returns a float."""
+    number = kind is float and isinstance(value, int)
+    if isinstance(value, bool) != (kind is bool) \
+            or not (number or isinstance(value, kind)) \
+            or number and abs(value) > sys.float_info.max:
+        raise ManifestError(
+            f"'{name}' must be {_KIND_NAMES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _take(cfg: dict, field: str, kind: type, default=None, *,
+          nullable: bool = False):
+    """Pop `field` from a manifest section, checked to be of `kind`: an
+    absent field gives `default`, a null one None where `nullable`."""
+    if field not in cfg:
+        return default
+    value = cfg.pop(field)
+    return None if value is None and nullable else _checked(value, kind, field)
+
+
+def _take_list(cfg: dict, field: str, kind: type, default=None):
+    """Pop the list `field`, every entry checked to be of `kind`."""
+    items = _take(cfg, field, list, default)
+    return items if items is None else [
+        _checked(v, kind, f"{field}[{i}]") for i, v in enumerate(items)]
 
 
 def _reject_unknown(cfg: dict, where: str):
@@ -147,48 +180,37 @@ def _reject_unknown(cfg: dict, where: str):
             f"unknown fields {sorted(cfg)} in manifest section '{where}'")
 
 
-def _swap_from_manifest(entry) -> SwapSpec:
+def _swap_from_manifest(entry: dict | None) -> SwapSpec:
     if entry is None:
         return SwapSpec.perfect()
-    if not isinstance(entry, dict):
-        raise ManifestError("'swap' must be an object")
     entry = dict(entry)
-    mode = _take(entry, "mode", "perfect")
+    mode = _take(entry, "mode", str, "perfect")
     try:
         if mode == "perfect":
             _reject_unknown(entry, "swap")
             return SwapSpec.perfect()
         if mode == "partial":
-            strength = _take(entry, "interaction_strength", None)
-            rate = _take(entry, "window_dephasing_rate", None)
-            dephase_qubit = _take(entry, "dephase_qubit", False)
-            if not isinstance(dephase_qubit, bool):
-                raise ManifestError(
-                    f"'dephase_qubit' must be true or false, got "
-                    f"{dephase_qubit!r}")
+            strength = _take(entry, "interaction_strength", float)
+            rate = _take(entry, "window_dephasing_rate", float, nullable=True)
+            dephase_qubit = _take(entry, "dephase_qubit", bool, False)
             _reject_unknown(entry, "swap")
             if strength is None:
                 raise ManifestError(
                     "swap mode 'partial' requires 'interaction_strength'")
-            return SwapSpec.partial(
-                float(strength),
-                window_dephasing_rate=None if rate is None else float(rate),
-                dephase_qubit=dephase_qubit)
+            return SwapSpec.partial(strength, window_dephasing_rate=rate,
+                                    dephase_qubit=dephase_qubit)
     except SpinFridgeError as exc:
         raise ManifestError(f"invalid 'swap' section: {exc}") from exc
     raise ManifestError(f"unknown swap mode {mode!r}")
 
 
-def _integrator_from_manifest(entry) -> IntegratorConfig:
+def _integrator_from_manifest(entry: dict | None) -> IntegratorConfig:
     if entry is None:
         return IntegratorConfig()
-    if not isinstance(entry, dict):
-        raise ManifestError("'integrator' must be an object")
     entry = dict(entry)
-    kwargs = {}
-    for field in ("rel_tol", "abs_tol", "initial_step", "max_step"):
-        if field in entry:
-            kwargs[field] = float(entry.pop(field))
+    kwargs = {field: _take(entry, field, float)
+              for field in ("rel_tol", "abs_tol", "initial_step", "max_step")
+              if field in entry}
     _reject_unknown(entry, "integrator")
     try:
         return IntegratorConfig(**kwargs)
@@ -198,8 +220,7 @@ def _integrator_from_manifest(entry) -> IntegratorConfig:
 
 def _protocol_config(cfg: dict, where: str = "config") -> ProtocolConfig:
     cfg = dict(cfg)
-    kwargs = {}
-    for field, cast in (
+    kwargs = {field: _take(cfg, field, kind) for field, kind in (
         ("probe_size", int),
         ("bath_beta_tilde", float),
         ("coupling", float),
@@ -208,24 +229,21 @@ def _protocol_config(cfg: dict, where: str = "config") -> ProtocolConfig:
         ("waiting_policy", str),
         ("fixed_jtau", float),
         ("grid_spacing", float),
-    ):
-        if field in cfg:
-            kwargs[field] = cast(cfg.pop(field))
+    ) if field in cfg}
     if "probe_beta_tildes" in cfg:
-        temps = cfg.pop("probe_beta_tildes")
-        if not isinstance(temps, list):
-            raise ManifestError("'probe_beta_tildes' must be a list")
+        temps = _take(cfg, "probe_beta_tildes", list)
         kwargs["probe_beta_tildes"] = tuple(
-            math.inf if t in ("inf", None) else float(t) for t in temps)
+            math.inf if t in ("inf", None) else
+            _checked(t, float, f"probe_beta_tildes[{i}]")
+            for i, t in enumerate(temps))
     if "tau_schedule" in cfg:
-        taus = cfg.pop("tau_schedule")
-        if not isinstance(taus, list):
-            raise ManifestError("'tau_schedule' must be a list")
-        kwargs["tau_schedule"] = tuple(float(t) for t in taus)
+        kwargs["tau_schedule"] = tuple(_take_list(cfg, "tau_schedule", float))
     if "swap" in cfg:
-        kwargs["swap"] = _swap_from_manifest(cfg.pop("swap"))
+        kwargs["swap"] = _swap_from_manifest(
+            _take(cfg, "swap", dict, nullable=True))
     if "integrator" in cfg:
-        kwargs["integrator"] = _integrator_from_manifest(cfg.pop("integrator"))
+        kwargs["integrator"] = _integrator_from_manifest(
+            _take(cfg, "integrator", dict, nullable=True))
     _reject_unknown(cfg, where)
     try:
         return ProtocolConfig(**kwargs)
@@ -239,23 +257,17 @@ def _protocol_config(cfg: dict, where: str = "config") -> ProtocolConfig:
 # artifact writing
 # --------------------------------------------------------------------------
 
-def _header_lines(manifest: Manifest, seed: int) -> list[str]:
-    return [
-        f"# spinfridge {__version__}",
-        f"# manifest sha256={manifest.sha256}",
-        f"# seed={seed}",
-    ]
-
-
 def _write_csv(path: Path, manifest: Manifest, seed: int,
                columns: list[str], rows: list[list]) -> None:
-    lines = _header_lines(manifest, seed)
-    lines.append(",".join(columns))
+    lines = [f"# spinfridge {__version__}",
+             f"# manifest sha256={manifest.sha256}", f"# seed={seed}",
+             ",".join(columns)]
     for row in rows:
         lines.append(",".join(
             cell if isinstance(cell, str) else
             str(cell) if isinstance(cell, int) else _fmt(cell)
             for cell in row))
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     log.info("wrote %s (%d rows)", path, len(rows))
 
@@ -269,6 +281,7 @@ def _write_json(path: Path, manifest: Manifest, seed: int, payload) -> None:
         },
         "result": payload,
     }
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     log.info("wrote %s", path)
@@ -280,19 +293,15 @@ def _write_json(path: Path, manifest: Manifest, seed: int, payload) -> None:
 
 def _run_cool(manifest: Manifest, out: Path, seed: int) -> int:
     cfg = manifest.config()
-    sizes = cfg.pop("probe_sizes", None)
-    temps = cfg.pop("bath_beta_tildes", None)
+    sizes = _take_list(cfg, "probe_sizes", int)
+    temps = _take_list(cfg, "bath_beta_tildes", float)
     if (sizes is None) == (temps is None):
         raise ManifestError(
             "cool config needs exactly one of 'probe_sizes' or "
             "'bath_beta_tildes' (the swept axis)")
-    if sizes is not None:
-        axis = [int(n) for n in sizes]
-        configs = [_protocol_config({**cfg, "probe_size": n}) for n in axis]
-    else:
-        axis = [float(t) for t in temps]
-        configs = [_protocol_config({**cfg, "bath_beta_tilde": t})
-                   for t in axis]
+    field, axis = (("probe_size", sizes) if temps is None
+                   else ("bath_beta_tilde", temps))
+    configs = [_protocol_config({**cfg, field: v}) for v in axis]
     if not axis:
         raise ManifestError("cool sweep axis is empty")
 
@@ -301,12 +310,10 @@ def _run_cool(manifest: Manifest, out: Path, seed: int) -> int:
     for value, pcfg in sorted(zip(axis, configs), key=lambda p: p[0]):
         log.info("cool run: axis value %s", value)
         report = run_protocol(pcfg)
-        for record in report.records:
-            eta_rows.append([value, record.index, record.eta])
+        eta_rows += [[value, r.index, r.eta] for r in report.records]
         dist_rows.append([value, 0, report.initial_distance])
-        for record in report.records:
-            dist_rows.append([value, record.index,
-                              record.distance_to_pseudothermal])
+        dist_rows += [[value, r.index, r.distance_to_pseudothermal]
+                      for r in report.records]
     _write_csv(out / "fig2a.csv", manifest, seed, ["N", "k", "eta_k"],
                eta_rows)
     _write_csv(out / "fig3.csv", manifest, seed,
@@ -319,35 +326,28 @@ def _sweep_point(args: tuple) -> list[list]:
     pcfg = _protocol_config(cfg_dict, where="sweep point")
     report = run_protocol(pcfg)
     drops = report.cumulative_entropy_drop
-    rows = []
-    for record, total in zip(report.records, drops):
-        rows.append([value, record.index, record.eta, float(total),
-                     record.probe_entropy, record.distance_to_pseudothermal])
-    return rows
+    return [[value, r.index, r.eta, float(total), r.probe_entropy,
+             r.distance_to_pseudothermal]
+            for r, total in zip(report.records, drops)]
 
 
 def _run_sweep(manifest: Manifest, out: Path, seed: int, threads: int) -> int:
     cfg = manifest.config()
-    gammas = cfg.pop("dephasing_rates", None)
-    strengths = cfg.pop("swap_strengths", None)
+    gammas = _take_list(cfg, "dephasing_rates", float)
+    strengths = _take_list(cfg, "swap_strengths", float)
     if (gammas is None) == (strengths is None):
         raise ManifestError(
             "sweep config needs exactly one of 'dephasing_rates' or "
             "'swap_strengths' (the grid)")
     if gammas is not None:
-        grid = [float(g) for g in gammas]
+        grid, filename = gammas, "fig4.csv"
         points = [(g, {**cfg, "dephasing_rate": g}) for g in grid]
-        filename = "fig4.csv"
     else:
-        grid = [float(j) for j in strengths]
-        base_swap = cfg.pop("swap", {})
-        if not isinstance(base_swap, dict):
-            raise ManifestError("'swap' must be an object")
-        points = []
-        for j in grid:
-            swap = {**base_swap, "mode": "partial", "interaction_strength": j}
-            points.append((j, {**cfg, "swap": swap}))
-        filename = "fig5.csv"
+        grid, filename = strengths, "fig5.csv"
+        base_swap = _take(cfg, "swap", dict, {})
+        points = [(j, {**cfg, "swap": {**base_swap, "mode": "partial",
+                                       "interaction_strength": j}})
+                  for j in grid]
     if not grid:
         raise ManifestError("sweep grid is empty")
     if len(set(grid)) != len(grid):
@@ -399,9 +399,9 @@ def _run_sweep(manifest: Manifest, out: Path, seed: int, threads: int) -> int:
         for value in sorted(failures):
             print(f"sweep point {value} failed: {failures[value]}",
                   file=sys.stderr)
-        if any(isinstance(e, IntegrationError) for e in failures.values()):
-            worst = next(e for e in failures.values()
-                         if isinstance(e, IntegrationError))
+        worst = next((e for e in failures.values()
+                      if isinstance(e, IntegrationError)), None)
+        if worst is not None:
             _print_integration_dump(worst)
             return 3
         return 1
@@ -410,9 +410,8 @@ def _run_sweep(manifest: Manifest, out: Path, seed: int, threads: int) -> int:
 
 def _run_thermometry(manifest: Manifest, out: Path, seed: int) -> int:
     cfg = manifest.config()
-    repetitions = int(cfg.pop("repetitions", 1))
-    shots = cfg.pop("shots_per_site", 1000)
-    shots = None if shots is None else int(shots)
+    repetitions = _take(cfg, "repetitions", int, 1)
+    shots = _take(cfg, "shots_per_site", int, 1000, nullable=True)
     if repetitions < 1:
         raise ManifestError("'repetitions' must be >= 1")
     cfg.setdefault("steps", 30)
@@ -446,7 +445,7 @@ def _axis_from_manifest(entry, field: str) -> np.ndarray:
                 f"{sorted(DIAMOND_BOND_AXES)}")
         return DIAMOND_BOND_AXES[entry]
     if isinstance(entry, list) and len(entry) == 3:
-        return np.asarray([float(v) for v in entry])
+        return np.asarray([_checked(v, float, field) for v in entry])
     raise ManifestError(f"'{field}' must be a 3-vector or a named axis")
 
 
@@ -458,27 +457,33 @@ def _exact_decimal(fraction) -> str:
 
 def _run_nv_coupling(manifest: Manifest, out: Path, seed: int) -> int:
     cfg = manifest.config()
-    pairs = cfg.pop("pairs", [])
-    yield_length = cfg.pop("yield_chain_length", None)
+    pairs = _take_list(cfg, "pairs", dict, [])
+    yield_length = _take(cfg, "yield_chain_length", int, nullable=True)
     _reject_unknown(cfg, "config")
-    if not isinstance(pairs, list):
-        raise ManifestError("'pairs' must be a list")
+    summary: dict = {"pairs": len(pairs)}
+    if yield_length is not None:
+        try:
+            fraction = chain_yield(yield_length)
+        except SpinFridgeError as exc:
+            raise ManifestError(f"'yield_chain_length': {exc}") from exc
+        summary["chain_yield"] = {
+            "length": yield_length,
+            "fraction": f"{fraction.numerator}/{fraction.denominator}",
+            "decimal": _exact_decimal(fraction),
+        }
 
     rows: list[list] = []
     for i, entry in enumerate(pairs):
-        if not isinstance(entry, dict):
-            raise ManifestError(f"pair {i} must be an object")
         entry = dict(entry)
-        try:
-            pos1 = [float(v) for v in _take(entry, "position1_nm", None)]
-            pos2 = [float(v) for v in _take(entry, "position2_nm", None)]
-        except TypeError as exc:
+        pos1 = _take_list(entry, "position1_nm", float)
+        pos2 = _take_list(entry, "position2_nm", float)
+        if pos1 is None or pos2 is None or len(pos1) != 3 or len(pos2) != 3:
             raise ManifestError(
                 f"pair {i}: 'position1_nm'/'position2_nm' must be "
-                "3-vectors in nm") from exc
-        z1 = _axis_from_manifest(_take(entry, "z_axis1", None), f"pair {i}: z_axis1")
-        z2 = _axis_from_manifest(_take(entry, "z_axis2", None), f"pair {i}: z_axis2")
-        gauge = _take(entry, "gauge", "lab-x")
+                "3-vectors in nm")
+        z1, z2 = (_axis_from_manifest(entry.pop(f, None), f"pair {i}: {f}")
+                  for f in ("z_axis1", "z_axis2"))
+        gauge = _take(entry, "gauge", str, "lab-x")
         _reject_unknown(entry, f"pair {i}")
         try:
             pair = DipolarPair.from_positions(pos1, pos2, z1, z2, gauge=gauge)
@@ -502,20 +507,12 @@ def _run_nv_coupling(manifest: Manifest, out: Path, seed: int) -> int:
                 "ising_khz", "hhcp_flipflop_khz", "xx_yy_khz", "zz_khz",
                 "xy_antisym_khz", "heisenberg_khz"],
                rows)
-    summary: dict = {"pairs": len(rows)}
-    if yield_length is not None:
-        length = int(yield_length)
-        fraction = chain_yield(length)
-        summary["chain_yield"] = {
-            "length": length,
-            "fraction": f"{fraction.numerator}/{fraction.denominator}",
-            "decimal": _exact_decimal(fraction),
-        }
     _write_json(out / "nv_summary.json", manifest, seed, summary)
     return 0
 
 
 def _run_verify(manifest: Manifest, out: Path, seed: int) -> int:
+    _reject_unknown(manifest.config(), "config")
     verdicts = run_all_oracles(seed=seed)
     payload = [v.to_json() for v in verdicts]
     _write_json(out / "oracle_verdicts.json", manifest, seed, payload)
@@ -602,8 +599,7 @@ def main(argv=None) -> int:
         elif args.kind == "verify":
             raw = json.dumps(_DEFAULT_VERIFY_MANIFEST, sort_keys=True)
             manifest = Manifest(dict(_DEFAULT_VERIFY_MANIFEST),
-                                hashlib.sha256(raw.encode()).hexdigest(),
-                                "<builtin-verify>")
+                                hashlib.sha256(raw.encode()).hexdigest())
         else:
             raise ManifestError(f"'{args.kind}' requires --manifest")
         if manifest.kind != args.kind:
@@ -613,7 +609,6 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else manifest.seed
         out = Path(args.out if args.out is not None
                    else (manifest.out_dir or "."))
-        out.mkdir(parents=True, exist_ok=True)
         threads = _resolve_threads(args.threads)
 
         if args.kind == "cool":

@@ -15,11 +15,12 @@ cached) only when a state carrying inter-sector coherence is evolved.
 
 Two evolution routes, one per regime:
 
-* evolve_exact() -- exact, one coherence block X_lm (rows in sector l,
-                    columns in sector m) at a time: phases in the sector
-                    eigenbases at Gamma = 0, the exponential of the block
-                    Liouvillian at Gamma > 0 (up to six sites). The
-                    protocol's coherent segments and every oracle use it.
+* evolve_exact() -- exact, on the coherence blocks X_lm (rows in sector l,
+                    columns in sector m): phases in the sector eigenbases
+                    at Gamma = 0, a batched Taylor action of the block
+                    Liouvillian in matrix form at Gamma > 0, at any
+                    register size. The protocol's coherent segments and
+                    every oracle use it.
 * evolve()       -- adaptive RKF4(5); the protocol's dephased segments, and
                     the reference the exact route is checked against.
 """
@@ -40,9 +41,6 @@ from .registers import SpinRegister
 from .states import QuantumState, sector_decompose, trace_distance
 
 Z_CONSERVATION_TOL = 1e-12
-# Largest coherence block (d_l * d_m entries) propagated exactly under
-# dephasing: C(6,3)^2, the middle sector of a six-site register.
-MAX_LIOUVILLIAN_BLOCK = 400
 # Entries a generator keeps per kind: propagator durations or scan grids.
 _KEPT_DURATIONS = 2
 
@@ -161,8 +159,7 @@ class LindbladGenerator:
     Instances are immutable by convention and cache their eigendecompositions
     and propagators, so reuse the same generator across protocol steps. The
     cache belongs to this generator alone, so its keys carry neither the
-    rate nor the dephased sites; the waiting-time scan's entries, which read
-    the Hamiltonian alone, sit beside the dephased propagators.
+    rate nor the dephased sites; every entry reads the Hamiltonian alone.
     """
 
     def __init__(self, hamiltonian: Observable, dephasing_rate: float = 0.0,
@@ -273,67 +270,10 @@ class LindbladGenerator:
             lambda: [(u * np.exp(-1j * d * duration)) @ u.conj().T
                      for d, u in self.block_eigensystems()])
 
-    def dephased_propagators(self, duration: float) -> list[np.ndarray]:
-        """Per-sector exp(t L_ll) acting on row-major vec(X_ll), cached for
-        a few durations like `blocked_propagators`."""
-        return self._cached(("liouvillian", float(duration)), lambda: [
-            _expm(duration * self.block_liouvillian(l, l))
-            for l in range(self.register.count + 1)])
-
-    def block_liouvillian(self, l: int, m: int) -> np.ndarray:
-        """Generator of the coherence block X_lm in row-major vec form,
-
-            L_lm = -i (H_l (x) 1 - 1 (x) H_m^T) + Gamma diag(vec(W_lm) - n),
-
-        the Hadamard-form master equation `_block_rhs` integrates. Raises
-        DomainError above MAX_LIOUVILLIAN_BLOCK entries.
-        """
-        h_l, h_m = self._blocks[l], self._blocks[m]
-        size = len(h_l) * len(h_m)
-        if size > MAX_LIOUVILLIAN_BLOCK:
-            raise DomainError(
-                f"coherence block ({l},{m}) of a {self.register.count}-site "
-                f"register has {size} entries; exact dephased propagation "
-                f"stops at {MAX_LIOUVILLIAN_BLOCK}")
-        n = self.register.count
-        gen = -1j * (np.kron(h_l, np.eye(len(h_m)))
-                     - np.kron(np.eye(len(h_l)), h_m.T))
-        gen[np.diag_indices(size)] += self._dephasing(
-            sectors.spin_signs(n, l), sectors.spin_signs(n, m)).ravel()
-        return gen
-
-
-# Taylor degree of _expm: once ||A||_1 <= 1/2 the truncation error is below
-# (1/2)^15 / 15! ~ 2e-17 relative.
-_TAYLOR_ORDER = 14
-
-
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) by scaling and squaring a truncated Taylor series.
-
-    numpy only, on purpose: numpy and scipy each bundle their own OpenBLAS,
-    and alternating between their two thread pools on these small matrices
-    costs more than the exponentials (see Al-Mohy & Higham, SIAM J. Matrix
-    Anal. Appl. 31, 970 (2009) for the method scipy.linalg.expm refines).
-    """
-    norm = float(np.abs(a).sum(axis=0).max())
-    squarings = max(0, math.ceil(math.log2(2.0 * norm))) if norm > 0 else 0
-    a = a / 2.0 ** squarings
-    out = term = np.eye(len(a), dtype=complex)
-    for k in range(1, _TAYLOR_ORDER + 1):
-        term = term @ a / k
-        out = out + term
-    for _ in range(squarings):
-        out = out @ out
-    return out
-
 
 def _sandwich(left, x, right):
     """left @ x @ right; real factors multiply complex x's float view."""
-    if np.iscomplexobj(left) or np.iscomplexobj(right):
-        return left @ x @ right
-    m = (left @ np.ascontiguousarray(x).view(float)).view(complex)
-    return (right.T @ np.ascontiguousarray(m.T).view(float)).view(complex).T
+    return _times(right.T, _times(left, x).T).T
 
 
 # --------------------------------------------------------------------------
@@ -456,19 +396,108 @@ def _evolve_blocked(state, gen, duration, cfg):
     return QuantumState._adopt(state.register, blocks=out_blocks)
 
 
+# Taylor degree of the dephased action and the largest step norm it covers
+# to double precision: theta_55 of Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+# 488 (2011), Table 3.1, as tabulated in scipy's expm_multiply.
+_TAYLOR_DEGREE = 55
+_TAYLOR_THETA = 9.9
+
+
+def _dephased_action(gen: LindbladGenerator,
+                     blocks: dict[tuple[int, int], np.ndarray],
+                     duration: float) -> list[np.ndarray]:
+    """exp(t L) X_lm for each coherence block (l, m) -> X_lm, all at once.
+
+    L(X) = -i (H_l X - X H_m) + G_lm o X with G_lm = `gen._dephasing`. The
+    blocks are stacked zero-padded (L keeps the padding zero), each shifted
+    by the mean mu of its G, and advanced by s steps of a truncated Taylor
+    series, one batched product per side and term; a stack of diagonal
+    blocks stays Hermitian and needs one. A step ends once two successive
+    terms fall below 2^-53 of the partial sum, in largest entries over the
+    stack. s follows from the norm bound t (spread + max|G - mu|) <=
+    s theta_55, where the spread max(max D_l - min D_m, max D_m - min D_l)
+    of the cached sector eigenvalues bounds the commutator. Diagonal
+    blocks are made Hermitian going in and coming out.
+    """
+    n, k = gen.register.count, len(blocks)
+    h, eigs = gen.hamiltonian_blocks(), gen.block_eigensystems()
+    shapes = [(len(h[l]), len(h[m])) for l, m in blocks]
+    rows, cols = (max(d) for d in zip(*shapes))
+    dtype = complex if any(np.iscomplexobj(b) for b in h) else float
+    h_l = np.zeros((k, rows, rows), dtype)
+    h_m = np.zeros((k, cols, cols), dtype)  # H_m^T
+    ig = np.zeros((k, rows, cols), dtype=complex)  # i (G - mu)
+    x = np.zeros((k, rows, cols), dtype=complex)
+    mu, bound = np.empty(k), np.empty(k)
+    for i, ((l, m), block) in enumerate(blocks.items()):
+        (dl, dm), d_l, d_m = shapes[i], eigs[l][0], eigs[m][0]
+        g = gen._dephasing(sectors.spin_signs(n, l), sectors.spin_signs(n, m))
+        mu[i] = g.mean()
+        g -= mu[i]
+        h_l[i, :dl, :dl], h_m[i, :dm, :dm] = h[l], h[m].T
+        ig[i, :dl, :dm] = 1j * g
+        x[i, :dl, :dm] = 0.5 * (block + block.conj().T) if l == m else block
+        bound[i] = max(d_l[-1] - d_m[0], d_m[-1] - d_l[0]) + np.abs(g).max()
+    # Diagonal blocks stay Hermitian, so X H_l = (H_l X)^dag: one product.
+    hermitian = all(l == m for l, m in blocks)
+
+    def term_after(y, scale):
+        """scale * i L(y) = scale * (H_l y - y H_m + i G o y)."""
+        hy = _times(h_l, y)
+        yh = hy.conj() if hermitian else _times(h_m, y.swapaxes(1, 2))
+        d = hy - yh.swapaxes(1, 2)
+        d += ig * y
+        d *= scale
+        return d
+
+    steps = max(1, math.ceil(abs(duration) * bound.max() / _TAYLOR_THETA))
+    dt = duration / steps
+    total = x
+    for _ in range(steps):
+        term, last = total, float(np.abs(total).max())
+        total = total.copy()
+        for j in range(1, _TAYLOR_DEGREE + 1):
+            term = term_after(term, -1j * dt / j)
+            total += term
+            now = float(np.abs(term).max())
+            if last + now <= 2.0 ** -53 * float(np.abs(total).max()):
+                break
+            last = now
+        total *= np.exp(dt * mu)[:, None, None]
+    return [0.5 * (y[:dl, :dm] + y[:dl, :dm].conj().T) if l == m
+            else y[:dl, :dm].copy()
+            for (l, m), (dl, dm), y in zip(blocks, shapes, total)]
+
+
+def _times(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """a @ y, also over stacks; a real `a` multiplies y's float view."""
+    if a.dtype.kind == "c":
+        return a @ y
+    return (a @ np.ascontiguousarray(y).view(float)).view(complex)
+
+
 def evolve_exact(state: QuantumState, gen: LindbladGenerator,
                  duration: float) -> QuantumState:
-    """Exact propagation, one coherence block X_lm at a time.
+    """Exact propagation of every nonzero coherence block X_lm.
 
-    X_lm -> u_l (Phi_lm o u_l^dag X_lm u_m) u_m^dag at Gamma = 0 (H_l =
+    At Gamma = 0, X_lm -> u_l (Phi_lm o u_l^dag X_lm u_m) u_m^dag (H_l =
     u_l D_l u_l^dag, Phi_lm = e^{-i D_l t} (e^{-i D_m t})^dag; a blocked
-    state's rotations are memoized for the scan), vec(X_lm) -> exp(t L_lm)
-    vec(X_lm) at Gamma > 0 (`block_liouvillian`; raises DomainError beyond
-    six sites; only l = m propagators cached). A dense state is split into
-    every pair l <= m, with X_ml = X_lm^dag; exactly-zero blocks skipped.
+    state's rotations are memoized for the scan). At Gamma > 0 the blocks
+    take the Taylor action of their Liouvillian together
+    (`_dephased_action`), at any register size. A blocked state has the
+    blocks l = m; a dense one every pair l <= m, with X_ml = X_lm^dag.
+    Exactly-zero blocks are skipped.
     """
     if gen.register.labels != state.register.labels:
         raise DomainError("generator and state registers do not match")
+    bases = sectors.sector_bases(state.register.count)
+    if state.is_blocked:
+        blocks = {(l, l): b for l, b in enumerate(state.blocks)}
+    else:
+        rho = state.matrix
+        blocks = {(l, m): rho[np.ix_(bases[l], bases[m])]
+                  for l in range(len(bases)) for m in range(l, len(bases))}
+    blocks = {lm: x for lm, x in blocks.items() if x.any()}
     if gen.dephasing_rate == 0:
         eigs = gen.block_eigensystems()
         phases = [np.exp(-1j * d * duration) for d, _ in eigs]
@@ -479,34 +508,20 @@ def evolve_exact(state: QuantumState, gen: LindbladGenerator,
             a = rotated[l] if rotated else _sandwich(u_l.conj().T, x, u_m)
             phi = np.outer(phases[l], phases[m].conj())
             return _sandwich(u_l, phi * a, u_m.conj().T)
+        out = [propagate(l, m, x) for (l, m), x in blocks.items()]
     else:
-        diagonal = gen.dephased_propagators(duration)
-
-        def propagate(l, m, x):
-            if l != m:
-                p = _expm(duration * gen.block_liouvillian(l, m))
-                return (p @ x.reshape(-1)).reshape(x.shape)
-            y = (diagonal[l] @ x.reshape(-1)).reshape(x.shape)
-            # exp(t L_ll) keeps X_ll Hermitian only up to rounding.
-            return 0.5 * (y + y.conj().T)
+        out = _dephased_action(gen, blocks, duration)
 
     if state.is_blocked:
-        out = [propagate(l, l, block) if block.any() else np.zeros_like(block)
-               for l, block in enumerate(state.blocks)]
-        return QuantumState._adopt(state.register, blocks=out)
-    bases = sectors.sector_bases(state.register.count)
-    rho = state.matrix
-    out = np.zeros_like(rho)
-    for l, rows in enumerate(bases):
-        for m in range(l, len(bases)):
-            cols = bases[m]
-            x = rho[np.ix_(rows, cols)]
-            if x.any():
-                y = propagate(l, m, x)
-                out[np.ix_(rows, cols)] = y
-                if m != l:
-                    out[np.ix_(cols, rows)] = y.conj().T
-    return QuantumState._adopt(state.register, dense=out)
+        new = dict(zip((l for l, _ in blocks), out))
+        return QuantumState._adopt(state.register, blocks=[
+            new.get(l, np.zeros_like(b)) for l, b in enumerate(state.blocks)])
+    dense = np.zeros_like(rho)
+    for (l, m), y in zip(blocks, out):
+        dense[np.ix_(bases[l], bases[m])] = y
+        if m != l:
+            dense[np.ix_(bases[m], bases[l])] = y.conj().T
+    return QuantumState._adopt(state.register, dense=dense)
 
 
 # --------------------------------------------------------------------------

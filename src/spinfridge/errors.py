@@ -53,9 +53,5 @@ class IntegrationError(SpinFridgeError, RuntimeError):
         self.ratio = ratio
 
 
-class ConfigError(SpinFridgeError, ValueError):
-    """A protocol/run configuration violates its invariants."""
-
-
 class ManifestError(SpinFridgeError, ValueError):
     """A run manifest failed schema validation; message names the field."""

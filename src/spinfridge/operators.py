@@ -18,8 +18,6 @@ from .registers import SpinRegister
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)   # |0><1|
-SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)  # |1><0|
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 PAULIS = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}

@@ -119,6 +119,98 @@ class TestManifestValidation:
         assert main(["cool", "--manifest", str(manifest)]) == 2
 
 
+_NV_PAIR = {"position1_nm": [0, 0, 0], "position2_nm": [25.0, 0, 0],
+            "z_axis1": [0, 0, 1], "z_axis2": [0, 0, 1]}
+_BASE_CONFIGS = {
+    "cool": {"probe_sizes": [2], "bath_beta_tilde": 0.2, "steps": 1},
+    "sweep": {"dephasing_rates": [0.0], "probe_size": 2,
+              "bath_beta_tilde": 0.2, "steps": 1},
+    "thermometry": {"probe_size": 2, "bath_beta_tilde": 0.2, "steps": 1},
+    "nv-coupling": {"pairs": [_NV_PAIR]},
+    "verify": {},
+}
+
+
+class TestManifestFieldKinds:
+    """Every manifest value is read through one checked helper: a wrong
+    kind exits 2 naming the field, and nothing is written."""
+
+    def rejected(self, tmp_path, capsys, kind, config, field):
+        out = tmp_path / "out"
+        manifest = write_manifest(
+            tmp_path / "m.json", kind=kind, out=str(out),
+            config={**_BASE_CONFIGS[kind], **config})
+        assert main([kind, "--manifest", str(manifest)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, config, field", [
+        ("cool", {"steps": "two"}, "steps"),
+        ("cool", {"steps": 2.7}, "steps"),
+        ("cool", {"steps": True}, "steps"),
+        ("cool", {"probe_sizes": ["a"]}, "probe_sizes[0]"),
+        ("cool", {"probe_sizes": [True]}, "probe_sizes[0]"),
+        ("thermometry", {"repetitions": "x"}, "repetitions"),
+        ("thermometry", {"shots_per_site": 10.9}, "shots_per_site"),
+        ("nv-coupling", {"yield_chain_length": "x"}, "yield_chain_length"),
+    ])
+    def test_integers(self, tmp_path, capsys, kind, config, field):
+        self.rejected(tmp_path, capsys, kind, config, field)
+
+    @pytest.mark.parametrize("kind, config, field", [
+        ("cool", {"bath_beta_tilde": "0.2"}, "bath_beta_tilde"),
+        ("cool", {"bath_beta_tilde": 10 ** 400}, "bath_beta_tilde"),
+        ("cool", {"probe_beta_tildes": [True, 0.2]}, "probe_beta_tildes[0]"),
+        ("cool", {"tau_schedule": ["x"], "waiting_policy": "schedule"},
+         "tau_schedule[0]"),
+        ("cool", {"integrator": {"rel_tol": "1e-9"}}, "rel_tol"),
+        ("cool", {"swap": {"mode": "partial", "interaction_strength": "5"}},
+         "interaction_strength"),
+        ("nv-coupling",
+         {"pairs": [{**_NV_PAIR, "position2_nm": [25, "a", 0]}]},
+         "position2_nm"),
+    ])
+    def test_numbers(self, tmp_path, capsys, kind, config, field):
+        self.rejected(tmp_path, capsys, kind, config, field)
+
+    @pytest.mark.parametrize("kind, config, field", [
+        ("cool", {"probe_sizes": 3}, "probe_sizes"),
+        ("sweep", {"dephasing_rates": 0.3}, "dephasing_rates"),
+        ("nv-coupling", {"pairs": {"0": _NV_PAIR}}, "pairs"),
+    ])
+    def test_lists(self, tmp_path, capsys, kind, config, field):
+        self.rejected(tmp_path, capsys, kind, config, field)
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "schema_version": 1, "kind": "verify",
+            "out": str(tmp_path / "out"), "config": [1]}))
+        assert main(["verify", "--manifest", str(manifest)]) == 2
+        assert "config" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, config, field", [
+        ("nv-coupling", {"yield_chain_length": 0}, "yield_chain_length"),
+        ("verify", {"trials": 5}, "trials"),
+        ("sweep", {"dephasing_rates": [0.1, 0.1]}, "duplicate"),
+    ])
+    def test_nothing_written_on_rejection(self, tmp_path, capsys, kind,
+                                          config, field):
+        self.rejected(tmp_path, capsys, kind, config, field)
+
+    def test_valid_values_still_read(self, tmp_path):
+        # JSON integers are numbers, and a null shot count means the exact
+        # expectation values.
+        manifest = write_manifest(
+            tmp_path / "m.json", kind="thermometry", out=str(tmp_path / "o"),
+            config={"probe_size": 2, "bath_beta_tilde": 1, "steps": 1,
+                    "repetitions": 2, "shots_per_site": None})
+        assert main(["thermometry", "--manifest", str(manifest)]) == 0
+        _, _, rows = read_rows(tmp_path / "o" / "thermometry.csv")
+        assert len(rows) == 2 and rows[0][1] == rows[1][1]
+
+
 class TestCoolRuns:
     def test_artifacts_and_first_step_purity(self, cool_manifest, tmp_path):
         assert main(["cool", "--manifest", str(cool_manifest)]) == 0

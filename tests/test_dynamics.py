@@ -29,7 +29,7 @@ from spinfridge import (
     xxz_network_hamiltonian,
 )
 from spinfridge import sectors
-from spinfridge.dynamics import _block_rhs, _dense_rhs
+from spinfridge.dynamics import _block_rhs, _dense_rhs, _dephased_action
 from spinfridge.integrate import rkf45
 from spinfridge.operators import PAULIS, site_operator
 
@@ -136,39 +136,64 @@ def random_network_generator(rng, n: int, gamma: float,
 
 
 class TestEvolveExact:
-    def test_dephased_route_rejects_large_blocks(self):
-        # Sector 5 of ten sites has 252 states: 252^2 > 400 entries.
-        gen = chain_generator(10, 0.5)
-        state = thermal_product_state([0.3] * 10)
-        with pytest.raises(DomainError):
-            evolve_exact(state, gen, 1.0)
+    @staticmethod
+    def gap_to_tight_rkf45(rng, n, subset, gamma, tau):
+        # Random dense states carry coherence between every pair of
+        # sectors, so every (l, m) coherence block is exercised.
+        sites = tuple(range(2, n + 1)) if subset else None
+        gen = random_network_generator(rng, n, gamma, sites)
+        state = random_dense_state(rng, n)
+        exact = evolve_exact(state, gen, tau).matrix
+        tight = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
+        reference = rkf45(_dense_rhs(gen), state.matrix, tau, tight).y
+        return np.abs(exact - reference).max()
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     @pytest.mark.parametrize("subset", [False, True])
     def test_dephased_matches_tight_rkf45_on_coherent_states(
             self, rng, n, subset):
-        # Random dense states carry coherence between every pair of
-        # sectors, so every (l, m) block Liouvillian is exercised.
-        sites = tuple(range(2, n + 1)) if subset else None
-        gen = random_network_generator(rng, n, 0.7, sites)
-        state = random_dense_state(rng, n)
-        exact = evolve_exact(state, gen, 1.3).matrix
-        tight = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
-        reference = rkf45(_dense_rhs(gen), state.matrix, 1.3, tight).y
-        assert np.abs(exact - reference).max() <= 1e-12
+        assert self.gap_to_tight_rkf45(rng, n, subset, 0.7, 1.3) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("subset", [False, True])
+    def test_dephased_matches_tight_rkf45_at_tau_n(self, rng, n, subset):
+        # Gamma = 1 and J tau = N: several Taylor steps on the larger
+        # registers.
+        assert self.gap_to_tight_rkf45(rng, n, subset, 1.0, float(n)) <= 1e-12
 
     @pytest.mark.parametrize("norm", [0.0, 1e-3, 1.0, 30.0, 300.0, 1000.0])
     def test_taylor_exponential_matches_scipy(self, rng, norm):
         from scipy.linalg import expm
+        # The Taylor action on one coherence block X_lm of a four-site
+        # register against scipy's expm of its vec-form Liouvillian, with
+        # tau scaled so that tau ||L||_1 = norm. The damping is weak, so
+        # exp(tau L) X stays of order one even at the largest norm.
+        n, l, m = 4, 1, 2
+        gen = random_network_generator(rng, n, 0.005)
+        h_l, h_m = gen.hamiltonian_blocks()[l], gen.hamiltonian_blocks()[m]
+        g = gen._dephasing(sectors.spin_signs(n, l), sectors.spin_signs(n, m))
+        liouvillian = -1j * (np.kron(h_l, np.eye(len(h_m)))
+                             - np.kron(np.eye(len(h_l)), h_m.T))
+        liouvillian += np.diag(g.ravel())
+        tau = norm / np.abs(liouvillian).sum(axis=0).max()
+        x = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+        got, = _dephased_action(gen, {(l, m): x}, tau)
+        expected = (expm(tau * liouvillian) @ x.ravel()).reshape(x.shape)
+        assert np.abs(got - expected).max() <= 1e-13 * max(1.0, norm)
 
-        from spinfridge.dynamics import _expm
-        # Mostly coherent with weak damping, like a block Liouvillian, so
-        # exp(a) stays of order one even at the largest norm.
-        g = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-        a = -1j * (g + g.conj().T) - np.diag(rng.uniform(0, 0.05, size=12))
-        a *= norm / np.abs(a).sum(axis=0).max()
-        gap = np.abs(_expm(a) - expm(a)).max()
-        assert gap <= 1e-13 * max(1.0, norm)
+    def test_dephased_blocked_state_stays_hermitian_and_blocked(self, rng):
+        # Ten sites, past any dense-Liouvillian size: sector 5 has 252
+        # states. The blocked route keeps every block exactly Hermitian.
+        gen = chain_generator(10, 0.5)
+        state = thermal_product_state([0.3] * 10)
+        out = evolve_exact(state, gen, 1.0)
+        assert out.is_blocked
+        assert all(np.array_equal(b, b.conj().T) for b in out.blocks)
+        assert sum(np.trace(b).real for b in out.blocks) == pytest.approx(
+            1.0, abs=1e-13)
+        # A uniform thermal product is a function of the total sigma^z: it
+        # commutes with H and is diagonal, so it is a fixed point.
+        assert trace_distance(out, state) < 1e-13
 
     def test_dephased_composition(self, rng):
         gen = random_network_generator(rng, 3, 0.4)
@@ -204,8 +229,8 @@ class TestEvolveExact:
 
     def test_scan_cache_leaves_the_dephased_route_alone(self, rng):
         # The waiting-time scan caches its eigenbasis rotation and grid
-        # tables on the dephased generator itself, beside the dephased
-        # propagators; neither kind of entry may leak into the other route.
+        # tables on the dephased generator itself; none of them may leak
+        # into the dephased route.
         from spinfridge.protocol import _exact_population_curve, default_grid
         gen = random_network_generator(rng, 3, 0.5)
         fresh = LindbladGenerator(gen.hamiltonian, 0.5)

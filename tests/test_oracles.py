@@ -81,9 +81,13 @@ class TestStationaryState:
         assert result.details["worst_fixed_point_distance"] <= 1e-8
         assert result.details["max_perturbed_displacement"] > 1e-6
 
-    def test_large_probe_rejected(self):
-        with pytest.raises(DomainError):
-            oracle_stationary_state(net=SpinNetwork.uniform_chain(6, 1.0))
+    def test_six_site_chain_passes(self):
+        # A seven-site joint register, past the old dense-Liouvillian cap.
+        result = oracle_stationary_state(
+            net=SpinNetwork.uniform_chain(6, 1.0), seed=3)
+        assert result.passed
+        assert result.details["worst_fixed_point_distance"] <= 1e-8
+        assert result.details["max_perturbed_displacement"] > 1e-6
 
 
 class TestEntropyBounds:
@@ -123,11 +127,20 @@ class TestExactRoute:
         assert oracle_majorization(trials=40, max_sites=3)
         assert calls == []
 
-    def test_six_site_probes_rejected(self):
-        with pytest.raises(DomainError):
-            oracle_always_cools(trials=1, max_sites=6)
-        with pytest.raises(DomainError):
-            oracle_majorization(trials=1, max_sites=6)
+    def test_six_site_probes_pass_and_controls_fail(self):
+        assert oracle_always_cools(trials=10, max_sites=6, seed=7)
+        assert oracle_majorization(trials=10, max_sites=6, seed=11)
+        assert not oracle_always_cools(trials=10, max_sites=6, seed=7,
+                                       inject_violation=True)
+        assert not oracle_majorization(trials=10, max_sites=6, seed=11,
+                                       negative_control=True)
+
+    @pytest.mark.parametrize("max_sites", [1, 0, -3])
+    def test_fewer_than_two_sites_rejected(self, max_sites):
+        with pytest.raises(DomainError, match="max_sites"):
+            oracle_always_cools(trials=1, max_sites=max_sites)
+        with pytest.raises(DomainError, match="max_sites"):
+            oracle_majorization(trials=1, max_sites=max_sites)
 
 
 class TestSectorSpectrum:
