@@ -536,10 +536,7 @@ _DEFAULT_VERIFY_MANIFEST = {
 
 def _print_integration_dump(exc: IntegrationError) -> None:
     print("integration failure:", exc, file=sys.stderr)
-    t = getattr(exc, "t", None)
-    step = getattr(exc, "step", None)
-    ratio = getattr(exc, "ratio", None)
-    print(f"  at t={t!r}, step={step!r}, error ratio={ratio!r}",
+    print(f"  at t={exc.t!r}, step={exc.step!r}, error ratio={exc.ratio!r}",
           file=sys.stderr)
 
 

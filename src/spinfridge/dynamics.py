@@ -41,8 +41,6 @@ from .registers import SpinRegister
 from .states import QuantumState, sector_decompose, trace_distance
 
 Z_CONSERVATION_TOL = 1e-12
-# Entries a generator keeps per kind: propagator durations or scan grids.
-_KEPT_DURATIONS = 2
 
 
 # --------------------------------------------------------------------------
@@ -158,8 +156,9 @@ class LindbladGenerator:
 
     Instances are immutable by convention and cache their eigendecompositions
     and propagators, so reuse the same generator across protocol steps. The
-    cache belongs to this generator alone, so its keys carry neither the
-    rate nor the dephased sites; every entry reads the Hamiltonian alone.
+    cache keeps one entry per kind (`_memo`) and belongs to this generator
+    alone, so its keys carry neither the rate nor the dephased sites; every
+    entry reads the Hamiltonian alone.
     """
 
     def __init__(self, hamiltonian: Observable, dephasing_rate: float = 0.0,
@@ -209,11 +208,9 @@ class LindbladGenerator:
     @property
     def hamiltonian(self) -> Observable:
         """Dense H, scattered from the sector blocks on first use."""
-        if "dense" not in self._cache:
-            self._cache["dense"] = Observable(
-                self.register,
-                sectors.scatter_blocks(self._blocks, self.register.count))
-        return self._cache["dense"]
+        return self._memo("dense", None, lambda: Observable(
+            self.register,
+            sectors.scatter_blocks(self._blocks, self.register.count)))
 
     # -- caches ------------------------------------------------------------
 
@@ -223,9 +220,8 @@ class LindbladGenerator:
         return self._blocks
 
     def block_eigensystems(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        if "block_eig" not in self._cache:
-            self._cache["block_eig"] = [np.linalg.eigh(b) for b in self._blocks]
-        return self._cache["block_eig"]
+        return self._memo("block_eig", None,
+                          lambda: [np.linalg.eigh(b) for b in self._blocks])
 
     def _dephasing(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Gamma (W - n), the dissipator's Hadamard factor between the bases
@@ -237,36 +233,31 @@ class LindbladGenerator:
             rows, cols = rows[:, keep], cols[:, keep]
         return self.dephasing_rate * (rows @ cols.T - rows.shape[1])
 
-    def _cached(self, key: tuple, build: Callable[[], list]) -> list:
-        """The cache entry `key`, built on a miss. Entries of one kind
-        (key[0]) are bounded, oldest evicted first, because optimized
-        protocols produce a fresh duration (or scan grid) per step."""
-        if key not in self._cache:
-            stale = [k for k in self._cache
-                     if isinstance(k, tuple) and k[0] == key[0]]
-            for k in stale[:max(0, len(stale) - (_KEPT_DURATIONS - 1))]:
-                del self._cache[k]
-            self._cache[key] = build()
-        return self._cache[key]
+    def _memo(self, kind: str, key, build: Callable[[], object]):
+        """The value `build` gives for `key`, kept as the one entry of its
+        kind: a protocol run reads one scan grid, one window duration and
+        one probe at a time, so a new key replaces the entry. Keys compare
+        with ==, which is identity for states."""
+        entry = self._cache.get(kind)
+        if entry is None or entry[0] != key:
+            entry = self._cache[kind] = (key, build())
+        return entry[1]
 
     def _rotated(self, state: QuantumState) -> list[np.ndarray | None]:
         """u_l^dag rho_l u_l per block of a blocked state (None if zero), kept
         for the last (read-only) state object: the scan and its wait share it."""
-        memo = self._cache.get("rotated")
-        if memo is None or memo[0] is not state:
-            memo = self._cache["rotated"] = (state, [
-                _sandwich(u.conj().T, b, u) if b.any() else None
-                for (_, u), b in zip(self.block_eigensystems(), state.blocks)])
-        return memo[1]
+        return self._memo("rotated", state, lambda: [
+            _sandwich(u.conj().T, b, u) if b.any() else None
+            for (_, u), b in zip(self.block_eigensystems(), state.blocks)])
 
     def blocked_propagators(self, duration: float) -> list[np.ndarray]:
-        """Per-sector unitaries exp(-i H_l t), cached for a few durations.
+        """Per-sector unitaries exp(-i H_l t) for one duration at a time.
 
         Only the coherent partial-swap window reads them, as its Kraus
         blocks, and its duration repeats every round.
         """
-        return self._cached(
-            ("prop", float(duration)),
+        return self._memo(
+            "prop", float(duration),
             lambda: [(u * np.exp(-1j * d * duration)) @ u.conj().T
                      for d, u in self.block_eigensystems()])
 
@@ -484,12 +475,16 @@ def evolve_exact(state: QuantumState, gen: LindbladGenerator,
     u_l D_l u_l^dag, Phi_lm = e^{-i D_l t} (e^{-i D_m t})^dag; a blocked
     state's rotations are memoized for the scan). At Gamma > 0 the blocks
     take the Taylor action of their Liouvillian together
-    (`_dephased_action`), at any register size. A blocked state has the
-    blocks l = m; a dense one every pair l <= m, with X_ml = X_lm^dag.
-    Exactly-zero blocks are skipped.
+    (`_dephased_action`), at any register size. Dephasing only runs
+    forward, so a negative duration raises at Gamma > 0; at Gamma = 0 it is
+    the backward unitary. A blocked state has the blocks l = m; a dense one
+    every pair l <= m, with X_ml = X_lm^dag. Exactly-zero blocks are
+    skipped.
     """
     if gen.register.labels != state.register.labels:
         raise DomainError("generator and state registers do not match")
+    if gen.dephasing_rate > 0 and duration < 0:
+        raise DomainError(f"dephased duration must be >= 0, got {duration}")
     bases = sectors.sector_bases(state.register.count)
     if state.is_blocked:
         blocks = {(l, l): b for l, b in enumerate(state.blocks)}

@@ -13,7 +13,10 @@ site 1's marginal, and the next probe is chi(beta_bath) (x) Tr_1 rho_waited.
 A coherent (Gamma = 0) window W on a blocked probe is the channel
 rho -> sum_{q,q'} p_q K_{q'q} rho K_{q'q}^dag, K_{q'q} = <q'|W|q> read off
 W's sector unitaries. Neither round builds the N+1-site joint register;
-dephased windows and probes with inter-sector coherence still do.
+dephased windows still do. Probes start as thermal products and every map
+conserves z, so rounds run on sector blocks only: a dense probe is
+decomposed on entry, and one with inter-sector coherence raises
+`SectorMixingError` before anything evolves, under every waiting policy.
 
 Waiting times are either fixed (J*tau = 1 by default) or optimized per step
 by scanning the end spin's excited-state population over a uniform J*tau
@@ -59,7 +62,6 @@ from .states import (
     temperature_of,
     thermal_populations,
     thermal_product_state,
-    trace_distance,
     von_neumann_entropy,
 )
 
@@ -229,7 +231,7 @@ def _exact_population_curve(state: QuantumState, gen: LindbladGenerator,
     curve = np.zeros(times.size)
     eigs = gen.block_eigensystems()
     # P and [C S] depend on the generator and grid only
-    scan = gen._cached(("scan", times.tobytes()), lambda: [
+    scan = gen._memo("scan", times.tobytes(), lambda: [
         (u.conj().T @ (b[:, None] * u),
          np.hstack([f(np.outer(d, times)) for f in (np.cos, np.sin)]))
         for (d, u), b in zip(eigs, _site1_bits(state.register.count))])
@@ -266,8 +268,7 @@ def optimize_waiting_time(
             or jgrid[0] < 0:
         raise DomainError("grid must be a non-empty increasing sequence of "
                           "J*tau values >= 0")
-    if not probe.is_blocked:
-        probe = sector_decompose(probe)  # raises if inter-sector coherence
+    probe = sector_decompose(probe)  # raises if inter-sector coherence
     curve = _exact_population_curve(probe, gen, jgrid / coupling)
     best = curve.max()
     index = int(np.argmax(curve >= best - _TIE_TOL))
@@ -351,20 +352,22 @@ def cool_step(
 ) -> tuple[QuantumState, QuantumState, StepRecord]:
     """One protocol round: wait tau, attach chi(bath), swap, detach.
 
-    Returns (next probe, emitted qubit, record). `tau` is physical time;
-    the record stores J*tau using `coupling`. The emitted qubit carries
-    label 0; the probe keeps labels 1..N. A perfect swap is a site reset:
-    the emitted qubit is site 1's marginal of the waited probe, site 1 is
-    re-prepared in chi(bath), and the spectra of the rest's sector blocks
-    give the next probe's entropy and distance. A window without dephasing,
-    on a blocked probe, applies its Kraus blocks <q'|W|q> (quadrants of the
-    joint sector unitaries) to the probe's sectors; other partial swaps
-    attach the qubit, run `partial_swap` and trace out the joint register.
+    Returns (next probe, emitted qubit, record), all sector-blocked; a
+    probe with inter-sector coherence raises `SectorMixingError` before it
+    evolves. `tau` is physical time; the record stores J*tau using
+    `coupling`. The emitted qubit carries label 0; the probe keeps labels
+    1..N. A perfect swap is a site reset: the emitted qubit is site 1's
+    marginal of the waited probe, and site 1 is re-prepared in chi(bath).
+    A window without dephasing applies its Kraus blocks <q'|W|q> (quadrants
+    of the joint sector unitaries) to the probe's sectors; a dephased one
+    attaches the qubit, runs `partial_swap` and traces out the joint
+    register. The next probe's sector spectra give its entropy and distance.
     """
     if tau < 0:
         raise DomainError(f"waiting time must be >= 0, got {tau}")
     if gen.register.labels != probe.register.labels:
         raise DomainError("generator and probe registers do not match")
+    probe = sector_decompose(probe)  # raises if inter-sector coherence
     if tau > 0:
         if gen.dephasing_rate == 0:
             waited = evolve_exact(probe, gen, tau)
@@ -372,25 +375,22 @@ def cool_step(
             waited = evolve(probe, gen, tau, cfg)
     else:
         waited = probe
-    labels, n = probe.register.labels, probe.register.count
+    labels = probe.register.labels
     p0, p1 = thermal_populations(bath_beta_tilde)
-    spectra = None  # the next probe's sector spectra, when it is blocked
     if swap.mode == "perfect":
         site = partial_trace(waited, keep=labels[:1])
-        qubit = QuantumState._adopt(SpinRegister((0,)), dense=site._dense,
-                                    blocks=site._blocks)
+        qubit = QuantumState._adopt(SpinRegister((0,)), blocks=site.blocks)
         rest = partial_trace(waited, keep=labels[1:]) if labels[1:] else None
         next_probe = _prepend_site(rest, labels[0], bath_beta_tilde)
-        if next_probe.is_blocked:
-            # block l of the next probe is p0 rest_l (+) p1 rest_{l-1}
-            mu = [np.linalg.eigvalsh(b) for b in rest.blocks] \
-                if rest is not None else [np.ones(1)]
-            spectra = [np.concatenate((p0 * up, p1 * down)) for up, down
-                       in zip(mu + [np.zeros(0)], [np.zeros(0)] + mu)]
+        # block l of the next probe is p0 rest_l (+) p1 rest_{l-1}
+        mu = [np.linalg.eigvalsh(b) for b in rest.blocks] \
+            if rest is not None else [np.ones(1)]
+        spectra = [np.concatenate((p0 * up, p1 * down)) for up, down
+                   in zip(mu + [np.zeros(0)], [np.zeros(0)] + mu)]
     else:
         window = _window_gen if _window_gen is not None else \
             window_generator(SpinRegister((0,) + labels), swap)
-        if window.dephasing_rate == 0 and waited.is_blocked:
+        if window.dephasing_rate == 0:
             # Joint sector L lists its qubit-|0> states first (site 0 is the
             # most significant bit), so the Kraus blocks <q'|W|q> are the
             # quadrants of W_L split at d = C(N, L).
@@ -414,18 +414,8 @@ def cool_step(
                 _gen=window)
             next_probe = partial_trace(swapped, keep=labels)
             qubit = partial_trace(swapped, keep=(0,))
-        if next_probe.is_blocked:
-            spectra = [np.linalg.eigvalsh(b) for b in next_probe.blocks]
-    if spectra is not None:
-        # the bath product's block l is c_l * I, so one spectrum per block
-        # gives both S = -sum lambda ln lambda and D = 1/2 sum |lambda - c_l|
-        entropy = spectrum_entropy(np.sort(np.concatenate(spectra)))
-        distance = float(0.5 * sum(np.abs(vals - p0 ** (n - l) * p1 ** l).sum()
-                                   for l, vals in enumerate(spectra)))
-    else:
-        entropy = von_neumann_entropy(next_probe)
-        distance = trace_distance(next_probe, thermal_product_state(
-            [bath_beta_tilde] * n, next_probe.register))
+        spectra = [np.linalg.eigvalsh(b) for b in next_probe.blocks]
+    entropy, distance = _probe_diagnostics(spectra, bath_beta_tilde)
 
     record_t = temperature_of(qubit)
     eta = _efficiency(bath_beta_tilde, record_t.beta_tilde)
@@ -441,6 +431,19 @@ def cool_step(
         distance_to_pseudothermal=distance,
     )
     return next_probe, qubit, record
+
+
+def _probe_diagnostics(spectra: list[np.ndarray], bath_beta_tilde: float
+                       ) -> tuple[float, float]:
+    """(entropy, distance to the bath product) from the spectra of a
+    probe's sector blocks: the bath product's block l is c_l * I, so they
+    give S = -sum lambda ln lambda and D = 1/2 sum |lambda - c_l|."""
+    n = len(spectra) - 1
+    p0, p1 = thermal_populations(bath_beta_tilde)
+    entropy = spectrum_entropy(np.sort(np.concatenate(spectra)))
+    distance = float(0.5 * sum(np.abs(vals - p0 ** (n - l) * p1 ** l).sum()
+                               for l, vals in enumerate(spectra)))
+    return entropy, distance
 
 
 # --------------------------------------------------------------------------
@@ -469,7 +472,8 @@ def run_protocol(cfg: ProtocolConfig,
 
     `initial_probe` overrides the configured thermal product state; it is
     accepted unvalidated against the temperature precondition, which is how
-    the negative controls (probes hotter than the bath) are exercised.
+    the negative controls (probes hotter than the bath) are exercised. One
+    with inter-sector coherence raises `SectorMixingError` before any round.
     """
     n = cfg.probe_size
     net = SpinNetwork.uniform_chain(n, cfg.coupling)
@@ -481,16 +485,9 @@ def run_protocol(cfg: ProtocolConfig,
     else:
         if initial_probe.register.labels != gen.register.labels:
             raise DomainError("initial probe register must be sites 1..N")
-        probe = initial_probe
-        if not probe.is_blocked:
-            cohere = sectors.max_intersector_coherence(probe.matrix, n)
-            if cohere <= 1e-12:
-                probe = sector_decompose(probe)
-
-    reference = thermal_product_state([cfg.bath_beta_tilde] * n)
-    s_bath = cfg.bath_entropy
-    initial_entropy = von_neumann_entropy(probe)
-    initial_distance = trace_distance(probe, reference)
+        probe = sector_decompose(initial_probe)
+    initial_entropy, initial_distance = _probe_diagnostics(
+        [np.linalg.eigvalsh(b) for b in probe.blocks], cfg.bath_beta_tilde)
 
     grid = default_grid(n, cfg.grid_spacing)
     records = []
@@ -510,7 +507,7 @@ def run_protocol(cfg: ProtocolConfig,
 
     return ProtocolReport(
         config=cfg,
-        bath_entropy=s_bath,
+        bath_entropy=cfg.bath_entropy,
         initial_probe_entropy=initial_entropy,
         initial_distance=initial_distance,
         records=tuple(records),

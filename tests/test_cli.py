@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from spinfridge import OracleResult, __version__
+from spinfridge import IntegrationError, OracleResult, __version__
 from spinfridge.cli import main
 
 
@@ -340,6 +340,43 @@ class TestSweeps:
         monkeypatch.setenv("SPINFRIDGE_THREADS", "many")
         manifest = self.sweep_manifest(tmp_path, dephasing_rates=[0.0])
         assert main(["sweep", "--manifest", str(manifest)]) == 2
+
+
+class TestIntegrationFailure:
+    """An integration failure exits 3 and prints its replayable witness:
+    t, step and error ratio at full precision."""
+
+    WITNESS = {"t": 0.12345678901234566, "step": 1.2345678901234567e-09,
+               "ratio": 3.141592653589793}
+
+    def failing_run(self, cfg, initial_probe=None):
+        raise IntegrationError("step size underflow", **self.WITNESS)
+
+    def assert_witness(self, err):
+        w = self.WITNESS
+        assert (f"at t={w['t']!r}, step={w['step']!r}, "
+                f"error ratio={w['ratio']!r}") in err
+
+    def test_cool_exits_3(self, cool_manifest, monkeypatch, capsys):
+        import spinfridge.cli as cli
+        monkeypatch.setattr(cli, "run_protocol", self.failing_run)
+        assert main(["cool", "--manifest", str(cool_manifest)]) == 3
+        self.assert_witness(capsys.readouterr().err)
+
+    def test_sweep_exits_3(self, tmp_path, monkeypatch, capsys):
+        import spinfridge.cli as cli
+        monkeypatch.setattr(cli, "run_protocol", self.failing_run)
+        manifest = write_manifest(
+            tmp_path / "sweep.json", kind="sweep", seed=9,
+            out=str(tmp_path / "out"),
+            config={"probe_size": 2, "bath_beta_tilde": 0.2, "steps": 2,
+                    "dephasing_rates": [0.0, 0.3]})
+        assert main(["sweep", "--manifest", str(manifest),
+                     "--threads", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "sweep point 0.0 failed" in err
+        assert "sweep point 0.3 failed" in err
+        self.assert_witness(err)
 
 
 class TestThermometry:

@@ -195,6 +195,21 @@ class TestEvolveExact:
         # commutes with H and is diagonal, so it is a fixed point.
         assert trace_distance(out, state) < 1e-13
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_negative_duration_only_runs_the_unitary_backward(self, rng,
+                                                              dense):
+        # At Gamma = 0 a negative duration undoes a positive one; dephasing
+        # only runs forward, so the dephased route raises like `evolve`.
+        state = random_dense_state(rng, 3) if dense \
+            else random_blocked_state(rng, 3)
+        unitary = random_network_generator(rng, 3, 0.0)
+        back = evolve_exact(evolve_exact(state, unitary, 1.7), unitary, -1.7)
+        assert trace_distance(back, state) < 1e-13
+        dephased = random_network_generator(rng, 3, 0.5)
+        for route in (evolve_exact, evolve):
+            with pytest.raises(DomainError):
+                route(state, dephased, -2.0)
+
     def test_dephased_composition(self, rng):
         gen = random_network_generator(rng, 3, 0.4)
         for state in (random_dense_state(rng, 3), random_blocked_state(rng, 3)):

@@ -14,6 +14,7 @@ from spinfridge import (
     LindbladGenerator,
     ProtocolConfig,
     QuantumState,
+    SectorMixingError,
     SpinNetwork,
     SpinRegister,
     SwapSpec,
@@ -233,23 +234,23 @@ class TestOptimizeWaitingTime:
     def test_scan_arrays_are_cached_on_the_generator(self):
         probe = self.post_first_swap_probe(n=4)
         times = default_grid(4, 0.05)
-        key = ("scan", times.tobytes())
         fresh = _exact_population_curve(probe, chain_generator(4), times)
         gen = chain_generator(4, 0.5)
         cold = _exact_population_curve(probe, gen, times)
-        entry = gen._cache[key]
+        entry = gen._cache["scan"]
+        assert entry[0] == times.tobytes()
         warm = _exact_population_curve(probe, gen, times)
         assert np.array_equal(cold, fresh) and np.array_equal(warm, fresh)
         # a second scan on the same grid reads the entry, no rebuild
-        assert gen._cache[key] is entry
-        assert [k for k in gen._cache if k[0] == "scan"] == [key]
-        # the cache keeps _KEPT_DURATIONS grids; one more evicts the oldest
-        grids = [times] + [default_grid(4, 0.05) + 0.01 * i
-                           for i in range(1, dynamics._KEPT_DURATIONS + 1)]
-        for grid in grids[1:]:
-            _exact_population_curve(probe, gen, grid)
-        scans = [k for k in gen._cache if k[0] == "scan"]
-        assert scans == [("scan", g.tobytes()) for g in grids[1:]]
+        assert gen._cache["scan"] is entry
+        # the cache keeps one grid: a new grid replaces it, and the old grid
+        # is rebuilt
+        other = times + 0.01
+        _exact_population_curve(probe, gen, other)
+        assert gen._cache["scan"][0] == other.tobytes()
+        _exact_population_curve(probe, gen, times)
+        assert gen._cache["scan"][0] == times.tobytes()
+        assert gen._cache["scan"] is not entry
 
 
 class TestCoolStep:
@@ -347,17 +348,16 @@ class TestCoolStep:
                 assert record.distance_to_pseudothermal == pytest.approx(
                     trace_distance(ref_probe, reference), abs=1e-13)
 
-        # A dephased window, or a probe with inter-sector coherence, still
-        # takes the joint register: same operations, same bits.
+        # A dephased window still takes the joint register: same
+        # operations, same bits.
         dephased = SwapSpec.partial(strength, probe_background=net,
                                     window_dephasing_rate=0.3)
-        for probe, swap in ((mixed, dephased), (mixed.to_dense(), spec)):
-            next_probe, qubit, record = cool_step(probe, bath, gen, swap, 0.7)
-            ref_probe, ref_qubit = self.joint_register_round(
-                probe, bath, gen, swap, 0.7)
-            assert np.array_equal(next_probe.matrix, ref_probe.matrix)
-            assert np.array_equal(qubit.matrix, ref_qubit.matrix)
-            assert record.probe_entropy == von_neumann_entropy(ref_probe)
+        next_probe, qubit, record = cool_step(mixed, bath, gen, dephased, 0.7)
+        ref_probe, ref_qubit = self.joint_register_round(
+            mixed, bath, gen, dephased, 0.7)
+        assert np.array_equal(next_probe.matrix, ref_probe.matrix)
+        assert np.array_equal(qubit.matrix, ref_qubit.matrix)
+        assert record.probe_entropy == von_neumann_entropy(ref_probe)
 
     def test_window_round_matches_extended_precision(self, rng):
         # One window round on a three-site probe, with exp(-i t H_w) and both
@@ -391,6 +391,71 @@ class TestCoolStep:
                                      (ref_probe, ref_qubit)):
             assert np.abs(got_probe.matrix - want_probe).max() <= 1e-14
             assert abs(got_qubit.matrix[1, 1] - want_p1) <= 1e-14
+
+
+SWAPS = {"perfect": SwapSpec.perfect(), "partial": SwapSpec.partial(5.0)}
+
+
+class TestSectorBlockedRounds:
+    """A round's state is sector-blocked: dense probes are decomposed on
+    entry, and inter-sector coherence is rejected before anything evolves."""
+
+    @staticmethod
+    def coherent_probe(pair: tuple[int, int]) -> QuantumState:
+        """chi(2.0)^3 with a 1e-3 coherence between two basis states of
+        different sectors; still a valid state."""
+        rho = thermal_product_state([2.0] * 3).matrix.copy()
+        i, j = pair
+        rho[i, j] = rho[j, i] = 1e-3
+        return QuantumState.from_dense(rho)
+
+    @pytest.mark.parametrize("pair", [(0, 1), (0, 3)],
+                             ids=["adjacent", "two_apart"])
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    @pytest.mark.parametrize("swap", SWAPS.values(), ids=SWAPS.keys())
+    def test_intersector_coherence_rejected_before_evolution(
+            self, monkeypatch, pair, gamma, swap):
+        # |000> is sector 0, |001> sector 1 and |011> sector 2.
+        probe = self.coherent_probe(pair)
+        calls = count_calls(monkeypatch, (
+            (module, name) for module in (protocol, dynamics)
+            for name in ("evolve", "evolve_exact")))
+        with pytest.raises(SectorMixingError):
+            cool_step(probe, 0.2, chain_generator(3, gamma), swap, 0.7)
+        policies = ({}, {"waiting_policy": "fixed"},
+                    {"waiting_policy": "schedule", "tau_schedule": (0.7,)})
+        for policy in policies:
+            cfg = ProtocolConfig(probe_size=3, bath_beta_tilde=0.2, steps=1,
+                                 dephasing_rate=gamma, swap=swap, **policy)
+            with pytest.raises(SectorMixingError):
+                run_protocol(cfg, initial_probe=probe)
+        assert sum(calls.values()) == 0
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    @pytest.mark.parametrize("swap", SWAPS.values(), ids=SWAPS.keys())
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_dense_probe_matches_its_blocked_twin(self, rng, n, gamma, swap):
+        # A coherence-free dense probe is decomposed on entry, so it takes
+        # the blocked twin's route bit for bit.
+        probe = cold_mixed_probe(rng, n)
+        gen = chain_generator(n, gamma)
+        for tau in (0.0, 0.7):
+            blocked = cool_step(probe, 0.3, gen, swap, tau)
+            dense = cool_step(probe.to_dense(), 0.3, gen, swap, tau)
+            for got, want in zip(dense[:2], blocked[:2]):
+                assert got.is_blocked and got.register == want.register
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(got.blocks, want.blocks))
+            assert dense[2] == blocked[2]
+        cfg = ProtocolConfig(probe_size=n, bath_beta_tilde=0.3, steps=3,
+                             dephasing_rate=gamma, swap=swap)
+        blocked = run_protocol(cfg, initial_probe=probe)
+        dense = run_protocol(cfg, initial_probe=probe.to_dense())
+        assert dense.records == blocked.records
+        assert (dense.initial_probe_entropy, dense.initial_distance) == \
+            (blocked.initial_probe_entropy, blocked.initial_distance)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(dense.final_probe.blocks, blocked.final_probe.blocks))
 
 
 class TestRunProtocol:
