@@ -155,7 +155,7 @@ class LindbladGenerator:
     coherent during swap windows unless asked otherwise.
 
     Instances are immutable by convention and cache their eigendecompositions
-    and propagators, so reuse the same generator across protocol steps. The
+    and scan arrays, so reuse the same generator across protocol steps. The
     cache keeps one entry per kind (`_memo`) and belongs to this generator
     alone, so its keys carry neither the rate nor the dephased sites; every
     entry reads the Hamiltonian alone.
@@ -235,9 +235,9 @@ class LindbladGenerator:
 
     def _memo(self, kind: str, key, build: Callable[[], object]):
         """The value `build` gives for `key`, kept as the one entry of its
-        kind: a protocol run reads one scan grid, one window duration and
-        one probe at a time, so a new key replaces the entry. Keys compare
-        with ==, which is identity for states."""
+        kind: a protocol run reads one scan grid and one probe at a time, so
+        a new key replaces the entry. Keys compare with ==, which is
+        identity for states."""
         entry = self._cache.get(kind)
         if entry is None or entry[0] != key:
             entry = self._cache[kind] = (key, build())
@@ -251,15 +251,10 @@ class LindbladGenerator:
             for (_, u), b in zip(self.block_eigensystems(), state.blocks)])
 
     def blocked_propagators(self, duration: float) -> list[np.ndarray]:
-        """Per-sector unitaries exp(-i H_l t) for one duration at a time.
-
-        Only the coherent partial-swap window reads them, as its Kraus
-        blocks, and its duration repeats every round.
-        """
-        return self._memo(
-            "prop", float(duration),
-            lambda: [(u * np.exp(-1j * d * duration)) @ u.conj().T
-                     for d, u in self.block_eigensystems()])
+        """Per-sector unitaries exp(-i H_l t): a coherent partial-swap
+        window's Kraus blocks, built once per protocol run."""
+        return [(u * np.exp(-1j * d * duration)) @ u.conj().T
+                for d, u in self.block_eigensystems()]
 
 
 def _sandwich(left, x, right):
@@ -350,8 +345,8 @@ def evolve(state: QuantumState, gen: LindbladGenerator, duration: float,
     """
     if gen.register.labels != state.register.labels:
         raise DomainError("generator and state registers do not match")
-    if duration < 0:
-        raise DomainError(f"duration must be >= 0, got {duration}")
+    if not (math.isfinite(duration) and duration >= 0):
+        raise DomainError(f"duration must be finite and >= 0, got {duration}")
     cfg = cfg or IntegratorConfig()
 
     if not state.is_blocked:
@@ -483,6 +478,8 @@ def evolve_exact(state: QuantumState, gen: LindbladGenerator,
     """
     if gen.register.labels != state.register.labels:
         raise DomainError("generator and state registers do not match")
+    if not math.isfinite(duration):
+        raise DomainError(f"duration must be finite, got {duration}")
     if gen.dephasing_rate > 0 and duration < 0:
         raise DomainError(f"dephased duration must be >= 0, got {duration}")
     bases = sectors.sector_bases(state.register.count)
@@ -640,8 +637,8 @@ def partial_swap(joint_state: QuantumState, spec: SwapSpec,
     """Finite-duration swap: evolve qubit+probe under the window generator
     for pi/(4 J_I). Site 0 must be the qubit, site 1 the target spin.
 
-    `_gen` lets the protocol reuse one prebuilt window generator (and its
-    cached propagators) across steps instead of rebuilding per call.
+    `_gen` lets the protocol reuse one prebuilt (dephased) window generator
+    across steps instead of rebuilding it per call.
     """
     gen = _gen if _gen is not None else window_generator(joint_state.register, spec)
     duration = spec.window_duration

@@ -87,8 +87,8 @@ def rkf45(rhs: Callable[[float, np.ndarray], np.ndarray],
           duration: float,
           cfg: IntegratorConfig) -> IntegrationResult:
     """Integrate dy/dt = rhs(t, y) from t=0 to t=duration."""
-    if duration < 0:
-        raise DomainError(f"duration must be >= 0, got {duration}")
+    if not (math.isfinite(duration) and duration >= 0):
+        raise DomainError(f"duration must be finite and >= 0, got {duration}")
     buf = np.empty((9,) + np.shape(y0), dtype=complex)  # y, k1..k6, 2 scratch
     buf[0] = y0
     flat = buf.reshape(9, -1).view(float)

@@ -6,8 +6,9 @@ dipole-dipole coupling. When each spin is quantized along its own axis
 by five dimensionless numbers built from the two quantization frames and
 the separation direction. This module computes those numbers, turns them
 into the spin-probe (defect-bath) and spin-spin (chain) coupling strengths,
-checks the pulse-averaged Hamiltonian numerically, and evaluates the yield
-of usable chain configurations.
+checks the pulse-averaged Hamiltonian numerically (4x4 exponentials and log
+from Hermitian eigensystems, numpy only), and evaluates the yield of usable
+chain configurations.
 
 Each NV defect is a spin-1 whose qubit is the {m_s = 0, -1} pair, mapped to
 s_z = +1/2 and -1/2. Every coupling coefficient here multiplies spin-1/2
@@ -36,7 +37,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import expm, logm
 
 from .errors import DomainError
 
@@ -305,6 +305,25 @@ def _spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, ord=2))
 
 
+def _evolution(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) of a Hermitian H, from its eigensystem."""
+    d, u = np.linalg.eigh(h)
+    return (u * np.exp(-1j * d * t)) @ u.conj().T
+
+
+def _phase_log(u: np.ndarray) -> np.ndarray:
+    """Principal log of a unitary U (no eigenvalue -1), as i Phi.
+
+    The Cayley transform A = i (1 - U)(1 + U)^-1 is Hermitian with the
+    eigenvalue tan(phi/2) for each eigenphase phi of U, and 2 arctan maps
+    it back to phi on the principal branch (-pi, pi).
+    """
+    eye = np.eye(len(u))
+    a = 1j * np.linalg.solve(eye + u, eye - u)
+    lam, v = np.linalg.eigh(0.5 * (a + a.conj().T))
+    return (v * (2j * np.arctan(lam))) @ v.conj().T
+
+
 def wahuha_average_check(pair: DipolarPair, segment_time: float,
                          half_imbalance: float = 0.0) -> dict[str, float]:
     """Numerically verify the axis-cycling average against its target.
@@ -317,7 +336,8 @@ def wahuha_average_check(pair: DipolarPair, segment_time: float,
     * trotter_error: spectral norm of (cycle unitary - ideal unitary);
       vanishes quadratically as segment_time -> 0.
     * h_minus_residual: spectral norm of the matrix-antisymmetric part of
-      the average Hamiltonian i*log(U_cycle)/(3*segment_time). With matched
+      the average Hamiltonian i*log(U_cycle)/(3*segment_time), the
+      principal log taken through U_cycle's Cayley transform. With matched
       halves the sign-flipped term cancels at first order and only a
       second-order commutator piece (linear in segment_time) survives;
       `half_imbalance` shifts duration from the second half to the first
@@ -340,14 +360,14 @@ def wahuha_average_check(pair: DipolarPair, segment_time: float,
     second_half = segment_time - first_half
     cycle = np.eye(4, dtype=complex)
     for sym, anti in segments:
-        first = expm(-1j * (sym + anti) * first_half)
-        second = expm(-1j * (sym - anti) * second_half)
+        first = _evolution(sym + anti, first_half)
+        second = _evolution(sym - anti, second_half)
         cycle = second @ first @ cycle
     total = 3.0 * segment_time
     target = coeffs["heisenberg_strength"] * (
         _pair_op("x", "x") + _pair_op("y", "y") + _pair_op("z", "z"))
-    ideal = expm(-1j * target * total)
-    average = 1j * logm(cycle) / total
+    ideal = _evolution(target, total)
+    average = 1j * _phase_log(cycle) / total
     residual = 0.5 * (average - average.T)
     return {
         "trotter_error": _spectral_norm(cycle - ideal),

@@ -265,9 +265,9 @@ def optimize_waiting_time(
         grid = default_grid(probe.register.count)
     jgrid = np.asarray(grid, dtype=float)
     if jgrid.ndim != 1 or jgrid.size == 0 or np.any(np.diff(jgrid) <= 0) \
-            or jgrid[0] < 0:
+            or jgrid[0] < 0 or not np.isfinite(jgrid).all():
         raise DomainError("grid must be a non-empty increasing sequence of "
-                          "J*tau values >= 0")
+                          "finite J*tau values >= 0")
     probe = sector_decompose(probe)  # raises if inter-sector coherence
     curve = _exact_population_curve(probe, gen, jgrid / coupling)
     best = curve.max()
@@ -348,7 +348,7 @@ def cool_step(
     cfg: IntegratorConfig | None = None,
     *,
     coupling: float = 1.0,
-    _window_gen: LindbladGenerator | None = None,
+    _window: list[np.ndarray] | LindbladGenerator | None = None,
 ) -> tuple[QuantumState, QuantumState, StepRecord]:
     """One protocol round: wait tau, attach chi(bath), swap, detach.
 
@@ -362,9 +362,10 @@ def cool_step(
     of the joint sector unitaries) to the probe's sectors; a dephased one
     attaches the qubit, runs `partial_swap` and traces out the joint
     register. The next probe's sector spectra give its entropy and distance.
+    `_window` is a run's window: those unitaries, or a dephased generator.
     """
-    if tau < 0:
-        raise DomainError(f"waiting time must be >= 0, got {tau}")
+    if not (math.isfinite(tau) and tau >= 0):
+        raise DomainError(f"waiting time must be finite and >= 0, got {tau}")
     if gen.register.labels != probe.register.labels:
         raise DomainError("generator and probe registers do not match")
     probe = sector_decompose(probe)  # raises if inter-sector coherence
@@ -388,16 +389,16 @@ def cool_step(
         spectra = [np.concatenate((p0 * up, p1 * down)) for up, down
                    in zip(mu + [np.zeros(0)], [np.zeros(0)] + mu)]
     else:
-        window = _window_gen if _window_gen is not None else \
-            window_generator(SpinRegister((0,) + labels), swap)
-        if window.dephasing_rate == 0:
+        if not swap.window_dephasing_rate:
             # Joint sector L lists its qubit-|0> states first (site 0 is the
             # most significant bit), so the Kraus blocks <q'|W|q> are the
             # quadrants of W_L split at d = C(N, L).
+            units = _window if _window is not None else window_generator(
+                SpinRegister((0,) + labels), swap).blocked_propagators(
+                    swap.window_duration)
             rho, empty = waited.blocks, np.zeros((0, 0))
             kept = []  # (qubit-|0> rows, qubit-|1> rows) per joint sector
-            for w, a, b in zip(window.blocked_propagators(swap.window_duration),
-                               rho + (empty,), (empty,) + rho):
+            for w, a, b in zip(units, rho + (empty,), (empty,) + rho):
                 d = len(a)
                 kept.append(tuple(
                     p0 * (k0 @ a @ k0.conj().T) + p1 * (k1 @ b @ k1.conj().T)
@@ -411,7 +412,7 @@ def cool_step(
         else:
             swapped = partial_swap(
                 attach_thermal_qubit(waited, bath_beta_tilde), swap, cfg,
-                _gen=window)
+                _gen=_window)
             next_probe = partial_trace(swapped, keep=labels)
             qubit = partial_trace(swapped, keep=(0,))
         spectra = [np.linalg.eigvalsh(b) for b in next_probe.blocks]
@@ -450,9 +451,10 @@ def _probe_diagnostics(spectra: list[np.ndarray], bath_beta_tilde: float
 # full runs
 # --------------------------------------------------------------------------
 
-def _resolve_swap(spec: SwapSpec, cfg: ProtocolConfig,
-                  chain: SpinNetwork) -> tuple[SwapSpec, LindbladGenerator | None]:
-    """Fill a partial SwapSpec's open slots from the protocol config."""
+def _resolve_swap(spec: SwapSpec, cfg: ProtocolConfig, chain: SpinNetwork
+                  ) -> tuple[SwapSpec, list[np.ndarray] | LindbladGenerator | None]:
+    """Fill a partial SwapSpec's open slots from the protocol config; return
+    it with what a run's rounds read of the window (see `cool_step`)."""
     if spec.mode != "partial":
         return spec, None
     resolved = replace(
@@ -462,8 +464,9 @@ def _resolve_swap(spec: SwapSpec, cfg: ProtocolConfig,
         window_dephasing_rate=spec.window_dephasing_rate
         if spec.window_dephasing_rate is not None else cfg.dephasing_rate,
     )
-    joint_reg = SpinRegister.with_qubit(cfg.probe_size)
-    return resolved, window_generator(joint_reg, resolved)
+    window = window_generator(SpinRegister.with_qubit(cfg.probe_size), resolved)
+    return resolved, window if window.dephasing_rate else \
+        window.blocked_propagators(resolved.window_duration)
 
 
 def run_protocol(cfg: ProtocolConfig,
@@ -478,7 +481,7 @@ def run_protocol(cfg: ProtocolConfig,
     n = cfg.probe_size
     net = SpinNetwork.uniform_chain(n, cfg.coupling)
     gen = LindbladGenerator.from_network(net, cfg.dephasing_rate)
-    swap, window_gen = _resolve_swap(cfg.swap, cfg, net)
+    swap, window = _resolve_swap(cfg.swap, cfg, net)
 
     if initial_probe is None:
         probe = thermal_product_state(cfg.probe_beta_tildes)
@@ -502,7 +505,7 @@ def run_protocol(cfg: ProtocolConfig,
             jtau = cfg.fixed_jtau
         probe, _, record = cool_step(
             probe, cfg.bath_beta_tilde, gen, swap, jtau / cfg.coupling,
-            cfg.integrator, coupling=cfg.coupling, _window_gen=window_gen)
+            cfg.integrator, coupling=cfg.coupling, _window=window)
         records.append(replace(record, index=k, predicted=predicted))
 
     return ProtocolReport(

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinfridge
 from spinfridge import IntegrationError, OracleResult, __version__
 from spinfridge.cli import main
 
@@ -502,3 +506,25 @@ class TestVerify:
         monkeypatch.setattr(cli, "run_all_oracles", spy)
         assert main(["verify", "--out", str(tmp_path), "--seed", "123"]) == 0
         assert seen["seed"] == 123
+
+
+class TestRuntimeDependencies:
+    def test_simulations_never_load_scipy(self, cool_manifest):
+        # numpy is the only runtime dependency. A fresh interpreter runs a
+        # dephased window protocol, an oracle and a CLI run, so no import
+        # made by another test counts.
+        script = f"""
+import sys
+sys.path.insert(0, {str(Path(spinfridge.__file__).parent.parent)!r})
+import spinfridge as sf
+from spinfridge import cli
+sf.run_protocol(sf.ProtocolConfig(probe_size=3, bath_beta_tilde=0.2, steps=3,
+                                  dephasing_rate=0.3,
+                                  swap=sf.SwapSpec.partial(5.0)))
+sf.oracle_always_cools(trials=2)
+assert cli.main(["cool", "--manifest", {str(cool_manifest)!r}]) == 0
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+        done = subprocess.run([sys.executable, "-c", script], check=True,
+                              capture_output=True, text=True, timeout=300)
+        assert done.stdout.splitlines()[-1] == "[]"

@@ -210,6 +210,13 @@ class TestEvolveExact:
             with pytest.raises(DomainError):
                 route(state, dephased, -2.0)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf])
+    def test_non_finite_duration_rejected(self, gamma, duration):
+        state = thermal_product_state([0.3, 1.0, 2.0])
+        with pytest.raises(DomainError):
+            evolve_exact(state, chain_generator(3, gamma), duration)
+
     def test_dephased_composition(self, rng):
         gen = random_network_generator(rng, 3, 0.4)
         for state in (random_dense_state(rng, 3), random_blocked_state(rng, 3)):
@@ -309,6 +316,12 @@ class TestEvolveAdaptive:
         gen = chain_generator(3)
         with pytest.raises(DomainError):
             evolve(random_dense_state(rng, 2), gen, 1.0)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf])
+    def test_non_finite_duration_rejected(self, duration):
+        state = thermal_product_state([0.3, 1.0, 2.0])
+        with pytest.raises(DomainError):
+            evolve(state, chain_generator(3, 0.5), duration)
 
     def test_dephasing_decreases_purity_never_entropy(self, rng):
         gen = chain_generator(3, 0.8)

@@ -146,6 +146,12 @@ class TestDenseOutput:
             rkf45(exp_decay(1.0), np.array([1.0 + 0j]), -1.0,
                   IntegratorConfig())
 
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf])
+    def test_non_finite_duration_rejected(self, duration):
+        with pytest.raises(DomainError):
+            rkf45(exp_decay(1.0), np.array([1.0 + 0j]), duration,
+                  IntegratorConfig())
+
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestFailureModes:

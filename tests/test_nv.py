@@ -21,6 +21,7 @@ from spinfridge import (
     nv_p1_coupling,
     wahuha_average_check,
 )
+from spinfridge.operators import PAULIS
 
 from conftest import spin1_dipolar_projection
 
@@ -240,7 +241,8 @@ class TestWahuhaAverage:
             out = wahuha_average_check(self.symmetric_pair(),
                                        segment_time=tau)
             assert out["trotter_error"] < 1e-12
-            assert out["h_minus_residual"] < 1e-9  # matrix-log noise floor
+            # The log's rounding floor (<= 1e-12 here) sits well under 1e-9.
+            assert out["h_minus_residual"] < 1e-9
 
     def test_trotter_error_is_second_order(self):
         pair = self.generic_pair()
@@ -266,6 +268,43 @@ class TestWahuhaAverage:
         fine = wahuha_average_check(pair, segment_time=1e-6)
         ratio = coarse["h_minus_residual"] / fine["h_minus_residual"]
         assert 1.8 <= ratio <= 2.2
+
+    def test_generic_pair_matches_extended_precision(self):
+        # The same cycle and ideal unitaries, log and spectral norms, in
+        # 30-digit arithmetic; the spin-1/2 products are exact in binary.
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 30
+        pair, tau = self.generic_pair(), 1e-6
+        c = {k: mp.mpf(v)
+             for k, v in nv_nv_effective_hamiltonian(pair).items()}
+
+        def op(a, b):
+            return mp.matrix(np.kron(PAULIS[a], PAULIS[b]).tolist()) / 4
+
+        def evolution(h, t):
+            return mp.expm(-1j * h * mp.mpf(t))
+
+        cycle = mp.eye(4)
+        for special, t1, t2 in (("z", "x", "y"), ("x", "y", "z"),
+                                ("y", "z", "x")):
+            sym = c["xx_yy_coeff"] * (op(t1, t1) + op(t2, t2)) \
+                + c["zz_coeff"] * op(special, special)
+            anti = c["xy_antisym_coeff"] * (op(t1, t2) - op(t2, t1))
+            cycle = evolution(sym - anti, tau / 2) \
+                * evolution(sym + anti, tau / 2) * cycle
+        ideal = evolution(c["heisenberg_strength"] * (
+            op("x", "x") + op("y", "y") + op("z", "z")), 3 * tau)
+        average = 1j * mp.logm(cycle) / (3 * mp.mpf(tau))
+
+        def norm(m):
+            return float(max(mp.svd_c(m, compute_uv=False)))
+
+        out = wahuha_average_check(pair, segment_time=tau)
+        assert out["trotter_error"] == pytest.approx(norm(cycle - ideal),
+                                                     rel=1e-9)
+        assert out["h_minus_residual"] == pytest.approx(
+            norm((average - average.T) / 2), rel=1e-9)
 
     def test_segment_time_guards(self):
         pair = self.symmetric_pair()

@@ -198,7 +198,9 @@ class TestOptimizeWaitingTime:
         assert jtau == pytest.approx(0.79, abs=1e-12)
         assert predicted.beta_tilde == pytest.approx(10.1744342, abs=1e-6)
 
-    @pytest.mark.parametrize("grid", [[], [0.2, 0.1], [-0.5, 0.0]])
+    @pytest.mark.parametrize("grid", [[], [0.2, 0.1], [-0.5, 0.0],
+                                      [0.0, 1.0, 2.0, math.inf],
+                                      [0.0, math.nan, 1.0, 2.0]])
     def test_bad_grids_rejected(self, grid):
         probe = self.post_first_swap_probe()
         with pytest.raises(DomainError):
@@ -281,6 +283,12 @@ class TestCoolStep:
         probe = thermal_product_state([0.2])
         with pytest.raises(DomainError):
             cool_step(probe, 0.2, chain_generator(1), SwapSpec.perfect(), -1.0)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        probe = thermal_product_state([0.3, 1.0, 2.0])
+        with pytest.raises(DomainError):
+            cool_step(probe, 0.2, chain_generator(3), SwapSpec.perfect(), tau)
 
     @pytest.mark.parametrize("dense", [False, True])
     @pytest.mark.parametrize("gamma", [0.0, 0.3])
