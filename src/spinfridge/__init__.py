@@ -44,7 +44,6 @@ from .dynamics import (
     conserves_z_excitation,
     evolve,
     evolve_exact,
-    heisenberg_hamiltonian,
     is_unital,
     partial_swap,
     perfect_swap,

@@ -124,12 +124,7 @@ def load_manifest(path: str | Path) -> Manifest:
     if kind not in KINDS:
         raise ManifestError(
             f"{path}: field 'kind' is {kind!r}; expected one of {KINDS}")
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0 \
-            or seed >= 2 ** 64:
-        raise ManifestError(
-            f"{path}: field 'seed' must be an unsigned 64-bit integer, "
-            f"got {seed!r}")
+    _checked_seed(data.get("seed", 0), f"{path}: field 'seed'")
     known = {"schema_version", "kind", "seed", "out", "config"}
     extra = sorted(set(data) - known)
     if extra:
@@ -138,6 +133,16 @@ def load_manifest(path: str | Path) -> Manifest:
         _checked(data["out"], str, "out")
     _checked(data.get("config", {}), dict, "config")
     return Manifest(data, digest)
+
+
+def _checked_seed(value, name: str) -> int:
+    """`value` if it is an unsigned 64-bit integer, else a ManifestError
+    naming `name`: the one rule for the manifest seed and `--seed`."""
+    if not isinstance(value, int) or isinstance(value, bool) \
+            or not 0 <= value < 2 ** 64:
+        raise ManifestError(
+            f"{name} must be an unsigned 64-bit integer, got {value!r}")
+    return value
 
 
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
@@ -414,6 +419,9 @@ def _run_thermometry(manifest: Manifest, out: Path, seed: int) -> int:
     shots = _take(cfg, "shots_per_site", int, 1000, nullable=True)
     if repetitions < 1:
         raise ManifestError("'repetitions' must be >= 1")
+    if shots is not None and shots < 1:
+        raise ManifestError("'shots_per_site' must be >= 1 (null: exact "
+                            "populations)")
     cfg.setdefault("steps", 30)
     pcfg = _protocol_config(cfg)
     log.info("thermometry: pseudo-thermalizing for %d steps", pcfg.steps)
@@ -603,7 +611,8 @@ def main(argv=None) -> int:
             raise ManifestError(
                 f"manifest kind {manifest.kind!r} does not match "
                 f"subcommand {args.kind!r}")
-        seed = args.seed if args.seed is not None else manifest.seed
+        seed = manifest.seed if args.seed is None \
+            else _checked_seed(args.seed, "--seed")
         out = Path(args.out if args.out is not None
                    else (manifest.out_dir or "."))
         threads = _resolve_threads(args.threads)

@@ -41,6 +41,7 @@ from .registers import SpinRegister
 from .states import QuantumState, sector_decompose, trace_distance
 
 Z_CONSERVATION_TOL = 1e-12
+CHANNEL_CHECK_TOL = 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -96,13 +97,6 @@ def xxz_network_hamiltonian(net: SpinNetwork) -> Observable:
                 @ site_operator(reg, m, PAULIS[axis])
             )
     return Observable(reg, h)
-
-
-def heisenberg_hamiltonian(count: int, coupling: float) -> Observable:
-    """Uniform nearest-neighbour chain, H = J sum sigma_n . sigma_{n+1}."""
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
-    return xxz_network_hamiltonian(SpinNetwork.uniform_chain(count, coupling))
 
 
 def blocked_xxz_hamiltonian(net: SpinNetwork) -> list[np.ndarray]:
@@ -189,21 +183,15 @@ class LindbladGenerator:
         self._cache: dict = {}
 
     @classmethod
-    def _from_blocks(cls, register: SpinRegister, blocks: list[np.ndarray],
-                     dephasing_rate: float, dephasing_sites
-                     ) -> "LindbladGenerator":
-        gen = cls.__new__(cls)
-        gen._setup(register, blocks, dephasing_rate, dephasing_sites)
-        return gen
-
-    @classmethod
     def from_network(cls, net: SpinNetwork, dephasing_rate: float = 0.0,
                      dephasing_sites: tuple[int, ...] | None = None
                      ) -> "LindbladGenerator":
         """Build from the network's sector blocks (exact z-conservation by
         construction, no dense matrix)."""
-        return cls._from_blocks(net.register, blocked_xxz_hamiltonian(net),
-                                dephasing_rate, dephasing_sites)
+        gen = cls.__new__(cls)
+        gen._setup(net.register, blocked_xxz_hamiltonian(net), dephasing_rate,
+                   dephasing_sites)
+        return gen
 
     @property
     def hamiltonian(self) -> Observable:
@@ -671,8 +659,9 @@ def _random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def conserves_z_excitation(channel: Callable[[QuantumState], QuantumState],
                            register: SpinRegister, trials: int,
-                           seed: int = 0, tol: float = 1e-9) -> CheckResult:
-    """Check sum_n <sz_n> is preserved on random states; first failure wins."""
+                           seed: int = 0) -> CheckResult:
+    """Check sum_n <sz_n> is preserved on random states to 1e-9; first
+    failure wins."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
     rng = np.random.default_rng(seed)
@@ -680,26 +669,26 @@ def conserves_z_excitation(channel: Callable[[QuantumState], QuantumState],
     total = signs.sum(axis=1)
     worst = 0.0
     for _ in range(trials):
-        state = QuantumState(register, dense=_random_density(rng, register.dim),
-                             validate=False)
+        state = QuantumState._adopt(register,
+                                    dense=_random_density(rng, register.dim))
         before = float(np.real(np.diag(state.matrix)) @ total)
         after_state = channel(state)
         after = float(np.real(np.diag(after_state.matrix)) @ total)
         dev = abs(after - before)
         worst = max(worst, dev)
-        if dev > tol:
+        if dev > CHANNEL_CHECK_TOL:
             return CheckResult(False, dev, state)
     return CheckResult(True, worst)
 
 
 def is_unital(channel: Callable[[QuantumState], QuantumState],
-              register: SpinRegister, tol: float = 1e-9) -> CheckResult:
-    """Check the maximally mixed state is a fixed point."""
-    eye = QuantumState(register,
-                       dense=np.eye(register.dim, dtype=complex) / register.dim,
-                       validate=False)
-    out = channel(eye)
-    if out.is_blocked:
-        out = out.to_dense()
-    dev = trace_distance(eye, out)
-    return CheckResult(dev <= tol, dev, None if dev <= tol else eye)
+              register: SpinRegister) -> CheckResult:
+    """Check the maximally mixed state is a fixed point to 1e-9. I/d has no
+    inter-sector coherence, so it goes in as one I/d block per sector, and
+    a blocked output is compared block by block."""
+    eye = QuantumState._adopt(register, blocks=[
+        np.eye(len(basis), dtype=complex) / register.dim
+        for basis in sectors.sector_bases(register.count)])
+    dev = trace_distance(eye, channel(eye))
+    passed = dev <= CHANNEL_CHECK_TOL
+    return CheckResult(passed, dev, None if passed else eye)

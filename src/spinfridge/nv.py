@@ -15,8 +15,8 @@ s_z = +1/2 and -1/2. Every coupling coefficient here multiplies spin-1/2
 operators s = sigma/2. Restricted to that pair, S_x and S_y of the spin-1
 become sqrt(2) s_x and sqrt(2) s_y while S_z becomes s_z - 1/2, so the
 flip-flop terms carry a factor 2 that the Ising term does not. In the
-Pauli form H = J sigma.sigma of `dynamics.heisenberg_hamiltonian` the
-chain's J is heisenberg_strength/4.
+Pauli form H = J sigma.sigma of `dynamics.xxz_network_hamiltonian` (Delta =
+1) the chain's J is heisenberg_strength/4.
 
 The frames take each defect's own symmetry axis as its quantization axis,
 which assumes the transverse Zeeman energy gamma*B_perp is small against
@@ -125,7 +125,6 @@ class DipolarPair:
     frame2: SpinFrame
     r_hat: np.ndarray
     r_nm: float
-    j0: float = DIPOLAR_CONSTANT
 
     def __post_init__(self):
         r = np.asarray(self.r_hat, dtype=float)
@@ -138,13 +137,10 @@ class DipolarPair:
         object.__setattr__(self, "r_hat", r)
         if not (self.r_nm > 0.0 and math.isfinite(self.r_nm)):
             raise DomainError(f"separation must be > 0 nm, got {self.r_nm}")
-        if not (self.j0 > 0.0 and math.isfinite(self.j0)):
-            raise DomainError(f"dipolar constant must be > 0, got {self.j0}")
 
     @classmethod
     def from_positions(cls, position1_nm, position2_nm, z_axis1, z_axis2,
-                       gauge: str = "lab-x", j0: float = DIPOLAR_CONSTANT
-                       ) -> "DipolarPair":
+                       gauge: str = "lab-x") -> "DipolarPair":
         """Build a pair from two positions and two quantization axes.
 
         gauge "lab-x" projects the lab x-axis into each transverse plane;
@@ -165,12 +161,12 @@ class DipolarPair:
         else:
             raise DomainError(f"unknown gauge {gauge!r}")
         return cls(SpinFrame.with_z_axis(z_axis1, ref),
-                   SpinFrame.with_z_axis(z_axis2, ref), r_hat, r, j0)
+                   SpinFrame.with_z_axis(z_axis2, ref), r_hat, r)
 
     @property
     def radial_prefactor(self) -> float:
-        """J0 / r^3 in rad/s."""
-        return self.j0 / self.r_nm ** 3
+        """J0 / r^3 in rad/s, J0 = DIPOLAR_CONSTANT."""
+        return DIPOLAR_CONSTANT / self.r_nm ** 3
 
 
 @dataclass(frozen=True)
@@ -350,14 +346,18 @@ def wahuha_average_check(pair: DipolarPair, segment_time: float,
                           f"got {half_imbalance}")
     coeffs = nv_nv_effective_hamiltonian(pair)
     segments = _segment_hamiltonians(coeffs)
-    worst = max(_spectral_norm(sym + anti) for sym, anti in segments)
-    if worst * segment_time >= math.pi:
-        raise DomainError(
-            f"segment_time {segment_time:.3e} puts the cycle's eigenphases "
-            f"past the log branch cut (|H| tau = {worst * segment_time:.3f} "
-            ">= pi); shorten the segments")
     first_half = 0.5 * segment_time * (1.0 + half_imbalance)
     second_half = segment_time - first_half
+    # The sum of |H| t over the six half-segment evolutions bounds every
+    # eigenphase of the cycle, so below pi the principal log cannot wrap.
+    phase = sum(_spectral_norm(sym + anti) * first_half
+                + _spectral_norm(sym - anti) * second_half
+                for sym, anti in segments)
+    if phase >= math.pi:
+        raise DomainError(
+            f"segment_time {segment_time:.3e} puts the cycle's eigenphases "
+            f"past the log branch cut (sum of |H| t = {phase:.3f} >= pi); "
+            "shorten the segments")
     cycle = np.eye(4, dtype=complex)
     for sym, anti in segments:
         first = _evolution(sym + anti, first_half)

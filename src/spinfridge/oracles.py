@@ -63,6 +63,7 @@ _COOL_TOL = 1e-9
 _FIXED_POINT_TOL = 1e-8
 _DISPLACEMENT_MIN = 1e-6
 _MAJORIZATION_TOL = 1e-10
+_STATIONARY_TAUS = 10     # waits drawn per rate by the stationarity check
 
 
 def _check_probe_size(max_sites: int, oracle: str) -> None:
@@ -110,10 +111,32 @@ class ChannelSample:
     hypotheses of the cooling guarantee.
     """
 
-    description: str
     params: dict
     joint_register: SpinRegister
     apply: Callable[[QuantumState], QuantumState]
+
+
+def _wait_then_swap(net: SpinNetwork, gamma: float, j_i: float | None = None
+                    ) -> Callable[[QuantumState, float], QuantumState]:
+    """(joint, tau) -> the joint state after waiting tau under `net`'s
+    couplings on qubit + probe, the probe sites dephased at `gamma`, then a
+    perfect swap (`j_i` None) or a J_I window with `net` as background and
+    the same dephasing. Both propagate exactly through `evolve_exact`."""
+    joint_reg = SpinRegister.with_qubit(net.register.count)
+    wait_gen = LindbladGenerator.from_network(
+        SpinNetwork(joint_reg, net.couplings, net.anisotropies), gamma,
+        dephasing_sites=net.register.labels)
+    if j_i is None:
+        def swap(s):
+            return perfect_swap(s, 0, 1)
+    else:
+        spec = SwapSpec.partial(j_i, probe_background=net,
+                                window_dephasing_rate=gamma)
+        window = window_generator(joint_reg, spec)
+
+        def swap(s):
+            return evolve_exact(s, window, spec.window_duration)
+    return lambda joint, tau: swap(evolve_exact(joint, wait_gen, tau))
 
 
 def random_channel_sample(rng: np.random.Generator, probe_size: int,
@@ -135,46 +158,26 @@ def random_channel_sample(rng: np.random.Generator, probe_size: int,
     gamma = 0.0 if draw < 0.25 else (1.0 if draw < 0.5 else
                                      float(rng.uniform(0.0, 1.0)))
     tau = float(rng.uniform(0.0, probe_size))
+    j_i = None if rng.random() < 0.5 else \
+        float(math.exp(rng.uniform(math.log(0.5), math.log(100.0))))
+    channel = _wait_then_swap(SpinNetwork(reg, couplings, deltas), gamma, j_i)
     joint_reg = SpinRegister.with_qubit(probe_size)
-    joint_net = SpinNetwork(joint_reg, couplings, deltas)
-    wait_gen = LindbladGenerator.from_network(joint_net, gamma,
-                                              dephasing_sites=labels)
-    params = {
-        "probe_size": probe_size,
-        "couplings": {f"{a},{b}": j for (a, b), j in couplings.items()},
-        "anisotropies": {f"{a},{b}": d for (a, b), d in deltas.items()},
-        "gamma": gamma,
-        "tau": tau,
-    }
-    if rng.random() < 0.5:
-        params["swap"] = "perfect"
-        swap_fn = lambda s: perfect_swap(s, 0, 1)  # noqa: E731
-        desc = "perfect swap"
-    else:
-        j_i = float(math.exp(rng.uniform(math.log(0.5), math.log(100.0))))
-        net = SpinNetwork(reg, couplings, deltas)
-        spec = SwapSpec.partial(
-            j_i,
-            probe_background=net,
-            window_dephasing_rate=gamma,
-        )
-        wgen = window_generator(joint_reg, spec)
-        swap_fn = lambda s: evolve_exact(s, wgen, spec.window_duration)  # noqa: E731
-        params["swap"] = f"partial J_I={j_i:.4g}"
-        desc = params["swap"]
-
-    def apply(joint: QuantumState) -> QuantumState:
-        return swap_fn(evolve_exact(joint, wait_gen, tau))
-
     sample = ChannelSample(
-        description=f"wait tau={tau:.4g}, gamma={gamma:.4g}, {desc}",
-        params=params,
+        params={
+            "probe_size": probe_size,
+            "couplings": {f"{a},{b}": j for (a, b), j in couplings.items()},
+            "anisotropies": {f"{a},{b}": d for (a, b), d in deltas.items()},
+            "gamma": gamma,
+            "tau": tau,
+            "swap": "perfect" if j_i is None else f"partial J_I={j_i:.4g}",
+        },
         joint_register=joint_reg,
-        apply=apply,
+        apply=lambda joint: channel(joint, tau),
     )
-    if not conserves_z_excitation(apply, joint_reg, trials=1, seed=check_seed):
+    if not conserves_z_excitation(sample.apply, joint_reg, trials=1,
+                                  seed=check_seed):
         raise DomainError("drawn channel failed z-conservation check")
-    if not is_unital(apply, joint_reg):
+    if not is_unital(sample.apply, joint_reg):
         raise DomainError("drawn channel failed unitality check")
     return sample
 
@@ -256,7 +259,6 @@ def oracle_always_cools(trials: int = 500, max_sites: int = 4,
 def oracle_stationary_state(net: SpinNetwork | None = None,
                             dephasing_rates: Sequence[float] = (0.0, 0.3),
                             bath_beta_tilde: float = 0.2,
-                            tau_count: int = 10,
                             seed: int = 7) -> OracleResult:
     """Fixed-point and displacement check for the bath product state.
 
@@ -270,10 +272,8 @@ def oracle_stationary_state(net: SpinNetwork | None = None,
         net = SpinNetwork.uniform_chain(4, 1.0)
     n = net.register.count
     rng = np.random.default_rng(seed)
-    taus = rng.uniform(0.0, n, size=tau_count)
+    taus = rng.uniform(0.0, n, size=_STATIONARY_TAUS)
     start = time.perf_counter()
-    joint_reg = SpinRegister.with_qubit(n)
-    joint_net = SpinNetwork(joint_reg, net.couplings, net.anisotropies)
     stationary = thermal_product_state([bath_beta_tilde] * n)
     perturbed = thermal_product_state([2.0 * bath_beta_tilde] * n)
 
@@ -282,22 +282,13 @@ def oracle_stationary_state(net: SpinNetwork | None = None,
     best_displacement = 0.0
     witness = None
     for gamma in dephasing_rates:
-        wait_gen = LindbladGenerator.from_network(joint_net, gamma,
-                                                  dephasing_sites=net.register.labels)
-        spec = SwapSpec.partial(5.0, probe_background=net,
-                                window_dephasing_rate=gamma)
-        wgen = window_generator(joint_reg, spec)
-        swaps: list[tuple[str, Callable[[QuantumState], QuantumState]]] = [
-            ("perfect", lambda s: perfect_swap(s, 0, 1)),
-            ("partial J_I=5",
-             lambda s: evolve_exact(s, wgen, spec.window_duration)),
-        ]
-
+        channels = [("perfect", _wait_then_swap(net, gamma)),
+                    ("partial J_I=5", _wait_then_swap(net, gamma, 5.0))]
         for tau in taus:
-            for swap_name, swap_fn in swaps:
+            for swap_name, channel in channels:
                 trials += 1
                 fixed_in = attach_thermal_qubit(stationary, bath_beta_tilde)
-                fixed_out = swap_fn(evolve_exact(fixed_in, wait_gen, tau))
+                fixed_out = channel(fixed_in, tau)
                 dev = trace_distance(fixed_out, fixed_in)
                 worst_fixed = max(worst_fixed, dev)
                 if dev > _FIXED_POINT_TOL and witness is None:
@@ -309,9 +300,8 @@ def oracle_stationary_state(net: SpinNetwork | None = None,
                         "swap": swap_name,
                         "trace_distance": float(dev),
                     }
-                moved = swap_fn(evolve_exact(
-                    attach_thermal_qubit(perturbed, bath_beta_tilde),
-                    wait_gen, tau))
+                moved = channel(
+                    attach_thermal_qubit(perturbed, bath_beta_tilde), tau)
                 probe_after = partial_trace(moved, keep=net.register.labels)
                 best_displacement = max(
                     best_displacement,

@@ -176,11 +176,15 @@ class ProtocolReport:
     """A full run: per-step records plus the initial baseline."""
 
     config: ProtocolConfig
-    bath_entropy: float
     initial_probe_entropy: float
     initial_distance: float
     records: tuple[StepRecord, ...]
     final_probe: QuantumState
+
+    @property
+    def bath_entropy(self) -> float:
+        """Entropy (nats) of one qubit at the run's bath temperature."""
+        return self.config.bath_entropy
 
     @property
     def etas(self) -> np.ndarray:
@@ -279,11 +283,8 @@ def optimize_waiting_time(
             f"end spin is population-inverted (p1 = {p1:.6g}) at the "
             f"optimal waiting time; the probe is hotter than infinite "
             f"temperature")
-    if p0 <= 0.0:
-        predicted = TemperatureRecord(math.inf, math.inf)
-    else:
-        predicted = TemperatureRecord.from_beta(math.log(p1 / p0))
-    return float(jgrid[index]), predicted
+    beta = math.inf if p0 <= 0.0 else math.log(p1 / p0)
+    return float(jgrid[index]), TemperatureRecord(beta)
 
 
 # --------------------------------------------------------------------------
@@ -510,7 +511,6 @@ def run_protocol(cfg: ProtocolConfig,
 
     return ProtocolReport(
         config=cfg,
-        bath_entropy=cfg.bath_entropy,
         initial_probe_entropy=initial_entropy,
         initial_distance=initial_distance,
         records=tuple(records),
@@ -660,8 +660,7 @@ def estimate_temperature(probe: QuantumState,
     inverted = beta < 0
     record = None
     if not inverted:
-        record = TemperatureRecord(math.inf, math.inf) if math.isinf(beta) \
-            else TemperatureRecord.from_beta(beta)
+        record = TemperatureRecord(beta)
     return ThermometryResult(
         beta_tilde=beta,
         stderr=stderr,

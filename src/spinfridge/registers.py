@@ -9,7 +9,7 @@ computational-basis index. Site 1 is the most significant bit of a plain
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError
 

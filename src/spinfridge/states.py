@@ -44,7 +44,7 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 INTERSECTOR_TOL = 1e-12
-DEFAULT_COHERENCE_TOL = 1e-9
+COHERENCE_TOL = 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -53,37 +53,27 @@ DEFAULT_COHERENCE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class TemperatureRecord:
-    """A dimensionless inverse temperature and its redundant population ratio.
+    """A dimensionless inverse temperature.
 
     beta_tilde >= 0 always; the protocol never produces population inversion
     from valid inputs, so a negative value is an error, not a record.
     """
 
     beta_tilde: float
-    population_ratio: float
 
     def __post_init__(self):
         b = self.beta_tilde
         if math.isnan(b) or b < 0:
             raise DomainError(f"beta_tilde must be in [0, +inf], got {b}")
-        expected = _safe_exp(b)
-        r = self.population_ratio
-        if math.isinf(expected):
-            ok = math.isinf(r)
-        else:
-            ok = abs(r - expected) <= 1e-12 * max(1.0, expected)
-        if not ok:
-            raise DomainError(
-                f"population_ratio {r} inconsistent with beta_tilde {b}"
-            )
 
     @classmethod
     def from_beta(cls, beta_tilde: float) -> "TemperatureRecord":
-        return cls(beta_tilde=beta_tilde, population_ratio=_safe_exp(beta_tilde))
+        return cls(beta_tilde)
 
     @property
-    def is_zero_temperature(self) -> bool:
-        return math.isinf(self.beta_tilde)
+    def population_ratio(self) -> float:
+        """p1/p0 = exp(beta_tilde), +inf at zero temperature."""
+        return _safe_exp(self.beta_tilde)
 
 
 def _safe_exp(x: float) -> float:
@@ -107,11 +97,9 @@ class QuantumState:
 
     __slots__ = ("register", "_dense", "_blocks")
 
-    def __init__(self, register: SpinRegister, *, dense=None, blocks=None,
-                 validate: bool = True):
+    def __init__(self, register: SpinRegister, *, dense=None, blocks=None):
         self._store(register, dense, blocks, copy=True)
-        if validate:
-            self._validate()
+        self._validate()
 
     @classmethod
     def _adopt(cls, register: SpinRegister, *, dense=None,
@@ -162,20 +150,20 @@ class QuantumState:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_dense(cls, matrix, register: SpinRegister | None = None,
-                   *, validate: bool = True) -> "QuantumState":
+    def from_dense(cls, matrix, register: SpinRegister | None = None
+                   ) -> "QuantumState":
         matrix = np.asarray(matrix, dtype=complex)
         if register is None:
             n = int(round(math.log2(matrix.shape[0])))
             register = SpinRegister.of_size(n)
-        return cls(register, dense=matrix, validate=validate)
+        return cls(register, dense=matrix)
 
     @classmethod
-    def from_blocks(cls, blocks, register: SpinRegister | None = None,
-                    *, validate: bool = True) -> "QuantumState":
+    def from_blocks(cls, blocks, register: SpinRegister | None = None
+                    ) -> "QuantumState":
         if register is None:
             register = SpinRegister.of_size(len(blocks) - 1)
-        return cls(register, blocks=blocks, validate=validate)
+        return cls(register, blocks=blocks)
 
     # -- representation ----------------------------------------------------
 
@@ -201,7 +189,7 @@ class QuantumState:
     def to_dense(self) -> "QuantumState":
         if self._dense is not None:
             return self
-        return QuantumState(self.register, dense=self.matrix, validate=False)
+        return QuantumState._adopt(self.register, dense=self.matrix)
 
     # -- invariants --------------------------------------------------------
 
@@ -260,8 +248,7 @@ def thermal_populations(beta_tilde: float) -> tuple[float, float]:
     return p0, 1.0 - p0
 
 
-def thermal_product_state(beta_tildes: Sequence[float],
-                          register: SpinRegister | None = None) -> QuantumState:
+def thermal_product_state(beta_tildes: Sequence[float]) -> QuantumState:
     """Blocked product of single-site thermal states, diagonal and
     non-negative by construction, so it is not validated.
 
@@ -271,10 +258,6 @@ def thermal_product_state(beta_tildes: Sequence[float],
     """
     betas = list(beta_tildes)
     n = len(betas)
-    if register is None:
-        register = SpinRegister.of_size(n)
-    if register.count != n:
-        raise DomainError("register size does not match number of sites")
     pops = np.array([thermal_populations(b) for b in betas])  # (n, 2)
     uniform = all(b == betas[0] for b in betas)
     blocks = []
@@ -289,7 +272,7 @@ def thermal_product_state(beta_tildes: Sequence[float],
             for s in range(n):
                 diag = diag * pops[s, bits[:, s]]
         blocks.append(np.diag(diag).astype(complex))
-    return QuantumState._adopt(register, blocks=blocks)
+    return QuantumState._adopt(SpinRegister.of_size(n), blocks=blocks)
 
 
 # --------------------------------------------------------------------------
@@ -394,20 +377,19 @@ def trace_distance(a: QuantumState, b: QuantumState) -> float:
     return 0.5 * float(np.abs(vals).sum())
 
 
-def temperature_of(qubit: QuantumState,
-                   coherence_tol: float = DEFAULT_COHERENCE_TOL) -> TemperatureRecord:
+def temperature_of(qubit: QuantumState) -> TemperatureRecord:
     """Read beta_tilde = ln(p1/p0) off a single-spin state.
 
-    The state must be sigma^z-diagonal to within `coherence_tol` and must not
+    The state must be sigma^z-diagonal to within 1e-9 and must not
     be population-inverted (p1 >= p0, with 1e-12 round-off slack).
     """
     if qubit.register.count != 1:
         raise DomainError("temperature_of expects a single-spin state")
     m = qubit.matrix
     off = abs(m[0, 1])
-    if off > coherence_tol:
+    if off > COHERENCE_TOL:
         raise NotDiagonalError(
-            f"not sigma^z-diagonal: |coherence| = {off:.3e} > {coherence_tol:.1e}"
+            f"not sigma^z-diagonal: |coherence| = {off:.3e} > {COHERENCE_TOL:.1e}"
         )
     p0, p1 = float(m[0, 0].real), float(m[1, 1].real)
     for p in (p0, p1):
@@ -419,9 +401,8 @@ def temperature_of(qubit: QuantumState,
             f"population inversion: p1 = {p1!r} < p0 = {p0!r}"
         )
     if p0 <= 0.0:
-        return TemperatureRecord(math.inf, math.inf)
-    beta = max(math.log(p1 / p0), 0.0)
-    return TemperatureRecord(beta, p1 / p0)
+        return TemperatureRecord(math.inf)
+    return TemperatureRecord(max(math.log(p1 / p0), 0.0))
 
 
 # --------------------------------------------------------------------------
@@ -439,7 +420,7 @@ def sector_decompose(state: QuantumState) -> QuantumState:
             f"sector mixing present: max inter-sector |entry| = {leak:.3e}"
         )
     blocks = sectors.gather_blocks(state.matrix, n)
-    return QuantumState(state.register, blocks=blocks, validate=False)
+    return QuantumState._adopt(state.register, blocks=blocks)
 
 
 def reduced_site_populations(state: QuantumState) -> np.ndarray:

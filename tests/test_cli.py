@@ -214,6 +214,38 @@ class TestManifestFieldKinds:
         _, _, rows = read_rows(tmp_path / "o" / "thermometry.csv")
         assert len(rows) == 2 and rows[0][1] == rows[1][1]
 
+    @staticmethod
+    def refuse_to_run(monkeypatch):
+        import spinfridge.cli as cli
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("ran with an invalid input")
+
+        monkeypatch.setattr(cli, "run_protocol", refuse)
+        monkeypatch.setattr(cli, "run_all_oracles", refuse)
+
+    @pytest.mark.parametrize("shots", [0, -5])
+    def test_shot_count_range_checked_before_running(self, tmp_path, capsys,
+                                                     monkeypatch, shots):
+        self.refuse_to_run(monkeypatch)
+        self.rejected(tmp_path, capsys, "thermometry",
+                      {"shots_per_site": shots}, "shots_per_site")
+
+    @pytest.mark.parametrize("kind", ["verify", "cool", "thermometry"])
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_flag_follows_the_manifest_rule(self, tmp_path, capsys,
+                                                 monkeypatch, kind, seed):
+        # --seed takes the manifest seed's rule (an unsigned 64-bit
+        # integer), checked before anything runs or is written.
+        self.refuse_to_run(monkeypatch)
+        out = tmp_path / "out"
+        manifest = write_manifest(tmp_path / "m.json", kind=kind,
+                                  out=str(out), config=_BASE_CONFIGS[kind])
+        assert main([kind, "--manifest", str(manifest),
+                     "--seed", str(seed)]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCoolRuns:
     def test_artifacts_and_first_step_purity(self, cool_manifest, tmp_path):

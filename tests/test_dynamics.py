@@ -473,6 +473,24 @@ class TestChannelChecks:
         assert conserves_z_excitation(channel, reg, trials=3, seed=5)
         assert is_unital(channel, reg)
 
+    def test_unitality_input_stays_blocked(self):
+        # I/d has no inter-sector coherence, so the channel sees one I/d
+        # block per sector; blocked and dense outputs are both compared.
+        reg = SpinRegister.with_qubit(3)
+        seen = []
+
+        def channel(state):
+            seen.append(state)
+            return state if len(seen) == 1 else state.to_dense()
+
+        assert is_unital(channel, reg)
+        assert is_unital(channel, reg)
+        first = seen[0]
+        assert first.is_blocked
+        for block in first.blocks:
+            np.testing.assert_array_equal(
+                block, np.eye(len(block)) / reg.dim)
+
     def test_reset_channel_fails_both(self):
         reg = SpinRegister.of_size(2)
         cold = thermal_product_state([math.inf] * 2)

@@ -21,6 +21,7 @@ from spinfridge import (
     nv_p1_coupling,
     wahuha_average_check,
 )
+from spinfridge.nv import _segment_hamiltonians
 from spinfridge.operators import PAULIS
 
 from conftest import spin1_dipolar_projection
@@ -305,6 +306,23 @@ class TestWahuhaAverage:
                                                      rel=1e-9)
         assert out["h_minus_residual"] == pytest.approx(
             norm((average - average.T) / 2), rel=1e-9)
+
+    @pytest.mark.parametrize("fraction, wraps", [(0.3, False), (0.5, True),
+                                                 (0.7, True)])
+    def test_guard_covers_the_whole_cycle(self, fraction, wraps):
+        # Each segment alone keeps |H_seg| tau < pi at all three lengths,
+        # but the cycle's eigenphases add up over its segments and pass pi
+        # at 0.5 and 0.7, where the principal log would wrap.
+        pair = self.generic_pair()
+        worst = max(np.linalg.norm(sym + anti, ord=2) for sym, anti in
+                    _segment_hamiltonians(nv_nv_effective_hamiltonian(pair)))
+        tau = fraction * math.pi / worst
+        if wraps:
+            with pytest.raises(DomainError, match="branch cut"):
+                wahuha_average_check(pair, segment_time=tau)
+        else:
+            out = wahuha_average_check(pair, segment_time=tau)
+            assert all(math.isfinite(v) for v in out.values())
 
     def test_segment_time_guards(self):
         pair = self.symmetric_pair()

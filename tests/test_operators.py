@@ -10,7 +10,6 @@ from spinfridge import (
     Observable,
     QuantumState,
     SpinRegister,
-    heisenberg_hamiltonian,
     perfect_swap,
     xxz_network_hamiltonian,
 )
@@ -27,7 +26,7 @@ def total_sz(register: SpinRegister) -> np.ndarray:
 def swapped(matrix: np.ndarray, i: int, j: int) -> np.ndarray:
     """SWAP_ij M SWAP_ij, through perfect_swap on an unvalidated state."""
     n = int(np.log2(matrix.shape[0]))
-    state = QuantumState(SpinRegister.of_size(n), dense=matrix, validate=False)
+    state = QuantumState._adopt(SpinRegister.of_size(n), dense=matrix)
     return perfect_swap(state, i, j).matrix
 
 
@@ -122,7 +121,7 @@ class TestHamiltonians:
     def test_two_site_heisenberg_spectrum(self):
         # sigma.sigma on two spins: triplet at +J (x3), singlet at -3J.
         j = 1.7
-        h = heisenberg_hamiltonian(2, j)
+        h = xxz_network_hamiltonian(SpinNetwork.uniform_chain(2, j))
         eigs = np.sort(np.linalg.eigvalsh(h.matrix))
         np.testing.assert_allclose(eigs, [-3 * j, j, j, j], atol=1e-12)
 

@@ -173,7 +173,7 @@ class TestOptimizeWaitingTime:
         probe = thermal_product_state([math.inf] * 2)
         jtau, predicted = optimize_waiting_time(probe, chain_generator(2))
         assert jtau == 0.0
-        assert predicted.is_zero_temperature
+        assert math.isinf(predicted.beta_tilde)
 
     def test_two_site_optimum(self):
         # Round-2 optimum of the ideal N=2 run: a perfect polarization
@@ -274,7 +274,7 @@ class TestCoolStep:
         probe = thermal_product_state([math.inf] * 2)
         _, qubit, record = cool_step(
             probe, 0.2, chain_generator(2), SwapSpec.perfect(), tau=0.0)
-        assert record.qubit_out.is_zero_temperature
+        assert math.isinf(record.qubit_out.beta_tilde)
         assert record.eta == 1.0
         assert record.qubit_entropy_drop == pytest.approx(
             binary_entropy(0.2), abs=1e-12)

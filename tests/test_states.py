@@ -81,16 +81,12 @@ class TestTemperatureRecord:
 
     def test_zero_temperature(self):
         rec = TemperatureRecord.from_beta(math.inf)
-        assert rec.is_zero_temperature
+        assert math.isinf(rec.beta_tilde)
         assert math.isinf(rec.population_ratio)
 
     def test_negative_beta_rejected(self):
         with pytest.raises(DomainError):
             TemperatureRecord.from_beta(-0.1)
-
-    def test_inconsistent_ratio_rejected(self):
-        with pytest.raises(DomainError):
-            TemperatureRecord(beta_tilde=1.0, population_ratio=1.0)
 
 
 class TestThermalStates:
