@@ -19,9 +19,9 @@ Two evolution routes, one per regime:
                     columns in sector m): phases in the sector eigenbases
                     at Gamma = 0, a batched Taylor action of the block
                     Liouvillian in matrix form at Gamma > 0, at any
-                    register size. The protocol's coherent segments and
-                    every oracle use it.
-* evolve()       -- adaptive RKF4(5); the protocol's dephased segments, and
+                    register size. Every swap window, the protocol's
+                    coherent waits and every oracle use it.
+* evolve()       -- adaptive RKF4(5); the protocol's dephased waits, and
                     the reference the exact route is checked against.
 """
 
@@ -375,28 +375,36 @@ def _evolve_blocked(state, gen, duration, cfg):
 # 488 (2011), Table 3.1, as tabulated in scipy's expm_multiply.
 _TAYLOR_DEGREE = 55
 _TAYLOR_THETA = 9.9
+# Largest zero-padded stack (blocks x rows x cols) run as one batch. At
+# Gamma = 0.5 on 2 vCPUs, padding was 1.4-5x faster up to 2,800 entries, tied
+# at 11,200, and 1.5-2x slower from 9,800 (6x at an N = 10 window's 2.56e6).
+_PADDED_ENTRIES = 5000
 
 
 def _dephased_action(gen: LindbladGenerator,
                      blocks: dict[tuple[int, int], np.ndarray],
                      duration: float) -> list[np.ndarray]:
-    """exp(t L) X_lm for each coherence block (l, m) -> X_lm, all at once.
+    """exp(t L) X_lm for each coherence block (l, m) -> X_lm.
 
     L(X) = -i (H_l X - X H_m) + G_lm o X with G_lm = `gen._dephasing`. The
-    blocks are stacked zero-padded (L keeps the padding zero), each shifted
-    by the mean mu of its G, and advanced by s steps of a truncated Taylor
-    series, one batched product per side and term; a stack of diagonal
-    blocks stays Hermitian and needs one. A step ends once two successive
-    terms fall below 2^-53 of the partial sum, in largest entries over the
-    stack. s follows from the norm bound t (spread + max|G - mu|) <=
-    s theta_55, where the spread max(max D_l - min D_m, max D_m - min D_l)
-    of the cached sector eigenvalues bounds the commutator. Diagonal
-    blocks are made Hermitian going in and coming out.
+    blocks are stacked zero-padded (L keeps the padding zero; a stack past
+    `_PADDED_ENTRIES` goes one block per call), each shifted by the mean mu
+    of its G, and advanced by s steps of a truncated Taylor series, one
+    batched product per side and term; diagonal blocks stay Hermitian and
+    need one. A step ends once two successive terms fall below 2^-53 of the
+    partial sum, in largest entries over the stack. s follows from the norm
+    bound t (spread + max|G - mu|) <= s theta_55, where the spread
+    max(max D_l - min D_m, max D_m - min D_l) of the cached sector
+    eigenvalues bounds the commutator. Diagonal blocks are made Hermitian
+    going in and coming out.
     """
     n, k = gen.register.count, len(blocks)
     h, eigs = gen.hamiltonian_blocks(), gen.block_eigensystems()
     shapes = [(len(h[l]), len(h[m])) for l, m in blocks]
     rows, cols = (max(d) for d in zip(*shapes))
+    if k > 1 and k * rows * cols > _PADDED_ENTRIES:
+        return [y for item in blocks.items()
+                for y in _dephased_action(gen, dict([item]), duration)]
     dtype = complex if any(np.iscomplexobj(b) for b in h) else float
     h_l = np.zeros((k, rows, rows), dtype)
     h_m = np.zeros((k, cols, cols), dtype)  # H_m^T
@@ -457,12 +465,11 @@ def evolve_exact(state: QuantumState, gen: LindbladGenerator,
     At Gamma = 0, X_lm -> u_l (Phi_lm o u_l^dag X_lm u_m) u_m^dag (H_l =
     u_l D_l u_l^dag, Phi_lm = e^{-i D_l t} (e^{-i D_m t})^dag; a blocked
     state's rotations are memoized for the scan). At Gamma > 0 the blocks
-    take the Taylor action of their Liouvillian together
-    (`_dephased_action`), at any register size. Dephasing only runs
-    forward, so a negative duration raises at Gamma > 0; at Gamma = 0 it is
-    the backward unitary. A blocked state has the blocks l = m; a dense one
-    every pair l <= m, with X_ml = X_lm^dag. Exactly-zero blocks are
-    skipped.
+    take the Taylor action of their Liouvillian (`_dephased_action`), at
+    any register size. Dephasing only runs forward, so a negative duration
+    raises at Gamma > 0; at Gamma = 0 it is the backward unitary. A blocked
+    state has the blocks l = m; a dense one every pair l <= m, with
+    X_ml = X_lm^dag. Exactly-zero blocks are skipped.
     """
     if gen.register.labels != state.register.labels:
         raise DomainError("generator and state registers do not match")
@@ -556,7 +563,8 @@ class SwapSpec:
     well only if `dephase_qubit` is set; None means "inherit the ambient
     rate" (the protocol fills it in from its config; standalone
     partial_swap treats it as zero). At rate zero `cool_step` applies the
-    window to the probe alone, through its Kraus blocks <q'|W|q>.
+    window to the probe alone, through its Kraus blocks <q'|W|q>; above it,
+    `evolve_exact` advances the joint sector blocks.
     """
 
     mode: str
@@ -619,20 +627,11 @@ def window_generator(joint_register: SpinRegister, spec: SwapSpec
         spec.window_dephasing_rate or 0.0, dephasing_sites=sites)
 
 
-def partial_swap(joint_state: QuantumState, spec: SwapSpec,
-                 cfg: IntegratorConfig | None = None, *,
-                 _gen: LindbladGenerator | None = None) -> QuantumState:
-    """Finite-duration swap: evolve qubit+probe under the window generator
-    for pi/(4 J_I). Site 0 must be the qubit, site 1 the target spin.
-
-    `_gen` lets the protocol reuse one prebuilt (dephased) window generator
-    across steps instead of rebuilding it per call.
-    """
-    gen = _gen if _gen is not None else window_generator(joint_state.register, spec)
-    duration = spec.window_duration
-    if gen.dephasing_rate == 0:
-        return evolve_exact(joint_state, gen, duration)
-    return evolve(joint_state, gen, duration, cfg)
+def partial_swap(joint_state: QuantumState, spec: SwapSpec) -> QuantumState:
+    """Finite-duration swap: evolve qubit+probe exactly under the window
+    generator for pi/(4 J_I). Site 0 must be the qubit, site 1 the target."""
+    gen = window_generator(joint_state.register, spec)
+    return evolve_exact(joint_state, gen, spec.window_duration)
 
 
 # --------------------------------------------------------------------------

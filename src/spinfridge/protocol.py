@@ -12,11 +12,13 @@ A perfect swap followed by the detach is a site reset: the emitted qubit is
 site 1's marginal, and the next probe is chi(beta_bath) (x) Tr_1 rho_waited.
 A coherent (Gamma = 0) window W on a blocked probe is the channel
 rho -> sum_{q,q'} p_q K_{q'q} rho K_{q'q}^dag, K_{q'q} = <q'|W|q> read off
-W's sector unitaries. Neither round builds the N+1-site joint register;
-dephased windows still do. Probes start as thermal products and every map
-conserves z, so rounds run on sector blocks only: a dense probe is
-decomposed on entry, and one with inter-sector coherence raises
-`SectorMixingError` before anything evolves, under every waiting policy.
+W's sector unitaries; a dephased window evolves the joint sector blocks
+p0 rho_L (+) p1 rho_{L-1} exactly. Both read the next probe and qubit off
+the qubit-|0>/|1> quadrants: no round traces out a joint register. Probes
+start as thermal products and every map conserves z, so rounds run on
+sector blocks only: a dense probe is decomposed on entry, and one with
+inter-sector coherence raises `SectorMixingError` before anything evolves,
+under every waiting policy.
 
 Waiting times are either fixed (J*tau = 1 by default) or optimized per step
 by scanning the end spin's excited-state population over a uniform J*tau
@@ -46,7 +48,6 @@ from .dynamics import (
     SwapSpec,
     evolve,
     evolve_exact,
-    partial_swap,
     window_generator,
 )
 from .errors import DomainError, PopulationInversionError
@@ -67,6 +68,11 @@ from .states import (
 
 _TIE_TOL = 1e-12          # ties: grid populations; emitted vs bath beta
 _ACCOUNTING_TOL = 1e-9    # slack on the entropy inequalities
+
+
+def _check_coupling(coupling: float) -> None:
+    if not (math.isfinite(coupling) and coupling > 0):
+        raise DomainError(f"coupling must be finite and > 0, got {coupling}")
 
 
 # --------------------------------------------------------------------------
@@ -103,8 +109,7 @@ class ProtocolConfig:
             raise DomainError(
                 f"bath beta_tilde must be finite and > 0, got "
                 f"{self.bath_beta_tilde}")
-        if not (math.isfinite(self.coupling) and self.coupling > 0):
-            raise DomainError(f"coupling must be > 0, got {self.coupling}")
+        _check_coupling(self.coupling)
         if not (math.isfinite(self.dephasing_rate) and self.dephasing_rate >= 0):
             raise DomainError(f"dephasing rate must be finite and >= 0, got "
                               f"{self.dephasing_rate}")
@@ -263,6 +268,7 @@ def optimize_waiting_time(
     scan runs on the coherent dynamics whatever the generator's dephasing
     rate: it reads only the Hamiltonian's sector eigensystems.
     """
+    _check_coupling(coupling)
     if gen.register.labels != probe.register.labels:
         raise DomainError("generator and probe registers do not match")
     if grid is None:
@@ -359,14 +365,16 @@ def cool_step(
     `coupling`. The emitted qubit carries label 0; the probe keeps labels
     1..N. A perfect swap is a site reset: the emitted qubit is site 1's
     marginal of the waited probe, and site 1 is re-prepared in chi(bath).
-    A window without dephasing applies its Kraus blocks <q'|W|q> (quadrants
-    of the joint sector unitaries) to the probe's sectors; a dephased one
-    attaches the qubit, runs `partial_swap` and traces out the joint
-    register. The next probe's sector spectra give its entropy and distance.
+    A window yields each joint sector's qubit-|0>/|1> quadrants: through
+    its Kraus blocks <q'|W|q> (quadrants of the joint sector unitaries) on
+    the probe's sectors if coherent, else by `evolve_exact` of the joint
+    blocks p0 rho_L (+) p1 rho_{L-1}; both are read as the two partial
+    traces. The next probe's sector spectra give its entropy and distance.
     `_window` is a run's window: those unitaries, or a dephased generator.
     """
     if not (math.isfinite(tau) and tau >= 0):
         raise DomainError(f"waiting time must be finite and >= 0, got {tau}")
+    _check_coupling(coupling)
     if gen.register.labels != probe.register.labels:
         raise DomainError("generator and probe registers do not match")
     probe = sector_decompose(probe)  # raises if inter-sector coherence
@@ -390,48 +398,38 @@ def cool_step(
         spectra = [np.concatenate((p0 * up, p1 * down)) for up, down
                    in zip(mu + [np.zeros(0)], [np.zeros(0)] + mu)]
     else:
-        if not swap.window_dephasing_rate:
-            # Joint sector L lists its qubit-|0> states first (site 0 is the
-            # most significant bit), so the Kraus blocks <q'|W|q> are the
-            # quadrants of W_L split at d = C(N, L).
-            units = _window if _window is not None else window_generator(
-                SpinRegister((0,) + labels), swap).blocked_propagators(
-                    swap.window_duration)
-            rho, empty = waited.blocks, np.zeros((0, 0))
-            kept = []  # (qubit-|0> rows, qubit-|1> rows) per joint sector
-            for w, a, b in zip(units, rho + (empty,), (empty,) + rho):
+        # Joint sector L lists its qubit-|0> states first (site 0 is the most
+        # significant bit); `kept` holds its |0>/|1> quadrants, cut at C(N, L).
+        window = _window or _window_route(swap, SpinRegister((0,) + labels))
+        rho, empty = waited.blocks, np.zeros((0, 0))
+        if isinstance(window, LindbladGenerator):
+            joint = evolve_exact(_prepend_site(waited, 0, bath_beta_tilde),
+                                 window, swap.window_duration)
+            kept = [(y[:len(a), :len(a)], y[len(a):, len(a):])
+                    for y, a in zip(joint.blocks, rho + (empty,))]
+        else:
+            kept = []
+            for w, a, b in zip(window, rho + (empty,), (empty,) + rho):
                 d = len(a)
                 kept.append(tuple(
                     p0 * (k0 @ a @ k0.conj().T) + p1 * (k1 @ b @ k1.conj().T)
                     for k0, k1 in ((w[:d, :d], w[:d, d:]),
                                    (w[d:, :d], w[d:, d:]))))
-            next_probe = QuantumState._adopt(probe.register, blocks=[
-                z + o for (z, _), (_, o) in zip(kept[:-1], kept[1:])])
-            qubit = QuantumState._adopt(SpinRegister((0,)), blocks=[
-                np.reshape(sum(np.trace(k[q]) for k in kept), (1, 1))
-                for q in (0, 1)])
-        else:
-            swapped = partial_swap(
-                attach_thermal_qubit(waited, bath_beta_tilde), swap, cfg,
-                _gen=_window)
-            next_probe = partial_trace(swapped, keep=labels)
-            qubit = partial_trace(swapped, keep=(0,))
+        next_probe = QuantumState._adopt(probe.register, blocks=[
+            z + o for (z, _), (_, o) in zip(kept[:-1], kept[1:])])
+        qubit = QuantumState._adopt(SpinRegister((0,)), blocks=[
+            np.reshape(sum(np.trace(k[q]) for k in kept), (1, 1))
+            for q in (0, 1)])
         spectra = [np.linalg.eigvalsh(b) for b in next_probe.blocks]
     entropy, distance = _probe_diagnostics(spectra, bath_beta_tilde)
 
-    record_t = temperature_of(qubit)
-    eta = _efficiency(bath_beta_tilde, record_t.beta_tilde)
-    s_bath = binary_entropy(bath_beta_tilde)
-    drop = s_bath - von_neumann_entropy(qubit)
+    out = temperature_of(qubit)
     record = StepRecord(
-        index=0,
-        wait_jtau=tau * coupling,
-        qubit_out=record_t,
-        eta=eta,
-        qubit_entropy_drop=drop,
-        probe_entropy=entropy,
-        distance_to_pseudothermal=distance,
-    )
+        index=0, wait_jtau=tau * coupling, qubit_out=out,
+        eta=_efficiency(bath_beta_tilde, out.beta_tilde),
+        qubit_entropy_drop=binary_entropy(bath_beta_tilde)
+        - von_neumann_entropy(qubit),
+        probe_entropy=entropy, distance_to_pseudothermal=distance)
     return next_probe, qubit, record
 
 
@@ -453,21 +451,25 @@ def _probe_diagnostics(spectra: list[np.ndarray], bath_beta_tilde: float
 # --------------------------------------------------------------------------
 
 def _resolve_swap(spec: SwapSpec, cfg: ProtocolConfig, chain: SpinNetwork
-                  ) -> tuple[SwapSpec, list[np.ndarray] | LindbladGenerator | None]:
-    """Fill a partial SwapSpec's open slots from the protocol config; return
-    it with what a run's rounds read of the window (see `cool_step`)."""
+                  ) -> SwapSpec:
+    """Fill a partial SwapSpec's open slots from the protocol config."""
     if spec.mode != "partial":
-        return spec, None
-    resolved = replace(
-        spec,
-        probe_background=spec.probe_background if spec.probe_background
-        is not None else chain,
-        window_dephasing_rate=spec.window_dephasing_rate
-        if spec.window_dephasing_rate is not None else cfg.dephasing_rate,
-    )
-    window = window_generator(SpinRegister.with_qubit(cfg.probe_size), resolved)
-    return resolved, window if window.dephasing_rate else \
-        window.blocked_propagators(resolved.window_duration)
+        return spec
+    return replace(spec, probe_background=spec.probe_background or chain,
+                   window_dephasing_rate=cfg.dephasing_rate
+                   if spec.window_dephasing_rate is None
+                   else spec.window_dephasing_rate)
+
+
+def _window_route(spec: SwapSpec, joint: SpinRegister
+                  ) -> list[np.ndarray] | LindbladGenerator | None:
+    """What a round reads of the swap window (see `cool_step`): its sector
+    unitaries if coherent, else its generator; None for a perfect swap."""
+    if spec.mode != "partial":
+        return None
+    window = window_generator(joint, spec)
+    return window if window.dephasing_rate else \
+        window.blocked_propagators(spec.window_duration)
 
 
 def run_protocol(cfg: ProtocolConfig,
@@ -482,7 +484,8 @@ def run_protocol(cfg: ProtocolConfig,
     n = cfg.probe_size
     net = SpinNetwork.uniform_chain(n, cfg.coupling)
     gen = LindbladGenerator.from_network(net, cfg.dephasing_rate)
-    swap, window = _resolve_swap(cfg.swap, cfg, net)
+    swap = _resolve_swap(cfg.swap, cfg, net)
+    window = _window_route(swap, SpinRegister.with_qubit(n))
 
     if initial_probe is None:
         probe = thermal_product_state(cfg.probe_beta_tildes)

@@ -242,9 +242,7 @@ def thermal_qubit(beta_tilde: float) -> QuantumState:
 def thermal_populations(beta_tilde: float) -> tuple[float, float]:
     if math.isnan(beta_tilde) or beta_tilde < 0:
         raise DomainError(f"beta_tilde must be in [0, +inf], got {beta_tilde}")
-    if math.isinf(beta_tilde):
-        return 0.0, 1.0
-    p0 = 1.0 / (1.0 + math.exp(beta_tilde))
+    p0 = 1.0 / (1.0 + _safe_exp(beta_tilde))  # 0 past exp's overflow
     return p0, 1.0 - p0
 
 

@@ -292,6 +292,15 @@ class TestCoolRuns:
         assert [r[0] for r in rows] == [
             "2.00000000000e-01", "5.00000000000e-01"]
 
+    @pytest.mark.parametrize("bath", [745.0, 1e300])
+    def test_bath_past_exp_overflow(self, tmp_path, bath):
+        manifest = write_manifest(
+            tmp_path / "m.json", kind="cool", out=str(tmp_path / "o"),
+            config={"probe_sizes": [3], "bath_beta_tilde": bath, "steps": 2})
+        assert main(["cool", "--manifest", str(manifest)]) == 0
+        _, _, rows = read_rows(tmp_path / "o" / "fig2a.csv")
+        assert [float(r[2]) for r in rows] == [1.0, 1.0]
+
     def test_both_axes_rejected(self, tmp_path):
         manifest = write_manifest(
             tmp_path / "m.json", kind="cool", out=str(tmp_path),

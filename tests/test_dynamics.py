@@ -28,7 +28,7 @@ from spinfridge import (
     window_generator,
     xxz_network_hamiltonian,
 )
-from spinfridge import sectors
+from spinfridge import dynamics, sectors
 from spinfridge.dynamics import _block_rhs, _dense_rhs, _dephased_action
 from spinfridge.integrate import rkf45
 from spinfridge.operators import PAULIS, site_operator
@@ -180,6 +180,19 @@ class TestEvolveExact:
         got, = _dephased_action(gen, {(l, m): x}, tau)
         expected = (expm(tau * liouvillian) @ x.ravel()).reshape(x.shape)
         assert np.abs(got - expected).max() <= 1e-13 * max(1.0, norm)
+
+    def test_stack_above_the_padding_cut_matches_tight_rkf45(self, rng):
+        # Eight sites, 9 blocks padded to 70 x 70: past _PADDED_ENTRIES, so
+        # each block takes the Taylor action on its own.
+        gen = random_network_generator(rng, 8, 0.5)
+        assert 9 * 70 * 70 > dynamics._PADDED_ENTRIES
+        state = random_blocked_state(rng, 8)
+        exact = evolve_exact(state, gen, 1.0)
+        tight = evolve(state, gen, 1.0,
+                       IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15))
+        assert exact.is_blocked
+        assert max(np.abs(a - b).max() for a, b
+                   in zip(exact.blocks, tight.blocks)) <= 1e-12
 
     def test_dephased_blocked_state_stays_hermitian_and_blocked(self, rng):
         # Ten sites, past any dense-Liouvillian size: sector 5 has 252

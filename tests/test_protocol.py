@@ -11,6 +11,7 @@ import pytest
 
 from spinfridge import (
     DomainError,
+    IntegratorConfig,
     LindbladGenerator,
     ProtocolConfig,
     QuantumState,
@@ -37,11 +38,15 @@ from spinfridge import (
     thermal_product_state,
     trace_distance,
     von_neumann_entropy,
+    window_generator,
 )
 from spinfridge import dynamics, protocol, sectors
 from spinfridge.protocol import _exact_population_curve
 
 from conftest import complex_hopping_generator, random_blocked_state
+
+BAD_COUPLINGS = [0.0, -1.0, math.nan, math.inf]
+TIGHT = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
 
 
 def chain_generator(n: int, gamma: float = 0.0) -> LindbladGenerator:
@@ -211,6 +216,12 @@ class TestOptimizeWaitingTime:
         with pytest.raises(DomainError):
             optimize_waiting_time(probe, chain_generator(2))
 
+    @pytest.mark.parametrize("coupling", BAD_COUPLINGS)
+    def test_bad_coupling_rejected(self, coupling):
+        with pytest.raises(DomainError, match="coupling"):
+            optimize_waiting_time(self.post_first_swap_probe(),
+                                  chain_generator(2), coupling=coupling)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("complex_h", [False, True])
     def test_real_scan_matches_complex_phase_sum(self, rng, n, complex_h):
@@ -290,6 +301,13 @@ class TestCoolStep:
         with pytest.raises(DomainError):
             cool_step(probe, 0.2, chain_generator(3), SwapSpec.perfect(), tau)
 
+    @pytest.mark.parametrize("coupling", BAD_COUPLINGS)
+    def test_bad_coupling_rejected(self, coupling):
+        probe = thermal_product_state([0.3, 1.0, 2.0])
+        with pytest.raises(DomainError, match="coupling"):
+            cool_step(probe, 0.2, chain_generator(3), SwapSpec.perfect(),
+                      0.5, coupling=coupling)
+
     @pytest.mark.parametrize("dense", [False, True])
     @pytest.mark.parametrize("gamma", [0.0, 0.3])
     @pytest.mark.parametrize("n", range(1, 7))
@@ -322,9 +340,15 @@ class TestCoolStep:
 
     @staticmethod
     def joint_register_round(probe, bath, gen, spec, tau):
-        """Reference round: wait, attach, partial_swap, two partial traces."""
+        """Reference round: wait, attach, evolve the joint register (a
+        dephased window by RKF45 at rel_tol 1e-13), two partial traces."""
         waited = evolve_exact(probe, gen, tau) if tau > 0 else probe
-        swapped = partial_swap(attach_thermal_qubit(waited, bath), spec)
+        joint = attach_thermal_qubit(waited, bath)
+        if spec.window_dephasing_rate:
+            swapped = evolve(joint, window_generator(joint.register, spec),
+                             spec.window_duration, TIGHT)
+        else:
+            swapped = partial_swap(joint, spec)
         return (partial_trace(swapped, keep=probe.register.labels),
                 partial_trace(swapped, keep=(0,)))
 
@@ -356,16 +380,22 @@ class TestCoolStep:
                 assert record.distance_to_pseudothermal == pytest.approx(
                     trace_distance(ref_probe, reference), abs=1e-13)
 
-        # A dephased window still takes the joint register: same
-        # operations, same bits.
-        dephased = SwapSpec.partial(strength, probe_background=net,
-                                    window_dephasing_rate=0.3)
-        next_probe, qubit, record = cool_step(mixed, bath, gen, dephased, 0.7)
-        ref_probe, ref_qubit = self.joint_register_round(
-            mixed, bath, gen, dephased, 0.7)
-        assert np.array_equal(next_probe.matrix, ref_probe.matrix)
-        assert np.array_equal(qubit.matrix, ref_qubit.matrix)
-        assert record.probe_entropy == von_neumann_entropy(ref_probe)
+        # A dephased window evolves the joint sector blocks exactly; the
+        # reference is the joint register under tight RKF45.
+        for dephase_qubit in (False, True):
+            dephased = SwapSpec.partial(strength, probe_background=net,
+                                        window_dephasing_rate=0.3,
+                                        dephase_qubit=dephase_qubit)
+            next_probe, qubit, record = cool_step(mixed, bath, gen, dephased,
+                                                  0.7)
+            ref_probe, ref_qubit = self.joint_register_round(
+                mixed, bath, gen, dephased, 0.7)
+            assert next_probe.is_blocked and qubit.is_blocked
+            for got, want in zip(next_probe.blocks + qubit.blocks,
+                                 ref_probe.blocks + ref_qubit.blocks):
+                assert np.abs(got - want).max() <= 1e-12
+            assert record.probe_entropy == pytest.approx(
+                von_neumann_entropy(ref_probe), abs=1e-12)
 
     def test_window_round_matches_extended_precision(self, rng):
         # One window round on a three-site probe, with exp(-i t H_w) and both
@@ -502,21 +532,24 @@ class TestRunProtocol:
         assert calls["perfect_swap"] == calls["attach_thermal_qubit"] == 0
         assert calls["partial_trace"] == 2 * cfg.steps
 
-    @pytest.mark.parametrize("gamma", [0.0, 0.3])
-    def test_coherent_partial_swap_run_builds_no_joint_register(
-            self, monkeypatch, gamma):
+    @pytest.mark.parametrize("gamma, window_rate", [
+        (0.0, None), (0.3, None), (0.0, 0.3)])
+    def test_window_run_builds_no_joint_register(self, monkeypatch, gamma,
+                                                 window_rate):
         # A coherent window is applied as Kraus blocks on the probe; a
-        # dephased one (inheriting the run's rate) keeps the joint register.
+        # dephased one, inherited or explicit, evolves the joint sector
+        # blocks exactly. Neither attaches, swaps or traces a register.
         calls = count_calls(monkeypatch, (
-            (protocol, name) for name in
-            ("attach_thermal_qubit", "partial_swap", "partial_trace")))
+            (protocol, "attach_thermal_qubit"), (dynamics, "partial_swap"),
+            (protocol, "partial_trace"), (dynamics, "rkf45")))
+        swap = SwapSpec.partial(5.0, window_dephasing_rate=window_rate)
         cfg = ProtocolConfig(probe_size=5, bath_beta_tilde=0.2, steps=6,
-                             dephasing_rate=gamma, swap=SwapSpec.partial(5.0))
+                             dephasing_rate=gamma, swap=swap)
         run_protocol(cfg)
-        joint_rounds = cfg.steps if gamma else 0
-        assert calls["attach_thermal_qubit"] == joint_rounds
-        assert calls["partial_swap"] == joint_rounds
-        assert calls["partial_trace"] == 2 * joint_rounds
+        assert calls["attach_thermal_qubit"] == calls["partial_swap"] == 0
+        assert calls["partial_trace"] == 0
+        # only the dephased waits integrate
+        assert (calls["rkf45"] > 0) == (gamma > 0)
 
     def test_ideal_run_rotates_once_per_round(self, monkeypatch):
         # The scan rotates each probe into the eigenbasis; the wait that
@@ -663,6 +696,17 @@ class TestRunProtocol:
         noisy_total = noisy.cumulative_entropy_drop
         assert noisy_total[0] == pytest.approx(clean_total[0], abs=1e-12)
         assert np.all(noisy_total[1:] < clean_total[1:])
+
+    @pytest.mark.parametrize("bath", [745.0, 1e300])
+    @pytest.mark.parametrize("kw", [
+        {}, {"swap": SwapSpec.partial(5.0)},
+        {"dephasing_rate": 0.3, "waiting_policy": "fixed"}])
+    def test_bath_past_exp_overflow(self, bath, kw):
+        # exp(beta) overflows past 709.78: the bath qubit is then pure, as
+        # at beta = inf, and so is every emission from a polarized probe.
+        report = run_protocol(ProtocolConfig(3, bath, steps=3, **kw))
+        assert all(r.eta == 1.0 for r in report.records)
+        assert entropy_accounting(report).passed
 
     def test_partial_swap_run(self):
         report = run_protocol(ProtocolConfig(

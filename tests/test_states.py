@@ -104,6 +104,14 @@ class TestThermalStates:
         qubit = thermal_qubit(math.inf)
         assert von_neumann_entropy(qubit) == pytest.approx(0.0, abs=1e-14)
 
+    def test_past_exp_overflow_is_pure(self):
+        # exp overflows past 709.78; below, p0 keeps 1/(1 + exp) to the bit.
+        for beta in (710.0, 745.0, 1e300):
+            assert thermal_populations(beta) == (0.0, 1.0)
+        assert thermal_product_state([745.0, 1e300]).blocks[2][0, 0] == 1.0
+        for beta in (0.0, 3.0, 40.0, 709.0):
+            assert thermal_populations(beta)[0] == 1.0 / (1.0 + math.exp(beta))
+
     def test_zero_beta_is_maximally_mixed(self):
         qubit = thermal_qubit(0.0)
         np.testing.assert_allclose(qubit.matrix, np.eye(2) / 2, atol=1e-15)
