@@ -371,7 +371,7 @@ def oracle_entropy_bounds(reports: Iterable[ProtocolReport] | None = None
         if temps and all(math.isinf(t) for t in temps):
             entropies = np.concatenate(
                 ([report.initial_probe_entropy], report.probe_entropies))
-            capacity = report.config.probe_size * report.bath_entropy
+            capacity = report.config.probe_size * report.config.bath_entropy
             if np.any(np.diff(entropies) < -_COOL_TOL) \
                     or entropies[-1] > capacity + _COOL_TOL:
                 witness = {

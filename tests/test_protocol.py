@@ -13,6 +13,7 @@ from spinfridge import (
     DomainError,
     IntegratorConfig,
     LindbladGenerator,
+    PopulationInversionError,
     ProtocolConfig,
     QuantumState,
     SectorMixingError,
@@ -241,7 +242,11 @@ class TestOptimizeWaitingTime:
             v = np.exp(-1j * np.outer(d, times))
             expected += np.einsum("jt,jt->t", v, c @ v.conj()).real
         curve = _exact_population_curve(probe, gen, times)
-        assert np.abs(curve - expected).max() <= 1e-14
+        # the scan skips (-inf) only times provably out of the maximum's
+        # tie set
+        exact = np.isfinite(curve)
+        assert np.abs(curve[exact] - expected[exact]).max() <= 1e-14
+        assert np.all(expected[~exact] < expected.max() - 1e-12)
         assert np.argmax(curve) == np.argmax(expected)
 
     def test_scan_arrays_are_cached_on_the_generator(self):
@@ -264,6 +269,138 @@ class TestOptimizeWaitingTime:
         _exact_population_curve(probe, gen, times)
         assert gen._cache["scan"][0] == times.tobytes()
         assert gen._cache["scan"] is not entry
+
+
+def full_scan(probe, gen, grid):
+    """The full-grid scan the certified one must reproduce: p1 at every grid
+    time by the real phase sum, then the earliest time within 1e-12 of the
+    maximum. Returns (index, p1 there, curve)."""
+    n = probe.register.count
+    times = np.asarray(grid, dtype=float)
+    t = times.size
+    curve = np.zeros(t)
+    for (d, u), block, basis in zip(gen.block_eigensystems(), probe.blocks,
+                                    sectors.sector_bases(n)):
+        bits = ((basis >> (n - 1)) & 1).astype(float)
+        c = (u.conj().T @ block @ u) * (u.conj().T @ (bits[:, None] * u)).T
+        cs = np.hstack([np.cos(np.outer(d, times)),
+                        np.sin(np.outer(d, times))])
+        both = np.einsum("jt,jt->t", cs, c.real @ cs)
+        curve += both[:t] + both[t:] + 2 * np.einsum(
+            "jt,jt->t", cs[:, t:], c.imag @ cs[:, :t])
+    index = int(np.argmax(curve >= curve.max() - 1e-12))
+    return index, curve[index], curve
+
+
+def random_grid(rng, kind: str, n: int, size: int | None = None):
+    """The default grid, a dense random one, or a sparse random one whose
+    coarse points sit about 0.9 apart, where the curvature term decides."""
+    if kind == "uniform":
+        grid = default_grid(n)
+        return grid if size is None else grid[:size]
+    low, high, most = (0.001, 0.05, 700) if kind == "random" \
+        else (0.02, 0.2, 100)
+    size = int(rng.integers(1, most)) if size is None else size
+    return np.cumsum(rng.uniform(low, high, size)) - low
+
+
+class TestCertifiedScan:
+    """The coarse-to-fine scan evaluates only the grid times its curvature
+    bound cannot rule out, and must pick the full scan's wait."""
+
+    @pytest.mark.parametrize("kind", ["chain", "complex"])
+    @pytest.mark.parametrize("grid_kind", ["uniform", "random", "sparse"])
+    def test_wait_matches_full_scan(self, rng, kind, grid_kind):
+        for _ in range(12):
+            n = int(rng.integers(2, 9))
+            gen = complex_hopping_generator(rng, n) if kind == "complex" \
+                else chain_generator(n)
+            probe = random_blocked_state(rng, n)
+            grid = random_grid(rng, grid_kind, n)
+            index, p1, curve = full_scan(probe, gen, grid)
+            if p1 < 0.5:
+                with pytest.raises(PopulationInversionError):
+                    optimize_waiting_time(probe, gen, grid)
+            else:
+                jtau, predicted = optimize_waiting_time(probe, gen, grid)
+                assert jtau == grid[index]
+                assert predicted.beta_tilde == pytest.approx(
+                    math.log(p1 / (1 - p1)), rel=1e-13)
+            # the certificate: exact where evaluated (BLAS may round a
+            # column subset differently), and every skipped time lies below
+            # the maximum by more than the tie tolerance
+            pruned = _exact_population_curve(probe, gen, grid)
+            exact = np.isfinite(pruned)
+            assert np.abs(pruned[exact] - curve[exact]).max() <= 1e-14
+            assert np.all(curve[~exact] < curve.max() - 1e-12)
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("grid_kind", ["uniform", "random"])
+    def test_tiny_grids(self, rng, size, grid_kind):
+        for kind in ("chain", "complex"):
+            gen = complex_hopping_generator(rng, 4) if kind == "complex" \
+                else chain_generator(4)
+            probe = cold_mixed_probe(rng, 4)
+            grid = random_grid(rng, grid_kind, 4, size)
+            index, _, _ = full_scan(probe, gen, grid)
+            assert optimize_waiting_time(probe, gen, grid)[0] == grid[index]
+
+    @pytest.mark.parametrize("kind", ["chain", "complex"])
+    def test_stationary_probe_is_evaluated_everywhere(self, rng, kind):
+        # A uniform thermal product commutes with H: p1 is flat, every grid
+        # time ties with the maximum, so none may be skipped.
+        for n in (2, 4, 6):
+            gen = complex_hopping_generator(rng, n) if kind == "complex" \
+                else chain_generator(n)
+            probe = thermal_product_state([0.3] * n)
+            pruned = _exact_population_curve(probe, gen, default_grid(n))
+            assert np.isfinite(pruned).all()
+
+    def test_population_inversion_still_raises(self):
+        # Sites excited with probability 0.1-0.3: under the XX chain the end
+        # spin's excitation stays a mixture of these, below 1/2 throughout.
+        n = 4
+        excited = np.array([0.1, 0.2, 0.3, 0.2])
+        blocks = []
+        for basis in sectors.sector_bases(n):
+            bits = (basis[:, None] >> np.arange(n - 1, -1, -1)) & 1
+            diag = np.prod(np.where(bits, excited, 1 - excited), axis=1)
+            blocks.append(np.diag(diag).astype(complex))
+        probe = QuantumState.from_blocks(blocks, SpinRegister.of_size(n))
+        with pytest.raises(PopulationInversionError):
+            optimize_waiting_time(probe, chain_generator(n))
+
+    @pytest.mark.parametrize("delta, earlier", [(5e-7, True), (1e-6, False)])
+    def test_near_tie_resolves_by_the_tolerance(self, delta, earlier):
+        # The two-site revival peaks at J*tau = pi/4 and 3pi/4 with equal
+        # height. Slightly off the first peak, the first time falls short of
+        # the second by 1.8 delta^2: 4.5e-13 ties (the earlier time wins),
+        # 1.8e-12 does not. Both times sit between coarse points.
+        probe = thermal_product_state([0.2, math.inf])
+        gen = chain_generator(2)
+        first, second = math.pi / 4 + delta, 3 * math.pi / 4
+        grid = np.sort(np.concatenate([np.arange(301) * 0.01,
+                                       [first, second]]))
+        _, _, curve = full_scan(probe, gen, grid)
+        i, j = np.searchsorted(grid, [first, second])
+        assert i % protocol._SCAN_STRIDE and j % protocol._SCAN_STRIDE
+        assert np.argmax(curve) == j
+        assert (0 < curve[j] - curve[i] < 1e-12) == earlier
+        jtau, _ = optimize_waiting_time(probe, gen, grid)
+        assert jtau == (first if earlier else second)
+
+    def test_cached_table_holds_the_coarse_columns_only(self):
+        # N = 10: 1,001 grid times, so the full scan's table had 2,002
+        # cos/sin columns (16 MiB); the coarse pass keeps one in every m.
+        n = 10
+        gen = chain_generator(n)
+        probe = thermal_product_state([0.2] + [math.inf] * (n - 1))
+        optimize_waiting_time(probe, gen)
+        tables = [cs for _, cs in gen._cache["scan"][1]]
+        m = protocol._SCAN_STRIDE
+        assert max(cs.shape[1] for cs in tables) \
+            <= 2 * math.ceil(1001 / m) + 2
+        assert sum(cs.nbytes for cs in tables) < 2 * 2 ** 20
 
 
 class TestCoolStep:
@@ -622,6 +759,17 @@ class TestRunProtocol:
             == pytest.approx(p0, abs=1e-12)
         assert report.records[0].probe_entropy \
             == pytest.approx(binary_entropy(0.2), abs=1e-12)
+
+    def test_optimized_waits_at_the_grid_edge_are_flagged(self):
+        # The headline N = 10, K = 40 run waits the whole scan window,
+        # J*tau = N, in rounds 20 and 22.
+        report = run_protocol(ProtocolConfig(10, 0.2, steps=40))
+        edge = [r.index for r in report.records if r.at_grid_edge is True]
+        assert edge == [20, 22]
+        assert edge == [r.index for r in report.records if r.wait_jtau == 10]
+        fixed = run_protocol(ProtocolConfig(
+            3, 0.2, steps=2, waiting_policy="fixed", fixed_jtau=3.0))
+        assert not any(r.at_grid_edge for r in fixed.records)
 
     def test_report_array_properties(self):
         report = run_protocol(ProtocolConfig(2, 0.3, steps=4))
