@@ -103,30 +103,25 @@ def blocked_xxz_hamiltonian(net: SpinNetwork) -> list[np.ndarray]:
     """Per-sector blocks of the XXZ Hamiltonian, built combinatorially.
 
     zz terms are diagonal (spin-sign products); the xx+yy pair gives the hop
-    <..0_n 1_m..|H|..1_n 0_m..> = 2 J_nm.
+    <..0_n 1_m..|H|..1_n 0_m..> = 2 J_nm, set for all couplings at once.
     """
-    reg = net.register
-    n_spins = reg.count
+    reg, n_spins = net.register, net.register.count
+    j = np.array(list(net.couplings.values()))
+    zz = j * np.array([net.delta(k) for k in net.couplings])
+    pa, pb = np.array([[reg.bit_position(s) for s in k] for k in net.couplings],
+                      dtype=np.int64).reshape(-1, 2).T
     blocks = []
-    for l in range(n_spins + 1):
-        basis = sectors.sector_bases(n_spins)[l]
-        dim = len(basis)
-        block = np.zeros((dim, dim), dtype=complex)
-        signs = sectors.spin_signs(n_spins, l)
-        for (a, b), j in net.couplings.items():
-            pa, pb = reg.bit_position(a), reg.bit_position(b)
-            ia, ib = n_spins - 1 - pa, n_spins - 1 - pb  # sign-column indices
-            block[np.diag_indices(dim)] += (
-                j * net.delta((a, b)) * signs[:, ia] * signs[:, ib]
-            )
-            bit_a = (basis >> pa) & 1
-            bit_b = (basis >> pb) & 1
-            src = np.nonzero((bit_a == 1) & (bit_b == 0))[0]
-            if src.size:
-                partner = basis[src] - (1 << pa) + (1 << pb)
-                dst = np.searchsorted(basis, partner)
-                block[dst, src] += 2.0 * j
-                block[src, dst] += 2.0 * j
+    for l, basis in enumerate(sectors.sector_bases(n_spins)):
+        signs = sectors.spin_signs(n_spins, l)  # column n - 1 - p for bit p
+        diagonal = np.zeros(len(basis))
+        for c in range(len(j)):
+            diagonal += zz[c] * signs[:, n_spins - 1 - pa[c]] \
+                * signs[:, n_spins - 1 - pb[c]]
+        block = np.diag(diagonal).astype(complex)
+        c, src = np.nonzero((basis >> pa[:, None] & 1) > (basis >> pb[:, None] & 1))
+        dst = np.searchsorted(basis, basis[src] - (1 << pa[c]) + (1 << pb[c]))
+        block[dst, src] += 2.0 * j[c]
+        block[src, dst] += 2.0 * j[c]
         blocks.append(block)
     return blocks
 
@@ -150,9 +145,9 @@ class LindbladGenerator:
 
     Instances are immutable by convention and cache their eigendecompositions
     and scan arrays, so reuse the same generator across protocol steps. The
-    cache keeps one entry per kind (`_memo`) and belongs to this generator
-    alone, so its keys carry neither the rate nor the dephased sites; every
-    entry reads the Hamiltonian alone.
+    cache keeps one entry per kind (`_memo`), each reading H alone, and the
+    dephased route's data one entry per coherence block (`_pair_dephasing`);
+    both belong to this generator, so keys carry neither rate nor sites.
     """
 
     def __init__(self, hamiltonian: Observable, dephasing_rate: float = 0.0,
@@ -181,6 +176,7 @@ class LindbladGenerator:
         self._blocks = [b if np.imag(b).any() else np.ascontiguousarray(b.real)
                         for b in blocks]
         self._cache: dict = {}
+        self._pairs: dict = {}
 
     @classmethod
     def from_network(cls, net: SpinNetwork, dephasing_rate: float = 0.0,
@@ -220,6 +216,22 @@ class LindbladGenerator:
             keep = [labels.index(s) for s in self.dephasing_sites]
             rows, cols = rows[:, keep], cols[:, keep]
         return self.dephasing_rate * (rows @ cols.T - rows.shape[1])
+
+    def _pair_dephasing(self, l: int, m: int) -> tuple[np.ndarray, float, float]:
+        """What `_dephased_action` reads of the coherence block (l, m): i (G -
+        mu), mu and spread + max|G - mu|, for G = `_dephasing` between the
+        sectors and mu its mean. Kept per pair up to `_PADDED_ENTRIES`."""
+        if (l, m) not in self._pairs:
+            (d_l, _), (d_m, _) = (self.block_eigensystems()[s] for s in (l, m))
+            g = self._dephasing(*(sectors.spin_signs(self.register.count, s)
+                                  for s in (l, m)))
+            g -= (mu := g.mean())
+            entry = (1j * g, mu, max(d_l[-1] - d_m[0], d_m[-1] - d_l[0])
+                     + np.abs(g).max())
+            if g.size > _PADDED_ENTRIES:
+                return entry
+            self._pairs[l, m] = entry
+        return self._pairs[l, m]
 
     def _memo(self, kind: str, key, build: Callable[[], object]):
         """The value `build` gives for `key`, kept as the one entry of its
@@ -264,23 +276,25 @@ def _block_rhs(gen: LindbladGenerator, h_l: np.ndarray, signs: np.ndarray
                ) -> Callable[[float, np.ndarray], np.ndarray]:
     """-i [H_l, y] + Gamma (W - n) o y on the basis whose per-site spin signs
     are the rows of `signs`, with `gen`'s rate and dephased sites. A real H_l
-    (every XXZ network) multiplies y's float view: half a complex product."""
+    (every XXZ network) multiplies y's float view: half a complex product.
+    The result is a buffer the next call overwrites (`rkf45` copies it)."""
     h_re, h_im = (np.ascontiguousarray(part) for part in (h_l.real, h_l.imag))
     h_im = h_im if h_im.any() else None
     g = gen._dephasing(signs, signs) if gen.dephasing_rate > 0 else None
+    m, d = np.empty(h_l.shape, complex), np.empty(h_l.shape, complex)
 
     def rhs(_t, y):
         y = np.ascontiguousarray(y, dtype=complex)
-        m = (h_re @ y.view(float)).view(complex)
+        np.matmul(h_re, y.view(float), out=m.view(float))
         if h_im is not None:
-            m += 1j * (h_im @ y.view(float)).view(complex)
+            m[...] += 1j * (h_im @ y.view(float)).view(complex)
         # For Hermitian y, (H y)^dag = y H, so one product gives both sides
         # of the commutator, i (m^dag - m): Hermitian to the last bit.
-        d = np.conjugate(m.T, out=np.empty_like(m))
-        d -= m
-        d *= 1j
+        np.conjugate(m.T, out=d)
+        d[...] -= m
+        d[...] *= 1j
         if g is not None:
-            d += np.multiply(g, y, out=m)
+            d[...] += np.multiply(g, y, out=m)
         return d
 
     return rhs
@@ -392,14 +406,14 @@ def _dephased_action(gen: LindbladGenerator,
     of its G, and advanced by s steps of a truncated Taylor series, one
     batched product per side and term; diagonal blocks stay Hermitian and
     need one. A step ends once two successive terms fall below 2^-53 of the
-    partial sum, in largest entries over the stack. s follows from the norm
-    bound t (spread + max|G - mu|) <= s theta_55, where the spread
-    max(max D_l - min D_m, max D_m - min D_l) of the cached sector
-    eigenvalues bounds the commutator. Diagonal blocks are made Hermitian
-    going in and coming out.
+    partial sum, in largest entries over the stack (the sum's is reduced
+    only when a running upper bound on it lets the rule hold). s follows
+    from the norm bound t (spread + max|G - mu|) <= s theta_55, where the
+    spread max(max D_l - min D_m, max D_m - min D_l) of the sector
+    eigenvalues bounds the commutator; both are cached per pair
+    (`_pair_dephasing`). Diagonal blocks are made Hermitian both ways.
     """
-    n, k = gen.register.count, len(blocks)
-    h, eigs = gen.hamiltonian_blocks(), gen.block_eigensystems()
+    k, h = len(blocks), gen.hamiltonian_blocks()
     shapes = [(len(h[l]), len(h[m])) for l, m in blocks]
     rows, cols = (max(d) for d in zip(*shapes))
     if k > 1 and k * rows * cols > _PADDED_ENTRIES:
@@ -408,18 +422,13 @@ def _dephased_action(gen: LindbladGenerator,
     dtype = complex if any(np.iscomplexobj(b) for b in h) else float
     h_l = np.zeros((k, rows, rows), dtype)
     h_m = np.zeros((k, cols, cols), dtype)  # H_m^T
-    ig = np.zeros((k, rows, cols), dtype=complex)  # i (G - mu)
-    x = np.zeros((k, rows, cols), dtype=complex)
+    ig, x = np.zeros((2, k, rows, cols), dtype=complex)  # i (G - mu), X
     mu, bound = np.empty(k), np.empty(k)
     for i, ((l, m), block) in enumerate(blocks.items()):
-        (dl, dm), d_l, d_m = shapes[i], eigs[l][0], eigs[m][0]
-        g = gen._dephasing(sectors.spin_signs(n, l), sectors.spin_signs(n, m))
-        mu[i] = g.mean()
-        g -= mu[i]
+        dl, dm = shapes[i]
+        ig[i, :dl, :dm], mu[i], bound[i] = gen._pair_dephasing(l, m)
         h_l[i, :dl, :dl], h_m[i, :dm, :dm] = h[l], h[m].T
-        ig[i, :dl, :dm] = 1j * g
         x[i, :dl, :dm] = 0.5 * (block + block.conj().T) if l == m else block
-        bound[i] = max(d_l[-1] - d_m[0], d_m[-1] - d_l[0]) + np.abs(g).max()
     # Diagonal blocks stay Hermitian, so X H_l = (H_l X)^dag: one product.
     hermitian = all(l == m for l, m in blocks)
 
@@ -437,13 +446,16 @@ def _dephased_action(gen: LindbladGenerator,
     total = x
     for _ in range(steps):
         term, last = total, float(np.abs(total).max())
-        total = total.copy()
+        total, reach = total.copy(), last
         for j in range(1, _TAYLOR_DEGREE + 1):
             term = term_after(term, -1j * dt / j)
             total += term
             now = float(np.abs(term).max())
-            if last + now <= 2.0 ** -53 * float(np.abs(total).max()):
-                break
+            reach = (reach + now) * (1.0 + 1e-12)  # >= max|total| despite rounding
+            if last + now <= 2.0 ** -53 * reach:
+                reach = float(np.abs(total).max())
+                if last + now <= 2.0 ** -53 * reach:
+                    break
             last = now
         total *= np.exp(dt * mu)[:, None, None]
     return [0.5 * (y[:dl, :dm] + y[:dl, :dm].conj().T) if l == m
@@ -468,8 +480,9 @@ def evolve_exact(state: QuantumState, gen: LindbladGenerator,
     take the Taylor action of their Liouvillian (`_dephased_action`), at
     any register size. Dephasing only runs forward, so a negative duration
     raises at Gamma > 0; at Gamma = 0 it is the backward unitary. A blocked
-    state has the blocks l = m; a dense one every pair l <= m, with
-    X_ml = X_lm^dag. Exactly-zero blocks are skipped.
+    state has the blocks l = m; a dense one every pair l <= m, with X_ml =
+    X_lm^dag, copied out of one sector-order permutation of its matrix (BLAS
+    rounds products over a strided view apart). Zero blocks are skipped.
     """
     if gen.register.labels != state.register.labels:
         raise DomainError("generator and state registers do not match")
@@ -477,13 +490,15 @@ def evolve_exact(state: QuantumState, gen: LindbladGenerator,
         raise DomainError(f"duration must be finite, got {duration}")
     if gen.dephasing_rate > 0 and duration < 0:
         raise DomainError(f"dephased duration must be >= 0, got {duration}")
-    bases = sectors.sector_bases(state.register.count)
     if state.is_blocked:
         blocks = {(l, l): b for l, b in enumerate(state.blocks)}
     else:
-        rho = state.matrix
-        blocks = {(l, m): rho[np.ix_(bases[l], bases[m])]
-                  for l in range(len(bases)) for m in range(l, len(bases))}
+        bases = sectors.sector_bases(state.register.count)
+        order, edges = np.concatenate(bases), np.cumsum([0] + list(map(len, bases)))
+        spans = [slice(a, b) for a, b in zip(edges, edges[1:])]
+        rho = state.matrix[np.ix_(order, order)]
+        blocks = {(l, m): rho[a, b].copy() for l, a in enumerate(spans)
+                  for m, b in enumerate(spans) if m >= l}
     blocks = {lm: x for lm, x in blocks.items() if x.any()}
     if gen.dephasing_rate == 0:
         eigs = gen.block_eigensystems()
@@ -503,11 +518,13 @@ def evolve_exact(state: QuantumState, gen: LindbladGenerator,
         new = dict(zip((l for l, _ in blocks), out))
         return QuantumState._adopt(state.register, blocks=[
             new.get(l, np.zeros_like(b)) for l, b in enumerate(state.blocks)])
-    dense = np.zeros_like(rho)
+    ordered = np.zeros_like(rho)
     for (l, m), y in zip(blocks, out):
-        dense[np.ix_(bases[l], bases[m])] = y
+        ordered[spans[l], spans[m]] = y
         if m != l:
-            dense[np.ix_(bases[m], bases[l])] = y.conj().T
+            ordered[spans[m], spans[l]] = y.conj().T
+    dense = np.empty_like(rho)
+    dense[np.ix_(order, order)] = ordered
     return QuantumState._adopt(state.register, dense=dense)
 
 

@@ -93,6 +93,7 @@ def rkf45(rhs: Callable[[float, np.ndarray], np.ndarray],
     buf[0] = y0
     flat = buf.reshape(9, -1).view(float)
     y = buf[0]  # the current state; accepted steps overwrite it in place
+    scale, ratios = np.empty(np.shape(y0)), np.empty(np.shape(y0))
 
     t = 0.0
     h = min(cfg.initial_step, cfg.max_step, duration)
@@ -116,8 +117,11 @@ def rkf45(rhs: Callable[[float, np.ndarray], np.ndarray],
         if not np.all(np.isfinite(y5)):
             raise IntegrationError("non-finite state", t=t, step=h, ratio=np.inf)
 
-        scale = _ERR_MARGIN * (cfg.abs_tol + cfg.rel_tol * np.abs(y5))
-        ratio = float((np.abs(err) / scale).max())
+        np.abs(y5, out=scale)  # scale = margin (abs_tol + rel_tol |y5|)
+        scale *= cfg.rel_tol
+        scale += cfg.abs_tol
+        scale *= _ERR_MARGIN
+        ratio = float(np.divide(np.abs(err, out=ratios), scale, out=ratios).max())
 
         if ratio <= 1.0:
             taken += 1

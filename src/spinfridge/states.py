@@ -304,16 +304,18 @@ def _partial_trace_blocked(state: QuantumState, sub: SpinRegister) -> QuantumSta
     """Trace out the dropped sites one at a time, least significant first.
 
     Dropping only sites after column i leaves site i at column i, so its
-    bit position in the shrinking register is (count - 1 - i).
+    bit position in the shrinking register is (count - 1 - i). A one-site
+    marginal is diagonal: it recurses on block diagonals, same additions.
     """
-    labels = state.register.labels
-    blocks = state.blocks
+    labels, diagonal = state.register.labels, sub.count == 1
+    blocks = [b.diagonal() for b in state.blocks] if diagonal else state.blocks
     n = len(labels)
     for i in reversed(range(len(labels))):
         if labels[i] not in sub.labels:
             blocks = _trace_out_bit(blocks, n, n - 1 - i)
             n -= 1
-    return QuantumState._adopt(sub, blocks=blocks)
+    return QuantumState._adopt(sub, blocks=[b.reshape(1, 1) for b in blocks]
+                               if diagonal else blocks)
 
 
 def _trace_out_bit(blocks, n: int, bit: int) -> list[np.ndarray]:
@@ -322,14 +324,16 @@ def _trace_out_bit(blocks, n: int, bit: int) -> list[np.ndarray]:
     Reduced block l = B_l[z, z] + B_{l+1}[o, o], where z picks the sector-l
     states with the bit clear and o the sector-(l+1) states with it set.
     Deleting the bit maps either pick, in order, onto the ascending sector-l
-    basis of n - 1 sites, so no reindexing is needed.
+    basis of n - 1 sites, so no reindexing is needed; 1-D diagonals likewise.
     """
     bases = sectors.sector_bases(n)
     out = []
     for l in range(n):
         z = np.flatnonzero(((bases[l] >> bit) & 1) == 0)
         o = np.flatnonzero((bases[l + 1] >> bit) & 1)
-        out.append(blocks[l][np.ix_(z, z)] + blocks[l + 1][np.ix_(o, o)])
+        a, b = blocks[l], blocks[l + 1]
+        out.append(a[z] + b[o] if a.ndim == 1
+                   else a[np.ix_(z, z)] + b[np.ix_(o, o)])
     return out
 
 

@@ -135,6 +135,54 @@ def random_network_generator(rng, n: int, gamma: float,
     return LindbladGenerator.from_network(net, gamma, dephasing_sites)
 
 
+def plain_taylor_action(gen, blocks, tau):
+    """The dephased action as first written: the pair data built on every
+    call, and both exact max-|.| reductions taken on every Taylor term."""
+    n, h, eigs = gen.register.count, gen.hamiltonian_blocks(), \
+        gen.block_eigensystems()
+    shapes = [(len(h[l]), len(h[m])) for l, m in blocks]
+    k, (rows, cols) = len(blocks), (max(d) for d in zip(*shapes))
+    if k > 1 and k * rows * cols > dynamics._PADDED_ENTRIES:
+        return [y for item in blocks.items()
+                for y in plain_taylor_action(gen, dict([item]), tau)]
+    dtype = complex if any(np.iscomplexobj(b) for b in h) else float
+    h_l, h_m = np.zeros((k, rows, rows), dtype), np.zeros((k, cols, cols), dtype)
+    ig, x = (np.zeros((k, rows, cols), complex) for _ in range(2))
+    mu, bound = np.empty(k), np.empty(k)
+    for i, ((l, m), block) in enumerate(blocks.items()):
+        (dl, dm), d_l, d_m = shapes[i], eigs[l][0], eigs[m][0]
+        g = gen._dephasing(sectors.spin_signs(n, l), sectors.spin_signs(n, m))
+        mu[i] = g.mean()
+        g -= mu[i]
+        h_l[i, :dl, :dl], h_m[i, :dm, :dm] = h[l], h[m].T
+        ig[i, :dl, :dm] = 1j * g
+        x[i, :dl, :dm] = 0.5 * (block + block.conj().T) if l == m else block
+        bound[i] = max(d_l[-1] - d_m[0], d_m[-1] - d_l[0]) + np.abs(g).max()
+    hermitian = all(l == m for l, m in blocks)
+    steps = max(1, math.ceil(tau * bound.max() / dynamics._TAYLOR_THETA))
+    dt, total = tau / steps, x
+    for _ in range(steps):
+        term, last = total, float(np.abs(total).max())
+        total = total.copy()
+        for j in range(1, dynamics._TAYLOR_DEGREE + 1):
+            hy = dynamics._times(h_l, term)
+            yh = hy.conj() if hermitian \
+                else dynamics._times(h_m, term.swapaxes(1, 2))
+            d = hy - yh.swapaxes(1, 2)
+            d += ig * term
+            d *= -1j * dt / j
+            term = d
+            total += term
+            now = float(np.abs(term).max())
+            if last + now <= 2.0 ** -53 * float(np.abs(total).max()):
+                break
+            last = now
+        total *= np.exp(dt * mu)[:, None, None]
+    return [0.5 * (y[:dl, :dm] + y[:dl, :dm].conj().T) if l == m
+            else y[:dl, :dm].copy()
+            for (l, m), (dl, dm), y in zip(blocks, shapes, total)]
+
+
 class TestEvolveExact:
     @staticmethod
     def gap_to_tight_rkf45(rng, n, subset, gamma, tau):
@@ -180,6 +228,51 @@ class TestEvolveExact:
         got, = _dephased_action(gen, {(l, m): x}, tau)
         expected = (expm(tau * liouvillian) @ x.ravel()).reshape(x.shape)
         assert np.abs(got - expected).max() <= 1e-13 * max(1.0, norm)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("gamma", [0.3, 1.0])
+    @pytest.mark.parametrize("kind", ["blocked", "dense", "complex"])
+    def test_action_matches_the_plain_taylor_loop(self, rng, n, gamma, kind):
+        # The per-pair cache and the bounded stop check change no bit: the
+        # action equals a Taylor loop that builds every pair afresh and
+        # takes both exact reductions on every term.
+        gen = complex_hopping_generator(rng, n, gamma) if kind == "complex" \
+            else random_network_generator(rng, n, gamma)
+        if kind == "dense":
+            rho, bases = random_dense_state(rng, n).matrix, sectors.sector_bases(n)
+            blocks = {(l, m): rho[np.ix_(bases[l], bases[m])]
+                      for l in range(n + 1) for m in range(l, n + 1)}
+        else:
+            blocks = dict(((l, l), b) for l, b
+                          in enumerate(random_blocked_state(rng, n).blocks))
+        for tau in (0.37, float(n)):
+            got = _dephased_action(gen, blocks, tau)
+            expected = plain_taylor_action(gen, blocks, tau)
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+    def test_pairs_are_cached_on_the_generator(self, rng, monkeypatch):
+        # A second call reads every pair from the generator's cache and
+        # gives the bits of a fresh generator; blocks past _PADDED_ENTRIES
+        # are not kept.
+        gen = random_network_generator(rng, 4, 0.5)
+        fresh = LindbladGenerator(gen.hamiltonian, 0.5)
+        states = (random_dense_state(rng, 4), random_blocked_state(rng, 4))
+        first = [evolve_exact(s, gen, 1.3) for s in states]
+        calls, original = [], LindbladGenerator._dephasing
+        monkeypatch.setattr(LindbladGenerator, "_dephasing",
+                            lambda self, *a: calls.append(a) or original(self, *a))
+        second = [evolve_exact(s, gen, 1.3) for s in states]
+        assert not calls
+        monkeypatch.undo()
+        for one, two, s in zip(first, second, states):
+            expected = evolve_exact(s, fresh, 1.3).matrix
+            assert np.array_equal(one.matrix, expected)
+            assert np.array_equal(two.matrix, expected)
+        chain = chain_generator(10, 0.5)
+        evolve_exact(thermal_product_state([0.3] * 10), chain, 0.1)
+        sizes = [math.comb(10, l) ** 2 for l in range(11)]
+        assert set(chain._pairs) == {(l, l) for l, size in enumerate(sizes)
+                                     if size <= dynamics._PADDED_ENTRIES}
 
     def test_stack_above_the_padding_cut_matches_tight_rkf45(self, rng):
         # Eight sites, 9 blocks padded to 70 x 70: past _PADDED_ENTRIES, so

@@ -31,6 +31,8 @@ from spinfridge import (
     von_neumann_entropy,
 )
 
+from spinfridge.states import _partial_trace_dense, _trace_out_bit
+
 from conftest import random_blocked_state, random_dense_state
 
 
@@ -244,6 +246,26 @@ class TestPartialTrace:
                     assert a.is_blocked
                     assert a.register.labels == keep
                     assert trace_distance(a, b) < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_one_site_marginal_matches_the_whole_block_recursion(self, rng, n):
+        # A one-site marginal recurses on the block diagonals only; it must
+        # give the bits of tracing whole blocks out one site at a time.
+        state = random_blocked_state(rng, n)
+        labels = state.register.labels
+        for site in labels:
+            blocks, count = state.blocks, n
+            for i in reversed(range(n)):
+                if labels[i] != site:
+                    blocks = _trace_out_bit(blocks, count, count - 1 - i)
+                    count -= 1
+            got = partial_trace(state, keep=(site,))
+            assert got.is_blocked and got.register.labels == (site,)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(got.blocks, blocks))
+            dense = _partial_trace_dense(state.to_dense(),
+                                         state.register.subset((site,)))
+            assert np.abs(got.matrix - dense.matrix).max() <= 1e-15
 
     def test_keep_everything_is_identity(self, rng):
         state = random_dense_state(rng, 2)
