@@ -43,7 +43,6 @@ import numpy as np
 from . import __version__
 from .dynamics import SwapSpec
 from .errors import IntegrationError, ManifestError, SpinFridgeError
-from .integrate import IntegratorConfig
 from .nv import (
     DIAMOND_BOND_AXES,
     DipolarPair,
@@ -209,20 +208,6 @@ def _swap_from_manifest(entry: dict | None) -> SwapSpec:
     raise ManifestError(f"unknown swap mode {mode!r}")
 
 
-def _integrator_from_manifest(entry: dict | None) -> IntegratorConfig:
-    if entry is None:
-        return IntegratorConfig()
-    entry = dict(entry)
-    kwargs = {field: _take(entry, field, float)
-              for field in ("rel_tol", "abs_tol", "initial_step", "max_step")
-              if field in entry}
-    _reject_unknown(entry, "integrator")
-    try:
-        return IntegratorConfig(**kwargs)
-    except SpinFridgeError as exc:
-        raise ManifestError(f"invalid 'integrator' section: {exc}") from exc
-
-
 def _protocol_config(cfg: dict, where: str = "config") -> ProtocolConfig:
     cfg = dict(cfg)
     kwargs = {field: _take(cfg, field, kind) for field, kind in (
@@ -233,7 +218,6 @@ def _protocol_config(cfg: dict, where: str = "config") -> ProtocolConfig:
         ("steps", int),
         ("waiting_policy", str),
         ("fixed_jtau", float),
-        ("grid_spacing", float),
     ) if field in cfg}
     if "probe_beta_tildes" in cfg:
         temps = _take(cfg, "probe_beta_tildes", list)
@@ -246,9 +230,6 @@ def _protocol_config(cfg: dict, where: str = "config") -> ProtocolConfig:
     if "swap" in cfg:
         kwargs["swap"] = _swap_from_manifest(
             _take(cfg, "swap", dict, nullable=True))
-    if "integrator" in cfg:
-        kwargs["integrator"] = _integrator_from_manifest(
-            _take(cfg, "integrator", dict, nullable=True))
     _reject_unknown(cfg, where)
     try:
         return ProtocolConfig(**kwargs)
@@ -370,16 +351,15 @@ def _run_sweep(manifest: Manifest, out: Path, seed: int, threads: int) -> int:
             point["tau_schedule"] = schedule
 
     # Validate every point before spending any compute on the grid.
-    tasks = [(value, point) for value, point in points]
-    for value, point in tasks:
+    for value, point in points:
         _protocol_config(dict(point), where=f"sweep point {value}")
 
     workers = threads if threads > 0 else (os.cpu_count() or 1)
-    workers = max(1, min(workers, len(tasks)))
+    workers = max(1, min(workers, len(points)))
     results: dict[float, list[list]] = {}
     failures: dict[float, BaseException] = {}
     if workers == 1:
-        for task in tasks:
+        for task in points:
             try:
                 results[task[0]] = _sweep_point(task)
             except SpinFridgeError as exc:
@@ -387,7 +367,7 @@ def _run_sweep(manifest: Manifest, out: Path, seed: int, threads: int) -> int:
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_sweep_point, task): task[0]
-                       for task in tasks}
+                       for task in points}
             for future in concurrent.futures.as_completed(futures):
                 value = futures[future]
                 try:
@@ -566,30 +546,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (overrides the manifest)")
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (overrides the manifest)")
-        p.add_argument("--threads", type=int, default=None,
+        p.add_argument("--threads", type=int, default=1,
                        help="parallel workers for sweeps; 0 = auto "
-                            "(default: SPINFRIDGE_THREADS or 1)")
+                            "(default: 1)")
         p.add_argument("--verbose", action="store_true",
                        help="log progress to stderr")
     return parser
-
-
-def _resolve_threads(flag: int | None) -> int:
-    if flag is not None:
-        if flag < 0:
-            raise ManifestError("--threads must be >= 0")
-        return flag
-    env = os.environ.get("SPINFRIDGE_THREADS")
-    if env is None:
-        return 1
-    try:
-        value = int(env)
-    except ValueError as exc:
-        raise ManifestError(
-            f"SPINFRIDGE_THREADS={env!r} is not an integer") from exc
-    if value < 0:
-        raise ManifestError("SPINFRIDGE_THREADS must be >= 0")
-    return value
 
 
 def main(argv=None) -> int:
@@ -615,12 +577,13 @@ def main(argv=None) -> int:
             else _checked_seed(args.seed, "--seed")
         out = Path(args.out if args.out is not None
                    else (manifest.out_dir or "."))
-        threads = _resolve_threads(args.threads)
+        if args.threads < 0:
+            raise ManifestError("--threads must be >= 0")
 
         if args.kind == "cool":
             return _run_cool(manifest, out, seed)
         if args.kind == "sweep":
-            return _run_sweep(manifest, out, seed, threads)
+            return _run_sweep(manifest, out, seed, args.threads)
         if args.kind == "thermometry":
             return _run_thermometry(manifest, out, seed)
         if args.kind == "nv-coupling":

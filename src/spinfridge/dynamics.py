@@ -38,9 +38,9 @@ from .errors import DomainError, IntegrationError
 from .integrate import IntegratorConfig, rkf45
 from .operators import Observable, PAULIS, site_operator
 from .registers import SpinRegister
-from .states import QuantumState, sector_decompose, trace_distance
+from .states import (INTERSECTOR_TOL, QuantumState, sector_decompose,
+                     trace_distance)
 
-Z_CONSERVATION_TOL = 1e-12
 CHANNEL_CHECK_TOL = 1e-9
 
 
@@ -154,7 +154,7 @@ class LindbladGenerator:
                  dephasing_sites: tuple[int, ...] | None = None):
         reg = hamiltonian.register
         leak = sectors.max_intersector_coherence(hamiltonian.matrix, reg.count)
-        if leak > Z_CONSERVATION_TOL:
+        if leak > INTERSECTOR_TOL:
             raise DomainError(
                 f"Hamiltonian does not conserve total spin-z: max "
                 f"inter-sector |H| = {leak:.3e}")
@@ -356,7 +356,7 @@ def evolve(state: QuantumState, gen: LindbladGenerator, duration: float,
         # z-conserving generator, so route it through the blocked path.
         coherence = sectors.max_intersector_coherence(
             state.matrix, state.register.count)
-        if coherence <= Z_CONSERVATION_TOL:
+        if coherence <= INTERSECTOR_TOL:
             state = sector_decompose(state)
     if state.is_blocked:
         return _evolve_blocked(state, gen, duration, cfg)
@@ -578,10 +578,11 @@ class SwapSpec:
     every other generator. `window_dephasing_rate` applies per-site
     dephasing during the window to every probe site, and to the qubit as
     well only if `dephase_qubit` is set; None means "inherit the ambient
-    rate" (the protocol fills it in from its config; standalone
-    partial_swap treats it as zero). At rate zero `cool_step` applies the
-    window to the probe alone, through its Kraus blocks <q'|W|q>; above it,
-    `evolve_exact` advances the joint sector blocks.
+    rate": a round (`cool_step`, `run_protocol`) takes its waits' dephasing
+    rate, and `partial_swap`, which has no round, reads it as zero. At
+    rate zero `cool_step` applies the window to the probe alone, through
+    its Kraus blocks <q'|W|q>; above it, `evolve_exact` advances the joint
+    sector blocks.
     """
 
     mode: str

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 from .registers import SpinRegister
+from .states import HERMITICITY_TOL
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -21,8 +22,6 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 PAULIS = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
-
-HERMITICITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -64,9 +64,12 @@ _FIXED_POINT_TOL = 1e-8
 _DISPLACEMENT_MIN = 1e-6
 _MAJORIZATION_TOL = 1e-10
 _STATIONARY_TAUS = 10     # waits drawn per rate by the stationarity check
+_STATIONARY_RATES = (0.0, 0.3)  # its dephasing rates
 
 
-def _check_probe_size(max_sites: int, oracle: str) -> None:
+def _check_run(trials: int, max_sites: int, oracle: str) -> None:
+    if trials < 1:
+        raise DomainError(f"{oracle} oracle needs trials >= 1, got {trials}")
     if max_sites < 2:
         raise DomainError(f"{oracle} oracle draws probes of 2..max_sites "
                           f"sites, got max_sites = {max_sites}")
@@ -191,15 +194,16 @@ def oracle_always_cools(trials: int = 500, max_sites: int = 4,
                         inject_violation: bool = False) -> OracleResult:
     """Randomized check that no emitted qubit is ever hotter than the bath.
 
-    Each trial draws a probe size in {2..max_sites} (max_sites >= 2), a
-    channel sample, a bath temperature, valid per-site probe temperatures
-    (all at least as cold as the bath, with point masses at equality and at
-    fully polarized), and runs one to three rounds, checking every emission.
+    Each of `trials` (>= 1) trials draws a probe size in {2..max_sites}
+    (max_sites >= 2), a channel sample, a bath temperature, valid per-site
+    probe temperatures (all at least as cold as the bath, with point masses
+    at equality and at fully polarized), and runs one to three rounds,
+    checking every emission.
 
     `inject_violation=True` deliberately starts every probe hotter than the
     bath (beta_tilde = bath/2) to confirm the oracle detects the failure.
     """
-    _check_probe_size(max_sites, "always-cools")
+    _check_run(trials, max_sites, "always-cools")
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     coldest = math.inf
@@ -257,14 +261,13 @@ def oracle_always_cools(trials: int = 500, max_sites: int = 4,
 # --------------------------------------------------------------------------
 
 def oracle_stationary_state(net: SpinNetwork | None = None,
-                            dephasing_rates: Sequence[float] = (0.0, 0.3),
                             bath_beta_tilde: float = 0.2,
                             seed: int = 7) -> OracleResult:
     """Fixed-point and displacement check for the bath product state.
 
-    For each dephasing rate, each sampled waiting time, and each swap
-    flavor (perfect and a partial J_I = 5 window with the network as
-    background), one full round applied to chi(bath)^(N+1) must return it
+    For each dephasing rate (0 and 0.3), each sampled waiting time, and
+    each swap flavor (perfect and a partial J_I = 5 window with the network
+    as background), one full round applied to chi(bath)^(N+1) must return it
     to within 1e-8. A probe at twice the bath beta_tilde must move by more
     than 1e-6 after one round for at least one sampled waiting time.
     """
@@ -281,7 +284,7 @@ def oracle_stationary_state(net: SpinNetwork | None = None,
     worst_fixed = 0.0
     best_displacement = 0.0
     witness = None
-    for gamma in dephasing_rates:
+    for gamma in _STATIONARY_RATES:
         channels = [("perfect", _wait_then_swap(net, gamma)),
                     ("partial J_I=5", _wait_then_swap(net, gamma, 5.0))]
         for tau in taus:
@@ -350,12 +353,15 @@ def oracle_entropy_bounds(reports: Iterable[ProtocolReport] | None = None
 
     Every report must pass the per-step and cumulative entropy checks; on
     top of that, runs that started from the fully polarized probe must show
-    a non-decreasing probe entropy staying below the N*S_T capacity.
+    a non-decreasing probe entropy staying below the N*S_T capacity. An
+    empty set of reports is refused.
     """
     start = time.perf_counter()
     if reports is None:
         reports = _standard_reports()
     reports = list(reports)
+    if not reports:
+        raise DomainError("entropy-bounds oracle needs at least one report")
     witness = None
     for i, report in enumerate(reports):
         audit = entropy_accounting(report)
@@ -408,28 +414,21 @@ def _config_summary(cfg: ProtocolConfig) -> dict:
 
 @dataclass(frozen=True)
 class SectorSpectrum:
-    """Per-sector diagonals and sorted spectra of a blocked state."""
+    """Per-sector spectra of a blocked state, each sorted descending."""
 
-    diagonals: tuple[np.ndarray, ...]
     spectra: tuple[np.ndarray, ...]
 
     @classmethod
     def from_state(cls, state: QuantumState) -> "SectorSpectrum":
-        diags = []
         spectra = []
         for block in state.blocks:
-            if block.size:
-                diags.append(np.real(np.diag(block)).copy())
-                vals = np.linalg.eigvalsh(block)
-                spectra.append(np.sort(vals)[::-1])
-            else:
-                diags.append(np.zeros(0))
-                spectra.append(np.zeros(0))
-        for d, s in zip(diags, spectra):
-            if d.size and (s[-1] < -1e-12 or
-                           abs(d.sum() - s.sum()) > 1e-10):
+            s = np.sort(np.linalg.eigvalsh(block))[::-1] if block.size \
+                else np.zeros(0)
+            if s.size and (s[-1] < -1e-12 or
+                           abs(np.trace(block).real - s.sum()) > 1e-10):
                 raise DomainError("inconsistent sector spectrum")
-        return cls(tuple(diags), tuple(spectra))
+            spectra.append(s)
+        return cls(tuple(spectra))
 
 
 def _majorizes(before: np.ndarray, after: np.ndarray,
@@ -455,14 +454,14 @@ def oracle_majorization(trials: int = 300, max_sites: int = 4,
                         negative_control: bool = False) -> OracleResult:
     """Within-sector spectral dominance under the evolution channel.
 
-    Each trial draws a random blocked state on 2..max_sites (>= 2) sites
-    and a random z-conserving network with a dephasing rate from
-    {0, 0.5, uniform}, evolves exactly for a random time, and checks that
-    each sector's sorted spectrum before majorizes the one after. With
-    `negative_control=True` the channel is replaced by a non-unital site
-    reset, which must be caught violating dominance.
+    Each of `trials` (>= 1) trials draws a random blocked state on
+    2..max_sites (>= 2) sites and a random z-conserving network with a
+    dephasing rate from {0, 0.5, uniform}, evolves exactly for a random
+    time, and checks that each sector's sorted spectrum before majorizes
+    the one after. With `negative_control=True` the channel is replaced by
+    a non-unital site reset, which must be caught violating dominance.
     """
-    _check_probe_size(max_sites, "majorization")
+    _check_run(trials, max_sites, "majorization")
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     strictest = 0.0

@@ -44,7 +44,6 @@ import numpy as np
 
 from . import sectors
 from .dynamics import (
-    IntegratorConfig,
     LindbladGenerator,
     SpinNetwork,
     SwapSpec,
@@ -52,11 +51,12 @@ from .dynamics import (
     evolve_exact,
     window_generator,
 )
-from .errors import DomainError, PopulationInversionError
+from .errors import DomainError
 from .registers import SpinRegister
 from .states import (
     QuantumState,
     TemperatureRecord,
+    _beta_of_populations,
     binary_entropy,
     partial_trace,
     reduced_site_populations,
@@ -90,7 +90,10 @@ class ProtocolConfig:
     `probe_beta_tildes` defaults to all +infinity (a fully polarized chain);
     every entry must be at least `bath_beta_tilde`, i.e. no probe site may
     start hotter than the bath -- the precondition under which the protocol
-    provably never emits a qubit hotter than the bath.
+    provably never emits a qubit hotter than the bath. The bath must be
+    resolvable: a beta_tilde so small that its populations round to 1/2
+    is refused. Optimized waits come from the grid `default_grid(N)`
+    (J*tau spacing 0.01); dephased waits integrate at `IntegratorConfig()`.
     """
 
     probe_size: int
@@ -103,8 +106,6 @@ class ProtocolConfig:
     waiting_policy: str = "optimized"
     fixed_jtau: float = 1.0
     tau_schedule: tuple[float, ...] | None = None
-    grid_spacing: float = 0.01
-    integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
 
     def __post_init__(self):
         if self.probe_size < 1:
@@ -113,6 +114,11 @@ class ProtocolConfig:
             raise DomainError(
                 f"bath beta_tilde must be finite and > 0, got "
                 f"{self.bath_beta_tilde}")
+        p0, p1 = thermal_populations(self.bath_beta_tilde)
+        if p1 <= p0:
+            raise DomainError(
+                f"bath beta_tilde {self.bath_beta_tilde} is too hot to "
+                f"resolve: its populations round to 1/2")
         _check_coupling(self.coupling)
         if not (math.isfinite(self.dephasing_rate) and self.dephasing_rate >= 0):
             raise DomainError(f"dephasing rate must be finite and >= 0, got "
@@ -141,8 +147,6 @@ class ProtocolConfig:
             raise DomainError(
                 "tau_schedule is only meaningful with waiting policy "
                 "'schedule'")
-        if not (0 < self.grid_spacing <= self.probe_size):
-            raise DomainError("grid spacing must lie in (0, N]")
         temps = self.probe_beta_tildes
         if temps is None:
             temps = (math.inf,) * self.probe_size
@@ -296,9 +300,12 @@ def optimize_waiting_time(
     """Earliest J*tau on the grid maximizing the end spin's polarization.
 
     Returns (J*tau, predicted temperature of the spin that would be emitted
-    after waiting that long). Ties within 1e-12 go to the smallest time. The
-    scan runs on the coherent dynamics whatever the generator's dephasing
-    rate: it reads only the Hamiltonian's sector eigensystems. It is
+    after waiting that long), read as `temperature_of` reads a qubit: an end
+    spin inverted by more than 1e-12 raises `PopulationInversionError`, a
+    smaller inversion reads beta_tilde = 0. Ties within 1e-12 go to the
+    smallest time. The scan runs on the coherent dynamics whatever the
+    generator's dephasing rate: it reads only the Hamiltonian's sector
+    eigensystems. It is
     certified coarse to fine (`_exact_population_curve`): the points it
     skips lie provably more than 1e-12 below the maximum, so the wait is
     the full grid scan's.
@@ -318,13 +325,7 @@ def optimize_waiting_time(
     best = curve.max()
     index = int(np.argmax(curve >= best - _TIE_TOL))
     p1 = min(max(float(curve[index]), 0.0), 1.0)
-    p0 = 1.0 - p1
-    if p1 < p0:
-        raise PopulationInversionError(
-            f"end spin is population-inverted (p1 = {p1:.6g}) at the "
-            f"optimal waiting time; the probe is hotter than infinite "
-            f"temperature")
-    beta = math.inf if p0 <= 0.0 else math.log(p1 / p0)
+    beta = _beta_of_populations(1.0 - p1, p1)
     return float(jgrid[index]), TemperatureRecord(beta)
 
 
@@ -368,16 +369,19 @@ def _prepend_site(rest: QuantumState | None, label: int,
 
 
 def _efficiency(bath_beta: float, out_beta: float) -> float:
-    """eta = 1 - bath/out, with the stationary and pure-output edges fixed.
+    """eta = 1 - bath/out, with the edge cases fixed.
 
     An emission within a relative _TIE_TOL of the bath is stationary: eta
     is exactly 0 rather than the sign of the last rounding bit. (Scaling by
     the finite out_beta keeps a pure bath, bath_beta = inf, out of the tie.)
+    Any other emission at out_beta = 0 is the limit -inf.
     """
     if math.isinf(out_beta):
         return 0.0 if math.isinf(bath_beta) else 1.0
     if abs(out_beta - bath_beta) <= _TIE_TOL * out_beta:
         return 0.0
+    if out_beta == 0.0:
+        return -math.inf
     return 1.0 - bath_beta / out_beta
 
 
@@ -387,7 +391,6 @@ def cool_step(
     gen: LindbladGenerator,
     swap: SwapSpec,
     tau: float,
-    cfg: IntegratorConfig | None = None,
     *,
     coupling: float = 1.0,
     _window: list[np.ndarray] | LindbladGenerator | None = None,
@@ -405,7 +408,10 @@ def cool_step(
     the probe's sectors if coherent, else by `evolve_exact` of the joint
     blocks p0 rho_L (+) p1 rho_{L-1}; both are read as the two partial
     traces. The next probe's sector spectra give its entropy and distance.
-    `_window` is a run's window: those unitaries, or a dephased generator.
+    A dephased wait integrates by RKF45 at `IntegratorConfig()`. A window
+    with `window_dephasing_rate` None takes `gen`'s rate, as in
+    `run_protocol`. `_window` is a run's window: those unitaries, or a
+    dephased generator.
     """
     if not (math.isfinite(tau) and tau >= 0):
         raise DomainError(f"waiting time must be finite and >= 0, got {tau}")
@@ -417,7 +423,7 @@ def cool_step(
         if gen.dephasing_rate == 0:
             waited = evolve_exact(probe, gen, tau)
         else:
-            waited = evolve(probe, gen, tau, cfg)
+            waited = evolve(probe, gen, tau)
     else:
         waited = probe
     labels = probe.register.labels
@@ -435,7 +441,8 @@ def cool_step(
     else:
         # Joint sector L lists its qubit-|0> states first (site 0 is the most
         # significant bit); `kept` holds its |0>/|1> quadrants, cut at C(N, L).
-        window = _window or _window_route(swap, SpinRegister((0,) + labels))
+        window = _window or _window_route(_resolve_swap(
+            swap, gen.dephasing_rate), SpinRegister((0,) + labels))
         rho, empty = waited.blocks, np.zeros((0, 0))
         if isinstance(window, LindbladGenerator):
             joint = evolve_exact(_prepend_site(waited, 0, bath_beta_tilde),
@@ -485,13 +492,14 @@ def _probe_diagnostics(spectra: list[np.ndarray], bath_beta_tilde: float
 # full runs
 # --------------------------------------------------------------------------
 
-def _resolve_swap(spec: SwapSpec, cfg: ProtocolConfig, chain: SpinNetwork
-                  ) -> SwapSpec:
-    """Fill a partial SwapSpec's open slots from the protocol config."""
+def _resolve_swap(spec: SwapSpec, rate: float,
+                  chain: SpinNetwork | None = None) -> SwapSpec:
+    """Fill a partial SwapSpec's open slots: an unset window dephasing
+    rate becomes `rate`, an unset background `chain`."""
     if spec.mode != "partial":
         return spec
     return replace(spec, probe_background=spec.probe_background or chain,
-                   window_dephasing_rate=cfg.dephasing_rate
+                   window_dephasing_rate=rate
                    if spec.window_dephasing_rate is None
                    else spec.window_dephasing_rate)
 
@@ -519,7 +527,7 @@ def run_protocol(cfg: ProtocolConfig,
     n = cfg.probe_size
     net = SpinNetwork.uniform_chain(n, cfg.coupling)
     gen = LindbladGenerator.from_network(net, cfg.dephasing_rate)
-    swap = _resolve_swap(cfg.swap, cfg, net)
+    swap = _resolve_swap(cfg.swap, cfg.dephasing_rate, net)
     window = _window_route(swap, SpinRegister.with_qubit(n))
 
     if initial_probe is None:
@@ -531,7 +539,7 @@ def run_protocol(cfg: ProtocolConfig,
     initial_entropy, initial_distance = _probe_diagnostics(
         [np.linalg.eigvalsh(b) for b in probe.blocks], cfg.bath_beta_tilde)
 
-    grid = default_grid(n, cfg.grid_spacing)
+    grid = default_grid(n)
     records = []
     for k in range(1, cfg.steps + 1):
         predicted = None
@@ -544,7 +552,7 @@ def run_protocol(cfg: ProtocolConfig,
             jtau = cfg.fixed_jtau
         probe, _, record = cool_step(
             probe, cfg.bath_beta_tilde, gen, swap, jtau / cfg.coupling,
-            cfg.integrator, coupling=cfg.coupling, _window=window)
+            coupling=cfg.coupling, _window=window)
         records.append(replace(record, index=k, predicted=predicted,
                                at_grid_edge=predicted is not None
                                and bool(jtau == grid[-1])))
@@ -654,7 +662,6 @@ class ThermometryResult:
     beta_tilde: float
     stderr: float
     record: TemperatureRecord | None
-    shots_per_site: int | None
     excited_count: float
     ground_count: float
     boundary: bool
@@ -705,7 +712,6 @@ def estimate_temperature(probe: QuantumState,
         beta_tilde=beta,
         stderr=stderr,
         record=record,
-        shots_per_site=shots_per_site,
         excited_count=n1,
         ground_count=n0,
         boundary=boundary,

@@ -397,14 +397,20 @@ def temperature_of(qubit: QuantumState) -> TemperatureRecord:
     for p in (p0, p1):
         if p < EIGENVALUE_FLOOR:
             raise InvalidStateError(f"population {p:.3e} below floor")
+    return TemperatureRecord(_beta_of_populations(p0, p1))
+
+
+def _beta_of_populations(p0: float, p1: float) -> float:
+    """beta_tilde = ln(p1/p0) of populations clamped at 0; p1 may fall
+    below p0 by 1e-12 of round-off, which reads as 0."""
     p0, p1 = max(p0, 0.0), max(p1, 0.0)
     if p1 < p0 - 1e-12:
         raise PopulationInversionError(
             f"population inversion: p1 = {p1!r} < p0 = {p0!r}"
         )
     if p0 <= 0.0:
-        return TemperatureRecord(math.inf)
-    return TemperatureRecord(max(math.log(p1 / p0), 0.0))
+        return math.inf
+    return max(math.log(p1 / p0), 0.0)
 
 
 # --------------------------------------------------------------------------

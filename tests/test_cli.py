@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import spinfridge
-from spinfridge import IntegrationError, OracleResult, __version__
+from spinfridge import (IntegrationError, OracleResult, __version__,
+                        thermal_product_state)
 from spinfridge.cli import main
 
 
@@ -78,16 +81,19 @@ class TestManifestValidation:
         assert "stepz" in capsys.readouterr().err
 
     def test_unknown_integrator_field(self, tmp_path, capsys):
+        # The protocol has no integrator settings: its dephased waits run at
+        # the integrator's defaults, so the section is an unknown field.
         manifest = write_manifest(
-            tmp_path / "m.json", kind="cool", out=str(tmp_path),
+            tmp_path / "m.json", kind="cool", out=str(tmp_path / "out"),
             config={"probe_sizes": [2], "bath_beta_tilde": 0.2, "steps": 1,
-                    "integrator": {"dense_grid_spacing": 0.01}})
+                    "integrator": {"rel_tol": 1e-9}})
         assert main(["cool", "--manifest", str(manifest)]) == 2
-        assert "dense_grid_spacing" in capsys.readouterr().err
+        assert "'integrator'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("extra, field", [
-        ({"integrator": {"rel_tol": math.nan}}, "rel_tol"),
-        ({"integrator": {"max_step": math.inf}}, "max_step"),
+        ({"grid_spacing": 0.01}, "grid_spacing"),
+        ({"bath_beta_tilde": 1e-16}, "too hot"),
         ({"dephasing_rate": math.nan}, "dephasing rate"),
         ({"swap": {"mode": "partial", "interaction_strength": 5.0,
                    "window_dephasing_rate": math.inf}}, "window dephasing"),
@@ -99,10 +105,11 @@ class TestManifestValidation:
     def test_bad_values_rejected_before_running(self, tmp_path, capsys,
                                                 extra, field):
         # Python's json reads NaN and Infinity. Each value must fail
-        # validation: a NaN tolerance would spin the integrator toward its
-        # step budget, a non-finite rate would fail only at run time, and
-        # bool("false") is True. Waits always come from the coherent scan,
-        # so there is no switch to a dissipative one.
+        # validation: a non-finite rate would fail only at run time, a bath
+        # whose populations round to 1/2 has no temperature to cool
+        # towards, and bool("false") is True. Waits always come from the
+        # coherent scan over a fixed grid, so there is neither a switch to a
+        # dissipative scan nor a grid spacing.
         manifest = write_manifest(
             tmp_path / "m.json", kind="cool", out=str(tmp_path),
             config={"probe_sizes": [2], "bath_beta_tilde": 0.2, "steps": 1,
@@ -167,7 +174,8 @@ class TestManifestFieldKinds:
         ("cool", {"probe_beta_tildes": [True, 0.2]}, "probe_beta_tildes[0]"),
         ("cool", {"tau_schedule": ["x"], "waiting_policy": "schedule"},
          "tau_schedule[0]"),
-        ("cool", {"integrator": {"rel_tol": "1e-9"}}, "rel_tol"),
+        ("cool", {"fixed_jtau": "1", "waiting_policy": "fixed"},
+         "fixed_jtau"),
         ("cool", {"swap": {"mode": "partial", "interaction_strength": "5"}},
          "interaction_strength"),
         ("nv-coupling",
@@ -381,10 +389,12 @@ class TestSweeps:
                                        dephasing_rates=[0.1, 0.1])
         assert main(["sweep", "--manifest", str(manifest)]) == 2
 
-    def test_threads_env_must_be_integer(self, tmp_path, monkeypatch):
+    def test_threads_env_is_not_read(self, tmp_path, monkeypatch):
+        # --threads (default 1) is the only way to size the pool.
         monkeypatch.setenv("SPINFRIDGE_THREADS", "many")
         manifest = self.sweep_manifest(tmp_path, dephasing_rates=[0.0])
-        assert main(["sweep", "--manifest", str(manifest)]) == 2
+        assert main(["sweep", "--manifest", str(manifest)]) == 0
+        assert (tmp_path / "out" / "fig4.csv").exists()
 
 
 class TestIntegrationFailure:
@@ -547,6 +557,48 @@ class TestVerify:
         monkeypatch.setattr(cli, "run_all_oracles", spy)
         assert main(["verify", "--out", str(tmp_path), "--seed", "123"]) == 0
         assert seen["seed"] == 123
+
+
+def readme_manifests() -> list[dict]:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return [json.loads(block) for block in re.findall(
+        r"```json\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)]
+
+
+class TestReadmeManifests:
+    ARTIFACTS = {"cool": ["fig2a.csv", "fig3.csv"], "sweep": ["fig4.csv"],
+                 "thermometry": ["thermometry.csv"],
+                 "nv-coupling": ["nv_couplings.csv", "nv_summary.json"]}
+
+    def test_examples_pass_validation_and_run(self, tmp_path, monkeypatch):
+        # Every example manifest in README.md must be accepted and write its
+        # artifacts. The protocol is stubbed out, as in TestIntegrationFailure,
+        # so the N = 10 examples cost nothing; nv-coupling runs for real.
+        import spinfridge.cli as cli
+        runs = []
+
+        def stub_run(cfg, initial_probe=None):
+            runs.append(cfg)
+            return SimpleNamespace(
+                records=(), initial_distance=0.0,
+                cumulative_entropy_drop=np.zeros(0),
+                final_probe=thermal_product_state(cfg.probe_beta_tildes))
+
+        monkeypatch.setattr(cli, "run_protocol", stub_run)
+        monkeypatch.setattr(cli, "ideal_waiting_schedule",
+                            lambda cfg: (1.0,) * cfg.steps)
+        manifests = readme_manifests()
+        assert sorted(m["kind"] for m in manifests) == sorted(self.ARTIFACTS)
+        for i, manifest in enumerate(manifests):
+            kind, out = manifest["kind"], tmp_path / f"out{i}"
+            path = tmp_path / f"m{i}.json"
+            path.write_text(json.dumps(manifest), encoding="utf-8")
+            runs.clear()
+            assert main([kind, "--manifest", str(path), "--out", str(out)]) \
+                == 0, kind
+            for name in self.ARTIFACTS[kind]:
+                assert (out / name).exists()
+            assert bool(runs) == (kind != "nv-coupling")
 
 
 class TestRuntimeDependencies:

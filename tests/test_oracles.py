@@ -135,6 +135,19 @@ class TestExactRoute:
         assert not oracle_majorization(trials=10, max_sites=6, seed=11,
                                        negative_control=True)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_empty_runs_rejected(self, trials):
+        # An empty run would pass with min_margin = inf, which to_json
+        # writes as the invalid JSON token Infinity.
+        with pytest.raises(DomainError, match="trials"):
+            oracle_always_cools(trials=trials)
+        with pytest.raises(DomainError, match="trials"):
+            oracle_majorization(trials=trials)
+
+    def test_no_reports_rejected(self):
+        with pytest.raises(DomainError, match="report"):
+            oracle_entropy_bounds(reports=[])
+
     @pytest.mark.parametrize("max_sites", [1, 0, -3])
     def test_fewer_than_two_sites_rejected(self, max_sites):
         with pytest.raises(DomainError, match="max_sites"):

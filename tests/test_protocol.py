@@ -111,7 +111,7 @@ class TestProtocolConfig:
         {"probe_size": 2, "bath_beta_tilde": 0.2, "dephasing_rate": math.inf},
         {"probe_size": 2, "bath_beta_tilde": 0.2, "steps": -1},
         {"probe_size": 2, "bath_beta_tilde": 0.2, "waiting_policy": "random"},
-        {"probe_size": 2, "bath_beta_tilde": 0.2, "grid_spacing": 3.0},
+        {"probe_size": 2, "bath_beta_tilde": 0.2, "fixed_jtau": math.nan},
         {"probe_size": 2, "bath_beta_tilde": 0.2,
          "probe_beta_tildes": (0.9,)},
         {"probe_size": 2, "bath_beta_tilde": 0.2,
@@ -444,6 +444,24 @@ class TestCoolStep:
         with pytest.raises(DomainError, match="coupling"):
             cool_step(probe, 0.2, chain_generator(3), SwapSpec.perfect(),
                       0.5, coupling=coupling)
+
+    def test_unset_window_rate_is_the_generators(self):
+        # A window with no rate of its own dephases at the waits' rate,
+        # whether the round is called directly or by run_protocol.
+        n, chain = 3, SpinNetwork.uniform_chain(3, 1.0)
+        probe = thermal_product_state([2.0] * n)
+        _, _, direct = cool_step(
+            probe, 0.2, chain_generator(n, 0.5),
+            SwapSpec.partial(5.0, probe_background=chain), 0.7)
+        report = run_protocol(ProtocolConfig(
+            n, 0.2, dephasing_rate=0.5, probe_beta_tildes=(2.0,) * n,
+            swap=SwapSpec.partial(5.0), steps=1, waiting_policy="fixed",
+            fixed_jtau=0.7))
+        run = report.records[0]
+        assert direct.eta == run.eta == 0.8924214093055566
+        assert direct.probe_entropy == run.probe_entropy
+        assert direct.distance_to_pseudothermal \
+            == run.distance_to_pseudothermal
 
     @pytest.mark.parametrize("dense", [False, True])
     @pytest.mark.parametrize("gamma", [0.0, 0.3])
@@ -855,6 +873,32 @@ class TestRunProtocol:
         report = run_protocol(ProtocolConfig(3, bath, steps=3, **kw))
         assert all(r.eta == 1.0 for r in report.records)
         assert entropy_accounting(report).passed
+
+    @pytest.mark.parametrize("bath", [1e-16, 2e-16, 3e-16])
+    def test_bath_rounding_to_one_half_rejected(self, bath):
+        # thermal_populations(bath) is exactly (1/2, 1/2): no temperature.
+        with pytest.raises(DomainError, match="too hot"):
+            ProtocolConfig(2, bath)
+
+    @pytest.mark.parametrize("policy", ["optimized", "fixed"])
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("bath", [5e-16, 1e-15])
+    def test_probe_at_a_barely_resolved_bath_runs(self, bath, n, policy):
+        # Populations a few ulps from 1/2 read beta_tilde = 0 within the
+        # 1e-12 inversion slack, in the scan as in the emitted qubit, and
+        # an emission at beta_tilde = 0 has eta = -inf, not a division by
+        # zero. eta itself is not resolved here (see README, Conventions).
+        report = run_protocol(ProtocolConfig(
+            n, bath, probe_beta_tildes=(bath,) * n, steps=2,
+            waiting_policy=policy))
+        assert len(report.records) == 2
+        assert not any(math.isnan(r.eta) for r in report.records)
+
+    def test_emission_at_infinite_temperature(self):
+        # eta = 1 - bath/out tends to -inf as out -> 0; a stationary
+        # emission at beta_tilde = 0 stays exactly 0.
+        assert protocol._efficiency(0.2, 0.0) == -math.inf
+        assert protocol._efficiency(0.0, 0.0) == 0.0
 
     def test_partial_swap_run(self):
         report = run_protocol(ProtocolConfig(
