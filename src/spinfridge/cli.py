@@ -145,15 +145,16 @@ def _checked_seed(value, name: str) -> int:
 
 
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
-               bool: "true or false", list: "a list", dict: "an object"}
+               list: "a list", dict: "an object"}
 
 
 def _checked(value, kind: type, name: str):
     """`value` if it is of the manifest `kind`, else a ManifestError naming
-    `name`. A JSON boolean is neither an integer nor a number; a number
-    field takes any other number a float can hold and returns a float."""
+    `name`. No field takes a JSON boolean, which is neither an integer nor
+    a number; a number field takes any other number a float can hold and
+    returns a float."""
     number = kind is float and isinstance(value, int)
-    if isinstance(value, bool) != (kind is bool) \
+    if isinstance(value, bool) \
             or not (number or isinstance(value, kind)) \
             or number and abs(value) > sys.float_info.max:
         raise ManifestError(
@@ -195,14 +196,11 @@ def _swap_from_manifest(entry: dict | None) -> SwapSpec:
             return SwapSpec.perfect()
         if mode == "partial":
             strength = _take(entry, "interaction_strength", float)
-            rate = _take(entry, "window_dephasing_rate", float, nullable=True)
-            dephase_qubit = _take(entry, "dephase_qubit", bool, False)
             _reject_unknown(entry, "swap")
             if strength is None:
                 raise ManifestError(
                     "swap mode 'partial' requires 'interaction_strength'")
-            return SwapSpec.partial(strength, window_dephasing_rate=rate,
-                                    dephase_qubit=dephase_qubit)
+            return SwapSpec.partial(strength)
     except SpinFridgeError as exc:
         raise ManifestError(f"invalid 'swap' section: {exc}") from exc
     raise ManifestError(f"unknown swap mode {mode!r}")
@@ -318,6 +316,8 @@ def _sweep_point(args: tuple) -> list[list]:
 
 
 def _run_sweep(manifest: Manifest, out: Path, seed: int, threads: int) -> int:
+    if threads < 0:
+        raise ManifestError("--threads must be >= 0")
     cfg = manifest.config()
     gammas = _take_list(cfg, "dephasing_rates", float)
     strengths = _take_list(cfg, "swap_strengths", float)
@@ -546,9 +546,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (overrides the manifest)")
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (overrides the manifest)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="parallel workers for sweeps; 0 = auto "
-                            "(default: 1)")
+        if kind == "sweep":
+            p.add_argument("--threads", type=int, default=1,
+                           help="parallel workers; 0 = auto (default: 1)")
         p.add_argument("--verbose", action="store_true",
                        help="log progress to stderr")
     return parser
@@ -577,8 +577,6 @@ def main(argv=None) -> int:
             else _checked_seed(args.seed, "--seed")
         out = Path(args.out if args.out is not None
                    else (manifest.out_dir or "."))
-        if args.threads < 0:
-            raise ManifestError("--threads must be >= 0")
 
         if args.kind == "cool":
             return _run_cool(manifest, out, seed)

@@ -139,19 +139,20 @@ class LindbladGenerator:
     an Observable gathers its blocks and rejects a Hamiltonian that mixes
     sectors, since every guarantee the package checks assumes z-conservation.
 
-    `dephasing_sites` restricts the dissipator to a subset of site labels
-    (None = every site); the protocol uses that to keep the external qubit
-    coherent during swap windows unless asked otherwise.
+    Every site dephases except label 0, the thermal qubit (see
+    registers.py), which stays coherent during a swap window. `network` is
+    the SpinNetwork a generator was built from (None for a dense
+    Hamiltonian); a partial swap's window is that network plus the
+    qubit-target hop, at the same rate (`window_generator`).
 
     Instances are immutable by convention and cache their eigendecompositions
     and scan arrays, so reuse the same generator across protocol steps. The
     cache keeps one entry per kind (`_memo`), each reading H alone, and the
     dephased route's data one entry per coherence block (`_pair_dephasing`);
-    both belong to this generator, so keys carry neither rate nor sites.
+    both belong to this generator, so keys carry no rate.
     """
 
-    def __init__(self, hamiltonian: Observable, dephasing_rate: float = 0.0,
-                 dephasing_sites: tuple[int, ...] | None = None):
+    def __init__(self, hamiltonian: Observable, dephasing_rate: float = 0.0):
         reg = hamiltonian.register
         leak = sectors.max_intersector_coherence(hamiltonian.matrix, reg.count)
         if leak > INTERSECTOR_TOL:
@@ -159,34 +160,28 @@ class LindbladGenerator:
                 f"Hamiltonian does not conserve total spin-z: max "
                 f"inter-sector |H| = {leak:.3e}")
         self._setup(reg, sectors.gather_blocks(hamiltonian.matrix, reg.count),
-                    dephasing_rate, dephasing_sites)
+                    dephasing_rate, None)
 
     def _setup(self, register: SpinRegister, blocks: list[np.ndarray],
-               dephasing_rate: float, dephasing_sites) -> None:
+               dephasing_rate: float, network: SpinNetwork | None) -> None:
         if not math.isfinite(dephasing_rate) or dephasing_rate < 0:
             raise DomainError(f"dephasing rate must be >= 0, got {dephasing_rate}")
         self.register = register
         self.dephasing_rate = float(dephasing_rate)
-        if dephasing_sites is not None:
-            dephasing_sites = tuple(sorted(dephasing_sites))
-            for s in dephasing_sites:
-                if s not in register.labels:
-                    raise DomainError(f"dephasing site {s} not in register")
-        self.dephasing_sites = dephasing_sites
+        self.network = network
         self._blocks = [b if np.imag(b).any() else np.ascontiguousarray(b.real)
                         for b in blocks]
         self._cache: dict = {}
         self._pairs: dict = {}
 
     @classmethod
-    def from_network(cls, net: SpinNetwork, dephasing_rate: float = 0.0,
-                     dephasing_sites: tuple[int, ...] | None = None
+    def from_network(cls, net: SpinNetwork, dephasing_rate: float = 0.0
                      ) -> "LindbladGenerator":
         """Build from the network's sector blocks (exact z-conservation by
-        construction, no dense matrix)."""
+        construction, no dense matrix), keeping `net`."""
         gen = cls.__new__(cls)
         gen._setup(net.register, blocked_xxz_hamiltonian(net), dephasing_rate,
-                   dephasing_sites)
+                   net)
         return gen
 
     @property
@@ -210,11 +205,10 @@ class LindbladGenerator:
     def _dephasing(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Gamma (W - n), the dissipator's Hadamard factor between the bases
         whose per-site spin signs are the rows of `rows` and of `cols`:
-        W = s_rows s_cols^T over the n dephased sites."""
-        if self.dephasing_sites is not None:
-            labels = self.register.labels
-            keep = [labels.index(s) for s in self.dephasing_sites]
-            rows, cols = rows[:, keep], cols[:, keep]
+        W = s_rows s_cols^T over the n dephased sites: all but label 0,
+        whose signs are column 0 when it is present."""
+        if self.register.labels[0] == 0:
+            rows, cols = rows[:, 1:], cols[:, 1:]
         return self.dephasing_rate * (rows @ cols.T - rows.shape[1])
 
     def _pair_dephasing(self, l: int, m: int) -> tuple[np.ndarray, float, float]:
@@ -275,7 +269,7 @@ def _dense_rhs(gen: LindbladGenerator) -> Callable[[float, np.ndarray], np.ndarr
 def _block_rhs(gen: LindbladGenerator, h_l: np.ndarray, signs: np.ndarray
                ) -> Callable[[float, np.ndarray], np.ndarray]:
     """-i [H_l, y] + Gamma (W - n) o y on the basis whose per-site spin signs
-    are the rows of `signs`, with `gen`'s rate and dephased sites. A real H_l
+    are the rows of `signs`, with `gen`'s rate. A real H_l
     (every XXZ network) multiplies y's float view: half a complex product.
     The result is a buffer the next call overwrites (`rkf45` copies it)."""
     h_re, h_im = (np.ascontiguousarray(part) for part in (h_l.real, h_l.imag))
@@ -314,14 +308,14 @@ def _repair_positivity(blocks: list[np.ndarray], cfg: IntegratorConfig,
     past 1e-9) mean the integration itself went wrong and raise.
     """
     budget = 100.0 * (cfg.abs_tol + cfg.rel_tol)
-    total = sum(float(np.trace(b).real) for b in blocks if b.size)
+    total = sum(float(np.trace(b).real) for b in blocks)
     if abs(total - 1.0) > _TRACE_DRIFT_TOL:
         raise IntegrationError(
             f"trace drifted to {total!r} during integration",
             t=duration, step=math.nan, ratio=abs(total - 1.0))
     repaired = []
     for block in blocks:
-        if not block.size or not block.any():
+        if not block.any():
             repaired.append(block)
             continue
         vals, vecs = np.linalg.eigh(0.5 * (block + block.conj().T))
@@ -333,7 +327,7 @@ def _repair_positivity(blocks: list[np.ndarray], cfg: IntegratorConfig,
         if dip < 0.0:
             block = (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
         repaired.append(block)
-    norm = sum(float(np.trace(b).real) for b in repaired if b.size)
+    norm = sum(float(np.trace(b).real) for b in repaired)
     return [b / norm for b in repaired]
 
 
@@ -545,9 +539,6 @@ def perfect_swap(state: QuantumState, i: int, j: int) -> QuantumState:
         positions = sectors.sector_positions(n)
         out = []
         for l, block in enumerate(state.blocks):
-            if not block.size:
-                out.append(block.copy())
-                continue
             basis = sectors.sector_bases(n)[l]
             swapped = _swap_bits(basis, bi, bj)
             perm = positions[swapped]
@@ -571,25 +562,14 @@ class SwapSpec:
     mode "perfect": instantaneous SWAP.
     mode "partial": a rectangular window of Heisenberg coupling of strength
     J_I between qubit (site 0) and target (site 1), lasting pi/(4 J_I) --
-    exactly a SWAP up to phases when nothing else acts. `probe_background`
-    is the probe's own spin network (sites 1..N), which keeps acting during
-    the window (None means no background); the window generator is built
-    from the qubit-target hop plus that network, sector by sector, like
-    every other generator. `window_dephasing_rate` applies per-site
-    dephasing during the window to every probe site, and to the qubit as
-    well only if `dephase_qubit` is set; None means "inherit the ambient
-    rate": a round (`cool_step`, `run_protocol`) takes its waits' dephasing
-    rate, and `partial_swap`, which has no round, reads it as zero. At
-    rate zero `cool_step` applies the window to the probe alone, through
-    its Kraus blocks <q'|W|q>; above it, `evolve_exact` advances the joint
-    sector blocks.
+    exactly a SWAP up to phases when nothing else acts. The probe keeps
+    evolving under its own generator during the window: its couplings act
+    and its sites dephase at its rate, the qubit does not
+    (`window_generator`). So J_I is the only setting of a window.
     """
 
     mode: str
     interaction_strength: float | None = None
-    probe_background: SpinNetwork | None = None
-    window_dephasing_rate: float | None = None
-    dephase_qubit: bool = False
 
     def __post_init__(self):
         if self.mode not in ("perfect", "partial"):
@@ -598,18 +578,14 @@ class SwapSpec:
             j = self.interaction_strength
             if j is None or not math.isfinite(j) or j <= 0:
                 raise DomainError(f"partial swap needs J_I > 0, got {j}")
-        rate = self.window_dephasing_rate
-        if rate is not None and not (math.isfinite(rate) and rate >= 0):
-            raise DomainError(
-                f"window dephasing rate must be finite and >= 0, got {rate}")
 
     @classmethod
     def perfect(cls) -> "SwapSpec":
         return cls(mode="perfect")
 
     @classmethod
-    def partial(cls, interaction_strength: float, **kw) -> "SwapSpec":
-        return cls(mode="partial", interaction_strength=interaction_strength, **kw)
+    def partial(cls, interaction_strength: float) -> "SwapSpec":
+        return cls(mode="partial", interaction_strength=interaction_strength)
 
     @property
     def window_duration(self) -> float:
@@ -618,38 +594,37 @@ class SwapSpec:
         return math.pi / (4.0 * self.interaction_strength)
 
 
-def window_generator(joint_register: SpinRegister, spec: SwapSpec
-                     ) -> LindbladGenerator:
-    """The Lindblad generator active during a partial-swap window: the
-    qubit-target hop J_I sigma_0 . sigma_1 followed by the probe background's
-    couplings, on the joint register."""
+def window_generator(probe: SpinNetwork | None, dephasing_rate: float,
+                     spec: SwapSpec) -> LindbladGenerator:
+    """The Lindblad generator active during a partial-swap window, on the
+    joint register (0,) + the probe's labels: the qubit-target hop
+    J_I sigma_0 . sigma_1 followed by the probe network's couplings,
+    dephased at `dephasing_rate` on every site but the qubit. `probe` and
+    the rate are a probe generator's `network` and `dephasing_rate`; a
+    generator built from a dense Hamiltonian has no network (None), and
+    its partial swap raises."""
     if spec.mode != "partial":
         raise DomainError("window generator only exists for partial swaps")
-    labels = joint_register.labels
-    if labels[0] != 0 or 1 not in labels:
-        raise DomainError("joint register must contain the qubit site 0 and "
-                          "target site 1")
-    couplings = {(0, 1): spec.interaction_strength}
-    anisotropies = {(0, 1): 1.0}
-    background = spec.probe_background
-    if background is not None:
-        if background.register.labels != labels[1:]:
-            raise DomainError(
-                f"probe background register {background.register.labels} "
-                f"does not match probe sites {labels[1:]}")
-        couplings.update(background.couplings)
-        anisotropies.update(background.anisotropies)
-    sites = None if spec.dephase_qubit else labels[1:]
-    return LindbladGenerator.from_network(
-        SpinNetwork(joint_register, couplings, anisotropies),
-        spec.window_dephasing_rate or 0.0, dephasing_sites=sites)
+    if probe is None:
+        raise DomainError("a partial swap needs the probe's SpinNetwork: "
+                          "build its generator with from_network")
+    labels = probe.register.labels
+    if labels[0] == 0 or 1 not in labels:
+        raise DomainError(f"probe sites {labels} must hold the target site 1 "
+                          f"and leave site 0 to the qubit")
+    return LindbladGenerator.from_network(SpinNetwork(
+        SpinRegister((0,) + labels),
+        {(0, 1): spec.interaction_strength, **probe.couplings},
+        {(0, 1): 1.0, **probe.anisotropies}), dephasing_rate)
 
 
-def partial_swap(joint_state: QuantumState, spec: SwapSpec) -> QuantumState:
-    """Finite-duration swap: evolve qubit+probe exactly under the window
-    generator for pi/(4 J_I). Site 0 must be the qubit, site 1 the target."""
-    gen = window_generator(joint_state.register, spec)
-    return evolve_exact(joint_state, gen, spec.window_duration)
+def partial_swap(joint_state: QuantumState, gen: LindbladGenerator,
+                 spec: SwapSpec) -> QuantumState:
+    """Finite-duration swap: evolve qubit+probe exactly for pi/(4 J_I)
+    under the window of the probe generator `gen` (`window_generator`).
+    Site 0 must be the qubit, site 1 the target."""
+    window = window_generator(gen.network, gen.dephasing_rate, spec)
+    return evolve_exact(joint_state, window, spec.window_duration)
 
 
 # --------------------------------------------------------------------------

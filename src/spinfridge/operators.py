@@ -38,7 +38,7 @@ class Observable:
                 f"matrix shape {m.shape} does not match register dimension "
                 f"{self.register.dim}"
             )
-        dev = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
+        dev = float(np.abs(m - m.conj().T).max())
         if dev > HERMITICITY_TOL:
             raise DomainError(f"not Hermitian: max deviation {dev:.3e}")
         m = m.copy()

@@ -123,23 +123,32 @@ def _wait_then_swap(net: SpinNetwork, gamma: float, j_i: float | None = None
                     ) -> Callable[[QuantumState, float], QuantumState]:
     """(joint, tau) -> the joint state after waiting tau under `net`'s
     couplings on qubit + probe, the probe sites dephased at `gamma`, then a
-    perfect swap (`j_i` None) or a J_I window with `net` as background and
-    the same dephasing. Both propagate exactly through `evolve_exact`."""
+    perfect swap (`j_i` None) or the J_I window of the probe generator
+    (`net`, `gamma`). Both propagate exactly through `evolve_exact`."""
     joint_reg = SpinRegister.with_qubit(net.register.count)
     wait_gen = LindbladGenerator.from_network(
-        SpinNetwork(joint_reg, net.couplings, net.anisotropies), gamma,
-        dephasing_sites=net.register.labels)
+        SpinNetwork(joint_reg, net.couplings, net.anisotropies), gamma)
     if j_i is None:
         def swap(s):
             return perfect_swap(s, 0, 1)
     else:
-        spec = SwapSpec.partial(j_i, probe_background=net,
-                                window_dephasing_rate=gamma)
-        window = window_generator(joint_reg, spec)
+        spec = SwapSpec.partial(j_i)
+        window = window_generator(net, gamma, spec)
 
         def swap(s):
             return evolve_exact(s, window, spec.window_duration)
     return lambda joint, tau: swap(evolve_exact(joint, wait_gen, tau))
+
+
+def _random_network(rng: np.random.Generator, reg: SpinRegister
+                    ) -> SpinNetwork:
+    """Couplings uniform in [-1, 1] on every pair of `reg`, then
+    anisotropies uniform in [0, 2]."""
+    labels = reg.labels
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
+    couplings = {p: float(rng.uniform(-1.0, 1.0)) for p in pairs}
+    return SpinNetwork(reg, couplings,
+                       {p: float(rng.uniform(0.0, 2.0)) for p in pairs})
 
 
 def random_channel_sample(rng: np.random.Generator, probe_size: int,
@@ -152,24 +161,22 @@ def random_channel_sample(rng: np.random.Generator, probe_size: int,
     both edge regimes always appear across a batch. The wait and the swap
     window both propagate exactly through `evolve_exact`.
     """
-    reg = SpinRegister.of_size(probe_size)
-    labels = reg.labels
-    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
-    couplings = {p: float(rng.uniform(-1.0, 1.0)) for p in pairs}
-    deltas = {p: float(rng.uniform(0.0, 2.0)) for p in pairs}
+    net = _random_network(rng, SpinRegister.of_size(probe_size))
     draw = rng.random()
     gamma = 0.0 if draw < 0.25 else (1.0 if draw < 0.5 else
                                      float(rng.uniform(0.0, 1.0)))
     tau = float(rng.uniform(0.0, probe_size))
     j_i = None if rng.random() < 0.5 else \
         float(math.exp(rng.uniform(math.log(0.5), math.log(100.0))))
-    channel = _wait_then_swap(SpinNetwork(reg, couplings, deltas), gamma, j_i)
+    channel = _wait_then_swap(net, gamma, j_i)
     joint_reg = SpinRegister.with_qubit(probe_size)
     sample = ChannelSample(
         params={
             "probe_size": probe_size,
-            "couplings": {f"{a},{b}": j for (a, b), j in couplings.items()},
-            "anisotropies": {f"{a},{b}": d for (a, b), d in deltas.items()},
+            "couplings": {f"{a},{b}": j
+                          for (a, b), j in net.couplings.items()},
+            "anisotropies": {f"{a},{b}": d
+                             for (a, b), d in net.anisotropies.items()},
             "gamma": gamma,
             "tau": tau,
             "swap": "perfect" if j_i is None else f"partial J_I={j_i:.4g}",
@@ -422,10 +429,8 @@ class SectorSpectrum:
     def from_state(cls, state: QuantumState) -> "SectorSpectrum":
         spectra = []
         for block in state.blocks:
-            s = np.sort(np.linalg.eigvalsh(block))[::-1] if block.size \
-                else np.zeros(0)
-            if s.size and (s[-1] < -1e-12 or
-                           abs(np.trace(block).real - s.sum()) > 1e-10):
+            s = np.sort(np.linalg.eigvalsh(block))[::-1]
+            if s[-1] < -1e-12 or abs(np.trace(block).real - s.sum()) > 1e-10:
                 raise DomainError("inconsistent sector spectrum")
             spectra.append(s)
         return cls(tuple(spectra))
@@ -435,7 +440,7 @@ def _majorizes(before: np.ndarray, after: np.ndarray,
                tol: float = _MAJORIZATION_TOL) -> tuple[bool, float]:
     """Partial-sum dominance of two descending-sorted vectors."""
     gaps = np.cumsum(before) - np.cumsum(after)
-    return bool(np.all(gaps >= -tol)), float(gaps.min() if gaps.size else 0.0)
+    return bool(np.all(gaps >= -tol)), float(gaps.min())
 
 
 def _random_blocked_state(rng: np.random.Generator, n: int) -> QuantumState:
@@ -468,14 +473,8 @@ def oracle_majorization(trials: int = 300, max_sites: int = 4,
     for trial in range(trials):
         n = int(rng.integers(2, max_sites + 1))
         state = _random_blocked_state(rng, n)
-        reg = state.register
-        labels = reg.labels
-        pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
-        net = SpinNetwork(
-            reg,
-            {p: float(rng.uniform(-1, 1)) for p in pairs},
-            {p: float(rng.uniform(0, 2)) for p in pairs},
-        )
+        labels = state.register.labels
+        net = _random_network(rng, state.register)
         draw = rng.random()
         gamma = 0.0 if draw < 0.25 else (0.5 if draw < 0.5 else
                                          float(rng.uniform(0, 1)))
@@ -490,8 +489,6 @@ def oracle_majorization(trials: int = 300, max_sites: int = 4,
         before = SectorSpectrum.from_state(state)
         after = SectorSpectrum.from_state(out)
         for l, (b, a) in enumerate(zip(before.spectra, after.spectra)):
-            if not b.size:
-                continue
             ok, worst_gap = _majorizes(b, a)
             if ok and gamma > 0:
                 strict = float((np.cumsum(b) - np.cumsum(a)).max())

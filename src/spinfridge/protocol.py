@@ -393,7 +393,6 @@ def cool_step(
     tau: float,
     *,
     coupling: float = 1.0,
-    _window: list[np.ndarray] | LindbladGenerator | None = None,
 ) -> tuple[QuantumState, QuantumState, StepRecord]:
     """One protocol round: wait tau, attach chi(bath), swap, detach.
 
@@ -408,10 +407,11 @@ def cool_step(
     the probe's sectors if coherent, else by `evolve_exact` of the joint
     blocks p0 rho_L (+) p1 rho_{L-1}; both are read as the two partial
     traces. The next probe's sector spectra give its entropy and distance.
-    A dephased wait integrates by RKF45 at `IntegratorConfig()`. A window
-    with `window_dephasing_rate` None takes `gen`'s rate, as in
-    `run_protocol`. `_window` is a run's window: those unitaries, or a
-    dephased generator.
+    A dephased wait integrates by RKF45 at `IntegratorConfig()`. The window
+    is `gen`'s (`window_generator`: its network and rate, plus the J_I
+    hop), so `gen` must come from `from_network`. What a round reads of it,
+    the unitaries or a dephased window's generator, is kept on `gen` for
+    the next round with the same swap: a direct round is `run_protocol`'s.
     """
     if not (math.isfinite(tau) and tau >= 0):
         raise DomainError(f"waiting time must be finite and >= 0, got {tau}")
@@ -419,6 +419,10 @@ def cool_step(
     if gen.register.labels != probe.register.labels:
         raise DomainError("generator and probe registers do not match")
     probe = sector_decompose(probe)  # raises if inter-sector coherence
+    if swap.mode == "partial":
+        # Built on the first round that needs it, before the wait: the
+        # build's arrays and the waited probe are never held at once.
+        window = gen._memo("window", swap, lambda: _window_route(gen, swap))
     if tau > 0:
         if gen.dephasing_rate == 0:
             waited = evolve_exact(probe, gen, tau)
@@ -441,8 +445,6 @@ def cool_step(
     else:
         # Joint sector L lists its qubit-|0> states first (site 0 is the most
         # significant bit); `kept` holds its |0>/|1> quadrants, cut at C(N, L).
-        window = _window or _window_route(_resolve_swap(
-            swap, gen.dephasing_rate), SpinRegister((0,) + labels))
         rho, empty = waited.blocks, np.zeros((0, 0))
         if isinstance(window, LindbladGenerator):
             joint = evolve_exact(_prepend_site(waited, 0, bath_beta_tilde),
@@ -492,25 +494,11 @@ def _probe_diagnostics(spectra: list[np.ndarray], bath_beta_tilde: float
 # full runs
 # --------------------------------------------------------------------------
 
-def _resolve_swap(spec: SwapSpec, rate: float,
-                  chain: SpinNetwork | None = None) -> SwapSpec:
-    """Fill a partial SwapSpec's open slots: an unset window dephasing
-    rate becomes `rate`, an unset background `chain`."""
-    if spec.mode != "partial":
-        return spec
-    return replace(spec, probe_background=spec.probe_background or chain,
-                   window_dephasing_rate=rate
-                   if spec.window_dephasing_rate is None
-                   else spec.window_dephasing_rate)
-
-
-def _window_route(spec: SwapSpec, joint: SpinRegister
-                  ) -> list[np.ndarray] | LindbladGenerator | None:
-    """What a round reads of the swap window (see `cool_step`): its sector
-    unitaries if coherent, else its generator; None for a perfect swap."""
-    if spec.mode != "partial":
-        return None
-    window = window_generator(joint, spec)
+def _window_route(gen: LindbladGenerator, spec: SwapSpec
+                  ) -> list[np.ndarray] | LindbladGenerator:
+    """What a round reads of `gen`'s swap window (see `cool_step`): its
+    sector unitaries if coherent, else its generator."""
+    window = window_generator(gen.network, gen.dephasing_rate, spec)
     return window if window.dephasing_rate else \
         window.blocked_propagators(spec.window_duration)
 
@@ -525,10 +513,8 @@ def run_protocol(cfg: ProtocolConfig,
     with inter-sector coherence raises `SectorMixingError` before any round.
     """
     n = cfg.probe_size
-    net = SpinNetwork.uniform_chain(n, cfg.coupling)
-    gen = LindbladGenerator.from_network(net, cfg.dephasing_rate)
-    swap = _resolve_swap(cfg.swap, cfg.dephasing_rate, net)
-    window = _window_route(swap, SpinRegister.with_qubit(n))
+    gen = LindbladGenerator.from_network(
+        SpinNetwork.uniform_chain(n, cfg.coupling), cfg.dephasing_rate)
 
     if initial_probe is None:
         probe = thermal_product_state(cfg.probe_beta_tildes)
@@ -551,8 +537,8 @@ def run_protocol(cfg: ProtocolConfig,
         else:
             jtau = cfg.fixed_jtau
         probe, _, record = cool_step(
-            probe, cfg.bath_beta_tilde, gen, swap, jtau / cfg.coupling,
-            coupling=cfg.coupling, _window=window)
+            probe, cfg.bath_beta_tilde, gen, cfg.swap, jtau / cfg.coupling,
+            coupling=cfg.coupling)
         records.append(replace(record, index=k, predicted=predicted,
                                at_grid_edge=predicted is not None
                                and bool(jtau == grid[-1])))

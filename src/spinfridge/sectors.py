@@ -86,7 +86,7 @@ def max_intersector_coherence(matrix: np.ndarray, n: int) -> float:
     counts = popcounts(n)
     same = counts[:, None] == counts[None, :]
     off = np.abs(matrix)[~same]
-    return float(off.max()) if off.size else 0.0
+    return float(off.max())
 
 
 def gather_blocks(matrix: np.ndarray, n: int) -> list[np.ndarray]:

@@ -197,33 +197,25 @@ class QuantumState:
         if self._dense is not None:
             yield self._dense
         else:
-            for b in self._blocks:
-                if b.size:
-                    yield b
+            yield from self._blocks
 
     def _validate(self):
-        herm = max(
-            (float(np.abs(m - m.conj().T).max()) for m in self._iter_matrices()
-             if m.size),
-            default=0.0,
-        )
+        herm = max(float(np.abs(m - m.conj().T).max())
+                   for m in self._iter_matrices())
         if herm > HERMITICITY_TOL:
             raise InvalidStateError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
         tr = sum(float(np.trace(m).real) for m in self._iter_matrices())
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvalidStateError(f"trace is {tr!r}, not 1")
-        lo = min(
-            (float(np.linalg.eigvalsh(m).min()) for m in self._iter_matrices()
-             if m.size),
-            default=0.0,
-        )
+        lo = min(float(np.linalg.eigvalsh(m).min())
+                 for m in self._iter_matrices())
         if lo < EIGENVALUE_FLOOR:
             raise InvalidStateError(f"eigenvalue {lo:.3e} below floor {EIGENVALUE_FLOOR}")
 
     def eigenvalues(self) -> np.ndarray:
         """All eigenvalues, ascending, concatenated over sectors if blocked."""
-        vals = [np.linalg.eigvalsh(m) for m in self._iter_matrices() if m.size]
-        return np.sort(np.concatenate(vals)) if vals else np.array([])
+        return np.sort(np.concatenate(
+            [np.linalg.eigvalsh(m) for m in self._iter_matrices()]))
 
 
 # --------------------------------------------------------------------------
@@ -372,8 +364,7 @@ def trace_distance(a: QuantumState, b: QuantumState) -> float:
     if a.is_blocked and b.is_blocked:
         total = 0.0
         for x, y in zip(a.blocks, b.blocks):
-            if x.size:
-                total += float(np.abs(np.linalg.eigvalsh(x - y)).sum())
+            total += float(np.abs(np.linalg.eigvalsh(x - y)).sum())
         return 0.5 * total
     vals = np.linalg.eigvalsh(a.matrix - b.matrix)
     return 0.5 * float(np.abs(vals).sum())
@@ -441,10 +432,7 @@ def reduced_site_populations(state: QuantumState) -> np.ndarray:
     if state.is_blocked:
         p1 = np.zeros(n)
         for l in range(n + 1):
-            block = state.blocks[l]
-            if not block.size:
-                continue
-            diag = np.real(np.diag(block))
+            diag = np.real(np.diag(state.blocks[l]))
             bits = (1 - sectors.spin_signs(n, l)) / 2  # (dim, n)
             p1 += diag @ bits
     else:

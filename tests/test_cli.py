@@ -91,25 +91,40 @@ class TestManifestValidation:
         assert "'integrator'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("window_dephasing_rate", 0.3), ("dephase_qubit", True)])
+    def test_retired_swap_keys_rejected(self, tmp_path, capsys, key, value):
+        # A partial swap is J_I alone: the window's rate and couplings are
+        # the probe's, and the qubit does not dephase.
+        manifest = write_manifest(
+            tmp_path / "m.json", kind="cool", out=str(tmp_path / "out"),
+            config={"probe_sizes": [2], "bath_beta_tilde": 0.2, "steps": 1,
+                    "swap": {"mode": "partial", "interaction_strength": 5.0,
+                             key: value}})
+        assert main(["cool", "--manifest", str(manifest)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("extra, field", [
         ({"grid_spacing": 0.01}, "grid_spacing"),
         ({"bath_beta_tilde": 1e-16}, "too hot"),
         ({"dephasing_rate": math.nan}, "dephasing rate"),
         ({"swap": {"mode": "partial", "interaction_strength": 5.0,
-                   "window_dephasing_rate": math.inf}}, "window dephasing"),
+                   "window_dephasing_rate": 0.3}}, "window_dephasing_rate"),
         ({"swap": {"mode": "partial", "interaction_strength": 5.0,
-                   "dephase_qubit": "false"}}, "dephase_qubit"),
+                   "dephase_qubit": False}}, "dephase_qubit"),
         ({"dephasing_rate": 0.3, "optimize_with_ideal": False},
          "optimize_with_ideal"),
     ])
     def test_bad_values_rejected_before_running(self, tmp_path, capsys,
                                                 extra, field):
         # Python's json reads NaN and Infinity. Each value must fail
-        # validation: a non-finite rate would fail only at run time, a bath
-        # whose populations round to 1/2 has no temperature to cool
-        # towards, and bool("false") is True. Waits always come from the
-        # coherent scan over a fixed grid, so there is neither a switch to a
-        # dissipative scan nor a grid spacing.
+        # validation: a non-finite rate would fail only at run time, and a
+        # bath whose populations round to 1/2 has no temperature to cool
+        # towards. Waits always come from the coherent scan over a fixed
+        # grid, so there is neither a switch to a dissipative scan nor a
+        # grid spacing; a window takes the probe's rate and never dephases
+        # the qubit, so it has no settings of its own but J_I.
         manifest = write_manifest(
             tmp_path / "m.json", kind="cool", out=str(tmp_path),
             config={"probe_sizes": [2], "bath_beta_tilde": 0.2, "steps": 1,
@@ -388,6 +403,19 @@ class TestSweeps:
         manifest = self.sweep_manifest(tmp_path,
                                        dephasing_rates=[0.1, 0.1])
         assert main(["sweep", "--manifest", str(manifest)]) == 2
+
+    def test_threads_is_a_sweep_option(self, tmp_path, cool_manifest, capsys):
+        # Only a sweep has a pool to size; a negative size is refused
+        # before any point runs.
+        with pytest.raises(SystemExit) as exc:
+            main(["cool", "--manifest", str(cool_manifest), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        manifest = self.sweep_manifest(tmp_path, dephasing_rates=[0.0])
+        assert main(["sweep", "--manifest", str(manifest),
+                     "--threads", "-1"]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_threads_env_is_not_read(self, tmp_path, monkeypatch):
         # --threads (default 1) is the only way to size the pool.

@@ -21,6 +21,7 @@ from spinfridge import (
     evolve_exact,
     is_unital,
     partial_swap,
+    partial_trace,
     perfect_swap,
     thermal_product_state,
     trace_distance,
@@ -37,6 +38,7 @@ from conftest import (
     complex_hopping_generator,
     random_blocked_state,
     random_dense_state,
+    random_density,
 )
 
 
@@ -51,10 +53,20 @@ class TestGeneratorConstruction:
         with pytest.raises(DomainError):
             chain_generator(2, -0.1)
 
-    def test_dephasing_site_outside_register_rejected(self):
-        h = xxz_network_hamiltonian(SpinNetwork.uniform_chain(2, 1.0))
-        with pytest.raises(DomainError):
-            LindbladGenerator(h, 0.5, dephasing_sites=(9,))
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_site_zero_never_dephases(self, dense):
+        # H = 0 on sites 0..2 with |+> on each: every coherence decays as
+        # e^(-2 Gamma t) except the thermal qubit's, which label 0 keeps.
+        gamma, t = 0.7, 0.9
+        reg = SpinRegister.with_qubit(2)
+        gen = LindbladGenerator(Observable.zero(reg), gamma) if dense \
+            else LindbladGenerator.from_network(SpinNetwork(reg, {}), gamma)
+        plus = QuantumState(reg, dense=np.full((8, 8), 1 / 8, dtype=complex))
+        out = evolve_exact(plus, gen, t)
+        decay = math.exp(-2.0 * gamma * t)
+        for site, factor in ((0, 1.0), (1, decay), (2, decay)):
+            coherence = partial_trace(out, keep=(site,)).matrix[0, 1]
+            assert abs(coherence - 0.5 * factor) < 1e-14
 
     def test_from_network_blocks_match_dense(self):
         gen = chain_generator(3)
@@ -125,14 +137,16 @@ class TestBlockRhs:
 
 
 def random_network_generator(rng, n: int, gamma: float,
-                             dephasing_sites=None) -> LindbladGenerator:
-    """All-to-all XXZ network with random couplings and anisotropies."""
-    reg = SpinRegister.of_size(n)
+                             with_qubit: bool = False) -> LindbladGenerator:
+    """All-to-all XXZ network with random couplings and anisotropies, on
+    sites 1..n, or 0..n-1 `with_qubit` (site 0 does not dephase)."""
+    reg = SpinRegister(tuple(range(n))) if with_qubit \
+        else SpinRegister.of_size(n)
     pairs = [(a, b) for i, a in enumerate(reg.labels)
              for b in reg.labels[i + 1:]]
     net = SpinNetwork(reg, {p: float(rng.uniform(-1, 1)) for p in pairs},
                       {p: float(rng.uniform(0, 2)) for p in pairs})
-    return LindbladGenerator.from_network(net, gamma, dephasing_sites)
+    return LindbladGenerator.from_network(net, gamma)
 
 
 def plain_taylor_action(gen, blocks, tau):
@@ -187,10 +201,10 @@ class TestEvolveExact:
     @staticmethod
     def gap_to_tight_rkf45(rng, n, subset, gamma, tau):
         # Random dense states carry coherence between every pair of
-        # sectors, so every (l, m) coherence block is exercised.
-        sites = tuple(range(2, n + 1)) if subset else None
-        gen = random_network_generator(rng, n, gamma, sites)
-        state = random_dense_state(rng, n)
+        # sectors, so every (l, m) coherence block is exercised. A subset
+        # register holds site 0, which does not dephase.
+        gen = random_network_generator(rng, n, gamma, with_qubit=subset)
+        state = QuantumState(gen.register, dense=random_density(rng, 1 << n))
         exact = evolve_exact(state, gen, tau).matrix
         tight = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
         reference = rkf45(_dense_rhs(gen), state.matrix, tau, tight).y
@@ -477,13 +491,16 @@ class TestSwapSpec:
                 SwapSpec(mode="partial", interaction_strength=bad)
 
     def test_negative_window_rate_rejected(self):
+        # A window's rate is its probe generator's, validated as any rate.
         with pytest.raises(DomainError):
-            SwapSpec.partial(5.0, window_dephasing_rate=-0.1)
+            window_generator(SpinNetwork.uniform_chain(2, 1.0), -0.1,
+                             SwapSpec.partial(5.0))
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf])
     def test_non_finite_window_rate_rejected(self, rate):
         with pytest.raises(DomainError):
-            SwapSpec.partial(5.0, window_dephasing_rate=rate)
+            window_generator(SpinNetwork.uniform_chain(2, 1.0), rate,
+                             SwapSpec.partial(5.0))
 
     def test_window_duration(self):
         assert SwapSpec.partial(4.0).window_duration \
@@ -498,24 +515,26 @@ class TestPartialSwap:
         return attach_thermal_qubit(probe, beta_qubit)
 
     def test_bare_window_is_an_exact_swap(self):
-        # With no background the window is a resonant pi/2 pulse: a perfect
-        # swap at any interaction strength (the duration just shrinks).
+        # With no probe couplings the window is a resonant pi/2 pulse: a
+        # perfect swap at any interaction strength (the duration just
+        # shrinks).
         state = self.qubit_probe_state(0.4, 2)
         ideal = perfect_swap(state, 0, 1)
+        bare = LindbladGenerator.from_network(
+            SpinNetwork(SpinRegister.of_size(2), {}))
         for strength in (2.0, 50.0):
-            out = partial_swap(state, SwapSpec.partial(strength))
+            out = partial_swap(state, bare, SwapSpec.partial(strength))
             assert trace_distance(out, ideal) < 1e-12
 
     def test_strong_coupling_approaches_perfect(self):
         # A competing probe Hamiltonian degrades the swap; raising the
         # interaction strength shortens the window and restores it.
         state = self.qubit_probe_state(0.4, 2)
-        probe_net = SpinNetwork.uniform_chain(2, 1.0)
         ideal = perfect_swap(state, 0, 1)
         dist = {
             j: trace_distance(
-                partial_swap(state, SwapSpec.partial(
-                    j, probe_background=probe_net)), ideal)
+                partial_swap(state, chain_generator(2), SwapSpec.partial(j)),
+                ideal)
             for j in (2.0, 20.0, 200.0)
         }
         assert dist[200.0] < dist[20.0] < dist[2.0]
@@ -524,19 +543,22 @@ class TestPartialSwap:
     def test_background_changes_outcome(self):
         # The probe's own couplings act during a finite window.
         state = self.qubit_probe_state(0.4, 2)
-        probe_net = SpinNetwork.uniform_chain(2, 1.0)
-        bare = partial_swap(state, SwapSpec.partial(3.0))
-        dressed = partial_swap(state, SwapSpec.partial(
-            3.0, probe_background=probe_net))
+        bare = partial_swap(state, chain_generator(2, coupling=0.0),
+                            SwapSpec.partial(3.0))
+        dressed = partial_swap(state, chain_generator(2),
+                               SwapSpec.partial(3.0))
         assert trace_distance(bare, dressed) > 1e-6
 
-    @pytest.mark.parametrize("dephase_qubit", [False, True])
-    def test_window_blocks_match_dense_construction(self, rng, dephase_qubit):
-        # J_I sigma_0 . sigma_1 + I (x) H_background, built densely here,
-        # against the sector blocks the window generator assembles.
+    @pytest.mark.parametrize("dephased", [False, True])
+    def test_window_blocks_match_dense_construction(self, rng, dephased):
+        # J_I sigma_0 . sigma_1 + I (x) H_probe, built densely here,
+        # against the sector blocks the window generator assembles; the
+        # window dephases every probe site at the probe's rate, not the
+        # qubit.
+        rate = 0.3 if dephased else 0.0
         probe = SpinRegister.of_size(3)
         pairs = [(1, 2), (1, 3), (2, 3)]
-        background = SpinNetwork(
+        net = SpinNetwork(
             probe, {p: float(rng.uniform(-1, 1)) for p in pairs},
             {p: float(rng.uniform(0, 2)) for p in pairs})
         j_i = 4.3
@@ -544,34 +566,45 @@ class TestPartialSwap:
         hop = sum(site_operator(joint, 0, PAULIS[a])
                   @ site_operator(joint, 1, PAULIS[a]) for a in "xyz")
         dense = j_i * hop + np.kron(
-            np.eye(2), xxz_network_hamiltonian(background).matrix)
-        gen = window_generator(joint, SwapSpec.partial(
-            j_i, probe_background=background, window_dephasing_rate=0.3,
-            dephase_qubit=dephase_qubit))
+            np.eye(2), xxz_network_hamiltonian(net).matrix)
+        gen = window_generator(net, rate, SwapSpec.partial(j_i))
         expected = LindbladGenerator(Observable(joint, dense))
         for a, b in zip(gen.hamiltonian_blocks(),
                         expected.hamiltonian_blocks()):
             np.testing.assert_allclose(a, b, atol=1e-12, rtol=0)
-        assert gen.dephasing_rate == 0.3
-        assert gen.dephasing_sites == (None if dephase_qubit else (1, 2, 3))
-
-    def test_background_register_must_match_probe(self):
-        background = SpinNetwork.uniform_chain(2, 1.0)
-        with pytest.raises(DomainError):
-            window_generator(SpinRegister.with_qubit(3),
-                             SwapSpec.partial(5.0, probe_background=background))
+        assert gen.register == joint and gen.dephasing_rate == rate
+        signs = sectors.dense_spin_signs(4)
+        probe_signs = signs[:, 1:]
+        assert np.array_equal(gen._dephasing(signs, signs),
+                              rate * (probe_signs @ probe_signs.T - 3))
 
     def test_window_generator_requires_qubit_slot(self):
-        with pytest.raises(DomainError):
-            window_generator(SpinRegister.of_size(2), SwapSpec.partial(5.0))
+        # The probe must leave site 0 to the qubit and hold the target 1.
+        spec = SwapSpec.partial(5.0)
+        for reg in (SpinRegister.with_qubit(2), SpinRegister((2, 3))):
+            with pytest.raises(DomainError):
+                window_generator(SpinNetwork(reg, {}), 0.0, spec)
+
+    def test_dense_built_generator_has_no_window(self):
+        # Its Hamiltonian came without a network, so a window would leave
+        # the probe's couplings out: both swap routes refuse it.
+        from spinfridge import attach_thermal_qubit, cool_step
+        gen = LindbladGenerator(xxz_network_hamiltonian(
+            SpinNetwork.uniform_chain(2, 1.0)))
+        assert gen.network is None
+        probe = thermal_product_state([math.inf] * 2)
+        spec = SwapSpec.partial(5.0)
+        with pytest.raises(DomainError, match="SpinNetwork"):
+            partial_swap(attach_thermal_qubit(probe, 0.2), gen, spec)
+        with pytest.raises(DomainError, match="SpinNetwork"):
+            cool_step(probe, 0.2, gen, spec, 0.7)
 
 
 class TestChannelChecks:
     def test_swap_channel_passes_both(self):
         reg = SpinRegister.with_qubit(2)
         gen = LindbladGenerator.from_network(
-            SpinNetwork(reg, {(1, 2): 1.0}, {(1, 2): 1.0}), 0.4,
-            dephasing_sites=(1, 2))
+            SpinNetwork(reg, {(1, 2): 1.0}, {(1, 2): 1.0}), 0.4)
 
         def channel(state):
             return perfect_swap(evolve(state, gen, 0.7), 0, 1)

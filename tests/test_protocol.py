@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -446,13 +447,12 @@ class TestCoolStep:
                       0.5, coupling=coupling)
 
     def test_unset_window_rate_is_the_generators(self):
-        # A window with no rate of its own dephases at the waits' rate,
-        # whether the round is called directly or by run_protocol.
-        n, chain = 3, SpinNetwork.uniform_chain(3, 1.0)
+        # A window dephases at the waits' rate, whether the round is called
+        # directly or by run_protocol.
+        n = 3
         probe = thermal_product_state([2.0] * n)
         _, _, direct = cool_step(
-            probe, 0.2, chain_generator(n, 0.5),
-            SwapSpec.partial(5.0, probe_background=chain), 0.7)
+            probe, 0.2, chain_generator(n, 0.5), SwapSpec.partial(5.0), 0.7)
         report = run_protocol(ProtocolConfig(
             n, 0.2, dephasing_rate=0.5, probe_beta_tildes=(2.0,) * n,
             swap=SwapSpec.partial(5.0), steps=1, waiting_policy="fixed",
@@ -462,6 +462,43 @@ class TestCoolStep:
         assert direct.probe_entropy == run.probe_entropy
         assert direct.distance_to_pseudothermal \
             == run.distance_to_pseudothermal
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    @pytest.mark.parametrize("strength", [1.7, 5.0])
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_direct_round_is_run_protocols(self, n, strength, gamma):
+        # The window is the probe generator's, so a direct round and
+        # run_protocol's record the same bits: probe couplings, rate and
+        # all. (With the window stated apart from the generator, a direct
+        # N = 3, J_I = 5 round at Gamma = 0 left the couplings out and read
+        # eta = 0.9973175757749004 against the run's 0.9627622064383512.)
+        swap = SwapSpec.partial(strength)
+        _, _, direct = cool_step(thermal_product_state([math.inf] * n), 0.2,
+                                 chain_generator(n, gamma), swap, 0.7)
+        report = run_protocol(ProtocolConfig(
+            n, 0.2, dephasing_rate=gamma, swap=swap, steps=1,
+            waiting_policy="fixed", fixed_jtau=0.7))
+        assert replace(direct, index=1) == report.records[0]
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    def test_window_is_kept_on_the_generator(self, monkeypatch, gamma):
+        # Rounds on one generator build its window once and keep what they
+        # read of it: a coherent window's sector unitaries only, or a
+        # dephased window's generator. A new swap replaces the entry.
+        calls = count_calls(monkeypatch, ((protocol, "window_generator"),))
+        gen = chain_generator(3, gamma)
+        probe = thermal_product_state([2.0] * 3)
+        for strength in (5.0, 5.0, 5.0, 1.7):
+            probe, _, _ = cool_step(probe, 0.2, gen,
+                                    SwapSpec.partial(strength), 0.7)
+        assert calls["window_generator"] == 2
+        key, kept = gen._cache["window"]
+        assert key == SwapSpec.partial(1.7)
+        if gamma:
+            assert isinstance(kept, LindbladGenerator)
+        else:
+            assert [u.shape for u in kept] == [(1, 1), (4, 4), (6, 6),
+                                               (4, 4), (1, 1)]
 
     @pytest.mark.parametrize("dense", [False, True])
     @pytest.mark.parametrize("gamma", [0.0, 0.3])
@@ -495,15 +532,21 @@ class TestCoolStep:
 
     @staticmethod
     def joint_register_round(probe, bath, gen, spec, tau):
-        """Reference round: wait, attach, evolve the joint register (a
-        dephased window by RKF45 at rel_tol 1e-13), two partial traces."""
-        waited = evolve_exact(probe, gen, tau) if tau > 0 else probe
-        joint = attach_thermal_qubit(waited, bath)
-        if spec.window_dephasing_rate:
-            swapped = evolve(joint, window_generator(joint.register, spec),
-                             spec.window_duration, TIGHT)
+        """Reference round: wait as `cool_step` waits, attach, evolve the
+        joint register (a dephased window by RKF45 at rel_tol 1e-13), two
+        partial traces."""
+        if tau == 0:
+            waited = probe
         else:
-            swapped = partial_swap(joint, spec)
+            waited = (evolve if gen.dephasing_rate else evolve_exact)(
+                probe, gen, tau)
+        joint = attach_thermal_qubit(waited, bath)
+        if gen.dephasing_rate:
+            swapped = evolve(joint, window_generator(
+                gen.network, gen.dephasing_rate, spec),
+                spec.window_duration, TIGHT)
+        else:
+            swapped = partial_swap(joint, gen, spec)
         return (partial_trace(swapped, keep=probe.register.labels),
                 partial_trace(swapped, keep=(0,)))
 
@@ -513,9 +556,8 @@ class TestCoolStep:
         # A coherent window on a blocked probe is applied as Kraus blocks on
         # the probe's sectors; the joint register is the reference.
         bath = 0.3
-        net = SpinNetwork.uniform_chain(n, 1.0)
         gen = chain_generator(n)
-        spec = SwapSpec.partial(strength, probe_background=net)
+        spec = SwapSpec.partial(strength)
         mixed = cold_mixed_probe(rng, n)
         reference = thermal_product_state([bath] * n)
         for probe in (thermal_product_state([0.7] * n), mixed):
@@ -537,20 +579,16 @@ class TestCoolStep:
 
         # A dephased window evolves the joint sector blocks exactly; the
         # reference is the joint register under tight RKF45.
-        for dephase_qubit in (False, True):
-            dephased = SwapSpec.partial(strength, probe_background=net,
-                                        window_dephasing_rate=0.3,
-                                        dephase_qubit=dephase_qubit)
-            next_probe, qubit, record = cool_step(mixed, bath, gen, dephased,
-                                                  0.7)
-            ref_probe, ref_qubit = self.joint_register_round(
-                mixed, bath, gen, dephased, 0.7)
-            assert next_probe.is_blocked and qubit.is_blocked
-            for got, want in zip(next_probe.blocks + qubit.blocks,
-                                 ref_probe.blocks + ref_qubit.blocks):
-                assert np.abs(got - want).max() <= 1e-12
-            assert record.probe_entropy == pytest.approx(
-                von_neumann_entropy(ref_probe), abs=1e-12)
+        dephased = chain_generator(n, 0.3)
+        next_probe, qubit, record = cool_step(mixed, bath, dephased, spec, 0.7)
+        ref_probe, ref_qubit = self.joint_register_round(
+            mixed, bath, dephased, spec, 0.7)
+        assert next_probe.is_blocked and qubit.is_blocked
+        for got, want in zip(next_probe.blocks + qubit.blocks,
+                             ref_probe.blocks + ref_qubit.blocks):
+            assert np.abs(got - want).max() <= 1e-12
+        assert record.probe_entropy == pytest.approx(
+            von_neumann_entropy(ref_probe), abs=1e-12)
 
     def test_window_round_matches_extended_precision(self, rng):
         # One window round on a three-site probe, with exp(-i t H_w) and both
@@ -561,7 +599,7 @@ class TestCoolStep:
         mp.dps = 30
         n, bath = 3, 0.3
         net = SpinNetwork.uniform_chain(n, 1.0)
-        spec = SwapSpec.partial(5.0, probe_background=net)
+        spec = SwapSpec.partial(5.0)
         probe = cold_mixed_probe(rng, n)
         h = dynamics.xxz_network_hamiltonian(SpinNetwork(
             SpinRegister.with_qubit(n), {(0, 1): 5.0, **net.couplings})).matrix
@@ -687,19 +725,16 @@ class TestRunProtocol:
         assert calls["perfect_swap"] == calls["attach_thermal_qubit"] == 0
         assert calls["partial_trace"] == 2 * cfg.steps
 
-    @pytest.mark.parametrize("gamma, window_rate", [
-        (0.0, None), (0.3, None), (0.0, 0.3)])
-    def test_window_run_builds_no_joint_register(self, monkeypatch, gamma,
-                                                 window_rate):
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    def test_window_run_builds_no_joint_register(self, monkeypatch, gamma):
         # A coherent window is applied as Kraus blocks on the probe; a
-        # dephased one, inherited or explicit, evolves the joint sector
-        # blocks exactly. Neither attaches, swaps or traces a register.
+        # dephased one evolves the joint sector blocks exactly. Neither
+        # attaches, swaps or traces a register.
         calls = count_calls(monkeypatch, (
             (protocol, "attach_thermal_qubit"), (dynamics, "partial_swap"),
             (protocol, "partial_trace"), (dynamics, "rkf45")))
-        swap = SwapSpec.partial(5.0, window_dephasing_rate=window_rate)
         cfg = ProtocolConfig(probe_size=5, bath_beta_tilde=0.2, steps=6,
-                             dephasing_rate=gamma, swap=swap)
+                             dephasing_rate=gamma, swap=SwapSpec.partial(5.0))
         run_protocol(cfg)
         assert calls["attach_thermal_qubit"] == calls["partial_swap"] == 0
         assert calls["partial_trace"] == 0
