@@ -35,7 +35,6 @@ from .states import (
     trace_distance,
     von_neumann_entropy,
 )
-from .operators import Observable
 from .dynamics import (
     CheckResult,
     LindbladGenerator,
@@ -52,7 +51,6 @@ from .dynamics import (
 )
 from .protocol import (
     EntropyAudit,
-    EntropyStepAudit,
     ProtocolConfig,
     ProtocolReport,
     StepRecord,

@@ -36,7 +36,7 @@ import numpy as np
 from . import sectors
 from .errors import DomainError, IntegrationError
 from .integrate import IntegratorConfig, rkf45
-from .operators import Observable, PAULIS, site_operator
+from .operators import PAULIS, site_operator
 from .registers import SpinRegister
 from .states import (INTERSECTOR_TOL, QuantumState, sector_decompose,
                      trace_distance)
@@ -85,8 +85,9 @@ class SpinNetwork:
         return self.anisotropies.get(key, 1.0)
 
 
-def xxz_network_hamiltonian(net: SpinNetwork) -> Observable:
-    """H = sum_nm J_nm (Delta_nm sz sz + sx sx + sy sy), dense."""
+def xxz_network_hamiltonian(net: SpinNetwork) -> np.ndarray:
+    """H = sum_nm J_nm (Delta_nm sz sz + sx sx + sy sy), dense and built by
+    Kronecker products: the reference the sector blocks are checked against."""
     reg = net.register
     h = np.zeros((reg.dim, reg.dim), dtype=complex)
     for (n, m), j in net.couplings.items():
@@ -96,11 +97,12 @@ def xxz_network_hamiltonian(net: SpinNetwork) -> Observable:
                 site_operator(reg, n, PAULIS[axis])
                 @ site_operator(reg, m, PAULIS[axis])
             )
-    return Observable(reg, h)
+    return h
 
 
 def blocked_xxz_hamiltonian(net: SpinNetwork) -> list[np.ndarray]:
-    """Per-sector blocks of the XXZ Hamiltonian, built combinatorially.
+    """Per-sector blocks of the XXZ Hamiltonian, built combinatorially and
+    float64: every entry is real.
 
     zz terms are diagonal (spin-sign products); the xx+yy pair gives the hop
     <..0_n 1_m..|H|..1_n 0_m..> = 2 J_nm, set for all couplings at once.
@@ -117,7 +119,7 @@ def blocked_xxz_hamiltonian(net: SpinNetwork) -> list[np.ndarray]:
         for c in range(len(j)):
             diagonal += zz[c] * signs[:, n_spins - 1 - pa[c]] \
                 * signs[:, n_spins - 1 - pb[c]]
-        block = np.diag(diagonal).astype(complex)
+        block = np.diag(diagonal)
         c, src = np.nonzero((basis >> pa[:, None] & 1) > (basis >> pb[:, None] & 1))
         dst = np.searchsorted(basis, basis[src] - (1 << pa[c]) + (1 << pb[c]))
         block[dst, src] += 2.0 * j[c]
@@ -131,19 +133,20 @@ def blocked_xxz_hamiltonian(net: SpinNetwork) -> list[np.ndarray]:
 # --------------------------------------------------------------------------
 
 class LindbladGenerator:
-    """Hamiltonian plus per-site sigma^z dephasing at rate Gamma >= 0.
+    """An XXZ network's Hamiltonian plus per-site sigma^z dephasing at rate
+    Gamma >= 0, built only by `from_network`.
 
-    The Hamiltonian is held as its sector blocks, which is all the blocked
-    routes read; `hamiltonian` scatters them into a dense Observable on first
-    use (only states with inter-sector coherence need it). Constructing from
-    an Observable gathers its blocks and rejects a Hamiltonian that mixes
-    sectors, since every guarantee the package checks assumes z-conservation.
+    The Hamiltonian is held as its real sector blocks, which is all the
+    blocked routes read; `hamiltonian` scatters them into a dense matrix on
+    first use (only states with inter-sector coherence need it). Built from
+    a network, H conserves the total spin-z exactly, which every guarantee
+    the package checks assumes.
 
     Every site dephases except label 0, the thermal qubit (see
     registers.py), which stays coherent during a swap window. `network` is
-    the SpinNetwork a generator was built from (None for a dense
-    Hamiltonian); a partial swap's window is that network plus the
-    qubit-target hop, at the same rate (`window_generator`).
+    the SpinNetwork a generator was built from; a partial swap's window is
+    that network plus the qubit-target hop, at the same rate
+    (`window_generator`).
 
     Instances are immutable by convention and cache their eigendecompositions
     and scan arrays, so reuse the same generator across protocol steps. The
@@ -152,50 +155,35 @@ class LindbladGenerator:
     both belong to this generator, so keys carry no rate.
     """
 
-    def __init__(self, hamiltonian: Observable, dephasing_rate: float = 0.0):
-        reg = hamiltonian.register
-        leak = sectors.max_intersector_coherence(hamiltonian.matrix, reg.count)
-        if leak > INTERSECTOR_TOL:
-            raise DomainError(
-                f"Hamiltonian does not conserve total spin-z: max "
-                f"inter-sector |H| = {leak:.3e}")
-        self._setup(reg, sectors.gather_blocks(hamiltonian.matrix, reg.count),
-                    dephasing_rate, None)
-
-    def _setup(self, register: SpinRegister, blocks: list[np.ndarray],
-               dephasing_rate: float, network: SpinNetwork | None) -> None:
-        if not math.isfinite(dephasing_rate) or dephasing_rate < 0:
-            raise DomainError(f"dephasing rate must be >= 0, got {dephasing_rate}")
-        self.register = register
-        self.dephasing_rate = float(dephasing_rate)
-        self.network = network
-        self._blocks = [b if np.imag(b).any() else np.ascontiguousarray(b.real)
-                        for b in blocks]
-        self._cache: dict = {}
-        self._pairs: dict = {}
-
     @classmethod
     def from_network(cls, net: SpinNetwork, dephasing_rate: float = 0.0
                      ) -> "LindbladGenerator":
         """Build from the network's sector blocks (exact z-conservation by
         construction, no dense matrix), keeping `net`."""
+        if not math.isfinite(dephasing_rate) or dephasing_rate < 0:
+            raise DomainError(f"dephasing rate must be >= 0, got {dephasing_rate}")
         gen = cls.__new__(cls)
-        gen._setup(net.register, blocked_xxz_hamiltonian(net), dephasing_rate,
-                   net)
+        gen.register = net.register
+        gen.dephasing_rate = float(dephasing_rate)
+        gen.network = net
+        gen._blocks = blocked_xxz_hamiltonian(net)
+        gen._cache, gen._pairs = {}, {}
         return gen
 
     @property
-    def hamiltonian(self) -> Observable:
-        """Dense H, scattered from the sector blocks on first use."""
-        return self._memo("dense", None, lambda: Observable(
-            self.register,
-            sectors.scatter_blocks(self._blocks, self.register.count)))
+    def hamiltonian(self) -> np.ndarray:
+        """Dense H (float64, read-only), scattered from the sector blocks on
+        first use."""
+        h = self._memo("dense", None, lambda: sectors.scatter_blocks(
+            self._blocks, self.register.count))
+        h.setflags(write=False)
+        return h
 
     # -- caches ------------------------------------------------------------
 
     def hamiltonian_blocks(self) -> list[np.ndarray]:
-        """Sector blocks of H, l = 0..N; float64 where exactly real (every
-        XXZ network), whichever constructor, so their eigenvectors are real."""
+        """Sector blocks of H, l = 0..N, float64 (an XXZ network's entries
+        are real), so their eigenvectors are real."""
         return self._blocks
 
     def block_eigensystems(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -241,18 +229,18 @@ class LindbladGenerator:
         """u_l^dag rho_l u_l per block of a blocked state (None if zero), kept
         for the last (read-only) state object: the scan and its wait share it."""
         return self._memo("rotated", state, lambda: [
-            _sandwich(u.conj().T, b, u) if b.any() else None
+            _sandwich(u.T, b, u) if b.any() else None
             for (_, u), b in zip(self.block_eigensystems(), state.blocks)])
 
     def blocked_propagators(self, duration: float) -> list[np.ndarray]:
         """Per-sector unitaries exp(-i H_l t): a coherent partial-swap
         window's Kraus blocks, built once per protocol run."""
-        return [(u * np.exp(-1j * d * duration)) @ u.conj().T
+        return [(u * np.exp(-1j * d * duration)) @ u.T
                 for d, u in self.block_eigensystems()]
 
 
 def _sandwich(left, x, right):
-    """left @ x @ right; real factors multiply complex x's float view."""
+    """left @ x @ right for real factors, through complex x's float view."""
     return _times(right.T, _times(left, x).T).T
 
 
@@ -262,26 +250,22 @@ def _sandwich(left, x, right):
 
 def _dense_rhs(gen: LindbladGenerator) -> Callable[[float, np.ndarray], np.ndarray]:
     """The master equation on dense 2^N matrices (the reference route)."""
-    return _block_rhs(gen, gen.hamiltonian.matrix,
+    return _block_rhs(gen, gen.hamiltonian,
                       sectors.dense_spin_signs(gen.register.count))
 
 
 def _block_rhs(gen: LindbladGenerator, h_l: np.ndarray, signs: np.ndarray
                ) -> Callable[[float, np.ndarray], np.ndarray]:
     """-i [H_l, y] + Gamma (W - n) o y on the basis whose per-site spin signs
-    are the rows of `signs`, with `gen`'s rate. A real H_l
-    (every XXZ network) multiplies y's float view: half a complex product.
-    The result is a buffer the next call overwrites (`rkf45` copies it)."""
-    h_re, h_im = (np.ascontiguousarray(part) for part in (h_l.real, h_l.imag))
-    h_im = h_im if h_im.any() else None
+    are the rows of `signs`, with `gen`'s rate. The real H_l multiplies
+    y's float view: half a complex product. The result is a buffer the next
+    call overwrites (`rkf45` copies it)."""
     g = gen._dephasing(signs, signs) if gen.dephasing_rate > 0 else None
     m, d = np.empty(h_l.shape, complex), np.empty(h_l.shape, complex)
 
     def rhs(_t, y):
         y = np.ascontiguousarray(y, dtype=complex)
-        np.matmul(h_re, y.view(float), out=m.view(float))
-        if h_im is not None:
-            m[...] += 1j * (h_im @ y.view(float)).view(complex)
+        np.matmul(h_l, y.view(float), out=m.view(float))
         # For Hermitian y, (H y)^dag = y H, so one product gives both sides
         # of the commutator, i (m^dag - m): Hermitian to the last bit.
         np.conjugate(m.T, out=d)
@@ -413,9 +397,8 @@ def _dephased_action(gen: LindbladGenerator,
     if k > 1 and k * rows * cols > _PADDED_ENTRIES:
         return [y for item in blocks.items()
                 for y in _dephased_action(gen, dict([item]), duration)]
-    dtype = complex if any(np.iscomplexobj(b) for b in h) else float
-    h_l = np.zeros((k, rows, rows), dtype)
-    h_m = np.zeros((k, cols, cols), dtype)  # H_m^T
+    h_l = np.zeros((k, rows, rows))
+    h_m = np.zeros((k, cols, cols))  # H_m^T
     ig, x = np.zeros((2, k, rows, cols), dtype=complex)  # i (G - mu), X
     mu, bound = np.empty(k), np.empty(k)
     for i, ((l, m), block) in enumerate(blocks.items()):
@@ -458,9 +441,8 @@ def _dephased_action(gen: LindbladGenerator,
 
 
 def _times(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """a @ y, also over stacks; a real `a` multiplies y's float view."""
-    if a.dtype.kind == "c":
-        return a @ y
+    """a @ y for a real `a` and complex y, also over stacks, through y's
+    float view."""
     return (a @ np.ascontiguousarray(y).view(float)).view(complex)
 
 
@@ -501,9 +483,9 @@ def evolve_exact(state: QuantumState, gen: LindbladGenerator,
 
         def propagate(l, m, x):
             (_, u_l), (_, u_m) = eigs[l], eigs[m]
-            a = rotated[l] if rotated else _sandwich(u_l.conj().T, x, u_m)
+            a = rotated[l] if rotated else _sandwich(u_l.T, x, u_m)
             phi = np.outer(phases[l], phases[m].conj())
-            return _sandwich(u_l, phi * a, u_m.conj().T)
+            return _sandwich(u_l, phi * a, u_m.T)
         out = [propagate(l, m, x) for (l, m), x in blocks.items()]
     else:
         out = _dephased_action(gen, blocks, duration)
@@ -594,20 +576,15 @@ class SwapSpec:
         return math.pi / (4.0 * self.interaction_strength)
 
 
-def window_generator(probe: SpinNetwork | None, dephasing_rate: float,
+def window_generator(probe: SpinNetwork, dephasing_rate: float,
                      spec: SwapSpec) -> LindbladGenerator:
     """The Lindblad generator active during a partial-swap window, on the
     joint register (0,) + the probe's labels: the qubit-target hop
     J_I sigma_0 . sigma_1 followed by the probe network's couplings,
     dephased at `dephasing_rate` on every site but the qubit. `probe` and
-    the rate are a probe generator's `network` and `dephasing_rate`; a
-    generator built from a dense Hamiltonian has no network (None), and
-    its partial swap raises."""
+    the rate are a probe generator's `network` and `dephasing_rate`."""
     if spec.mode != "partial":
         raise DomainError("window generator only exists for partial swaps")
-    if probe is None:
-        raise DomainError("a partial swap needs the probe's SpinNetwork: "
-                          "build its generator with from_network")
     labels = probe.register.labels
     if labels[0] == 0 or 1 not in labels:
         raise DomainError(f"probe sites {labels} must hold the target site 1 "

@@ -72,6 +72,7 @@ _TIE_TOL = 1e-12          # ties: grid populations; emitted vs bath beta
 _ACCOUNTING_TOL = 1e-9    # slack on the entropy inequalities
 _SCAN_STRIDE = 8          # the scan's coarse pass: every 8th grid time
 _SCAN_SLACK = 1e-9        # rounding margin on its bound, relative and absolute
+_GRID_SPACING = 0.01      # J*tau spacing of `default_grid`
 
 
 def _check_coupling(coupling: float) -> None:
@@ -218,9 +219,9 @@ class ProtocolReport:
 # waiting-time optimization
 # --------------------------------------------------------------------------
 
-def default_grid(probe_size: int, spacing: float = 0.01) -> np.ndarray:
-    """Uniform J*tau grid over [0, N]."""
-    return np.arange(round(probe_size / spacing) + 1) * spacing
+def default_grid(probe_size: int) -> np.ndarray:
+    """Uniform J*tau grid over [0, N] at spacing `_GRID_SPACING`."""
+    return np.arange(round(probe_size / _GRID_SPACING) + 1) * _GRID_SPACING
 
 
 def _phases(d: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -261,7 +262,7 @@ def _exact_population_curve(state: QuantumState, gen: LindbladGenerator,
     coarse = np.union1d(np.arange(0, size, _SCAN_STRIDE), [size - 1])
     eigs = gen.block_eigensystems()
     scan = gen._memo("scan", times.tobytes(), lambda: [
-        (u.conj().T @ ((basis[:, None] >> n - 1 & 1) * u),
+        (u.T @ ((basis[:, None] >> n - 1 & 1) * u),
          _phases(d, times[coarse]))
         for (d, u), basis in zip(eigs, sectors.sector_bases(n))])
     terms = [(a * p.T, d, cs) for a, (d, _), (p, cs)
@@ -409,9 +410,9 @@ def cool_step(
     traces. The next probe's sector spectra give its entropy and distance.
     A dephased wait integrates by RKF45 at `IntegratorConfig()`. The window
     is `gen`'s (`window_generator`: its network and rate, plus the J_I
-    hop), so `gen` must come from `from_network`. What a round reads of it,
-    the unitaries or a dephased window's generator, is kept on `gen` for
-    the next round with the same swap: a direct round is `run_protocol`'s.
+    hop). What a round reads of it, the unitaries or a dephased window's
+    generator, is kept on `gen` for the next round with the same swap: a
+    direct round is `run_protocol`'s.
     """
     if not (math.isfinite(tau) and tau >= 0):
         raise DomainError(f"waiting time must be finite and >= 0, got {tau}")
@@ -572,15 +573,6 @@ def ideal_waiting_schedule(cfg: ProtocolConfig) -> tuple[float, ...]:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class EntropyStepAudit:
-    index: int
-    probe_entropy_change: float
-    qubit_entropy_drop: float
-    cumulative_drop: float
-    ok: bool
-
-
-@dataclass(frozen=True)
 class EntropyAudit:
     """Did the run respect the second-law bookkeeping?
 
@@ -590,11 +582,9 @@ class EntropyAudit:
     N times the bath entropy. All with 1e-9 slack.
     """
 
-    steps: tuple[EntropyStepAudit, ...]
     passed: bool
     offending_step: int | None
     total_drop: float
-    probe_entropy_gain: float
     capacity: float
 
 
@@ -603,7 +593,6 @@ def entropy_accounting(report: ProtocolReport) -> EntropyAudit:
     capacity = report.config.probe_size * report.config.bath_entropy
     prev = report.initial_probe_entropy
     cumulative = 0.0
-    steps = []
     offending = None
     for rec in report.records:
         d_probe = rec.probe_entropy - prev
@@ -616,18 +605,13 @@ def entropy_accounting(report: ProtocolReport) -> EntropyAudit:
             and cumulative <= gain + tol
             and gain <= capacity + tol
         )
-        steps.append(EntropyStepAudit(rec.index, d_probe, d_qubit,
-                                      cumulative, ok))
         if not ok and offending is None:
             offending = rec.index
         prev = rec.probe_entropy
-    gain = prev - report.initial_probe_entropy
     return EntropyAudit(
-        steps=tuple(steps),
         passed=offending is None,
         offending_step=offending,
         total_drop=cumulative,
-        probe_entropy_gain=gain,
         capacity=capacity,
     )
 

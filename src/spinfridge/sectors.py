@@ -95,8 +95,9 @@ def gather_blocks(matrix: np.ndarray, n: int) -> list[np.ndarray]:
 
 
 def scatter_blocks(blocks, n: int) -> np.ndarray:
-    """Inverse of gather_blocks: place blocks back on a dense zero matrix."""
-    dense = np.zeros((1 << n, 1 << n), dtype=complex)
+    """Inverse of gather_blocks: place blocks back on a dense zero matrix
+    of the blocks' dtype."""
+    dense = np.zeros((1 << n, 1 << n), dtype=np.result_type(*blocks))
     for basis, block in zip(sector_bases(n), blocks):
         dense[np.ix_(basis, basis)] = block
     return dense

@@ -11,11 +11,10 @@ import pytest
 from spinfridge import (
     DipolarPair,
     LindbladGenerator,
-    Observable,
     QuantumState,
+    SpinNetwork,
     SpinRegister,
 )
-from spinfridge.operators import PAULIS, site_operator
 from spinfridge.sectors import sector_bases
 
 # Spin-1 operators in the local |m_s = +1, 0, -1> basis.
@@ -87,18 +86,14 @@ def random_blocked_state(rng: np.random.Generator, n: int) -> QuantumState:
                         blocks=[b / total for b in raw])
 
 
-def complex_hopping_generator(rng: np.random.Generator, n: int,
-                              gamma: float = 0.0) -> LindbladGenerator:
-    """XY hops plus J_a (sx sy - sy sx) on a chain: z-conserving with purely
-    imaginary flip-flop amplitudes, so H's sector blocks are complex."""
-    reg = SpinRegister.of_size(n)
-
-    def pair(site, first, second):
-        return (site_operator(reg, site, PAULIS[first])
-                @ site_operator(reg, site + 1, PAULIS[second]))
-
-    h = np.zeros((reg.dim, reg.dim), dtype=complex)
-    for site in range(1, n):
-        h += rng.uniform(0.5, 1.5) * (pair(site, "x", "x") + pair(site, "y", "y"))
-        h += rng.uniform(0.5, 1.5) * (pair(site, "x", "y") - pair(site, "y", "x"))
-    return LindbladGenerator(Observable(reg, h), gamma)
+def random_network_generator(rng: np.random.Generator, n: int, gamma: float,
+                             with_qubit: bool = False) -> LindbladGenerator:
+    """All-to-all XXZ network with random couplings and anisotropies, on
+    sites 1..n, or 0..n-1 `with_qubit` (site 0 does not dephase)."""
+    reg = SpinRegister(tuple(range(n))) if with_qubit \
+        else SpinRegister.of_size(n)
+    pairs = [(a, b) for i, a in enumerate(reg.labels)
+             for b in reg.labels[i + 1:]]
+    net = SpinNetwork(reg, {p: float(rng.uniform(-1, 1)) for p in pairs},
+                      {p: float(rng.uniform(0, 2)) for p in pairs})
+    return LindbladGenerator.from_network(net, gamma)

@@ -1,4 +1,5 @@
-"""Observables, site embeddings, swap matrices, spin-network Hamiltonians."""
+"""The dense Hamiltonian, site embeddings, swap matrices, spin-network
+Hamiltonians."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import pytest
 
 from spinfridge import (
     DomainError,
-    Observable,
+    LindbladGenerator,
     QuantumState,
     SpinRegister,
     perfect_swap,
@@ -31,19 +32,16 @@ def swapped(matrix: np.ndarray, i: int, j: int) -> np.ndarray:
 
 
 class TestObservable:
-    def test_rejects_non_hermitian(self):
-        reg = SpinRegister.of_size(1)
-        with pytest.raises(DomainError):
-            Observable(reg, np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(DomainError):
-            Observable(SpinRegister.of_size(2), np.eye(2))
-
     def test_matrix_is_readonly(self):
-        obs = Observable.zero(SpinRegister.of_size(1))
+        # A generator's dense H is memoized, so it is shared read-only, and
+        # real: it is scattered from the network's float64 sector blocks.
+        net = SpinNetwork.uniform_chain(3, 1.0)
+        gen = LindbladGenerator.from_network(net, 0.3)
+        h = gen.hamiltonian
+        assert h.dtype == np.float64 and gen.hamiltonian is h
         with pytest.raises(ValueError):
-            obs.matrix[0, 0] = 1.0
+            h[0, 0] = 1.0
+        np.testing.assert_allclose(h, xxz_network_hamiltonian(net), atol=1e-12)
 
 
 class TestSiteOperator:
@@ -122,14 +120,14 @@ class TestHamiltonians:
         # sigma.sigma on two spins: triplet at +J (x3), singlet at -3J.
         j = 1.7
         h = xxz_network_hamiltonian(SpinNetwork.uniform_chain(2, j))
-        eigs = np.sort(np.linalg.eigvalsh(h.matrix))
+        eigs = np.sort(np.linalg.eigvalsh(h))
         np.testing.assert_allclose(eigs, [-3 * j, j, j, j], atol=1e-12)
 
     def test_two_site_xx_spectrum(self):
         # Delta = 0 kills the zz term: spectrum {0, 0, +-2J}.
         j = 0.9
         net = SpinNetwork(SpinRegister.of_size(2), {(1, 2): j}, {(1, 2): 0.0})
-        eigs = np.sort(np.linalg.eigvalsh(xxz_network_hamiltonian(net).matrix))
+        eigs = np.sort(np.linalg.eigvalsh(xxz_network_hamiltonian(net)))
         np.testing.assert_allclose(eigs, [-2 * j, 0, 0, 2 * j], atol=1e-12)
 
     def test_hamiltonian_commutes_with_total_sz(self):
@@ -138,7 +136,7 @@ class TestHamiltonians:
             {(1, 2): 1.0, (1, 3): 0.4, (2, 3): -0.7},
             {(1, 2): 0.3, (2, 3): 1.9},
         )
-        h = xxz_network_hamiltonian(net).matrix
+        h = xxz_network_hamiltonian(net)
         sz = np.diag(total_sz(net.register).astype(complex))
         comm = h @ sz - sz @ h
         assert np.abs(comm).max() < 1e-12
@@ -149,6 +147,7 @@ class TestHamiltonians:
             {(1, 2): 1.0, (2, 3): 0.5, (3, 4): 2.0, (1, 4): -0.3},
             {(1, 2): 0.0, (3, 4): 1.5},
         )
-        dense = xxz_network_hamiltonian(net).matrix
-        rebuilt = scatter_blocks(blocked_xxz_hamiltonian(net), 4)
-        np.testing.assert_allclose(rebuilt, dense, atol=1e-12)
+        dense = xxz_network_hamiltonian(net)
+        blocks = blocked_xxz_hamiltonian(net)
+        assert all(b.dtype == np.float64 for b in blocks)
+        np.testing.assert_allclose(scatter_blocks(blocks, 4), dense, atol=1e-12)

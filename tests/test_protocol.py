@@ -45,7 +45,7 @@ from spinfridge import (
 from spinfridge import dynamics, protocol, sectors
 from spinfridge.protocol import _exact_population_curve
 
-from conftest import complex_hopping_generator, random_blocked_state
+from conftest import random_blocked_state, random_network_generator
 
 BAD_COUPLINGS = [0.0, -1.0, math.nan, math.inf]
 TIGHT = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
@@ -154,7 +154,6 @@ class TestAttachThermalQubit:
         assert trace_distance(rest, probe) < 1e-13
 
     def test_blocked_assembly_matches_dense(self, rng):
-        from conftest import complex_hopping_generator, random_blocked_state
         probe = random_blocked_state(rng, 3)
         blocked = attach_thermal_qubit(probe, 0.4)
         dense = attach_thermal_qubit(probe.to_dense(), 0.4)
@@ -225,12 +224,13 @@ class TestOptimizeWaitingTime:
                                   chain_generator(2), coupling=coupling)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
-    @pytest.mark.parametrize("complex_h", [False, True])
-    def test_real_scan_matches_complex_phase_sum(self, rng, n, complex_h):
+    @pytest.mark.parametrize("network", [False, True])
+    def test_real_scan_matches_complex_phase_sum(self, rng, n, network):
         # The reference is the complex double sum over eigenpairs from a
         # complex eigh of each block: sum_jt v_jt (c @ conj(v))_jt with
-        # v = exp(-i D t), c = a o P^T, a = u^dag rho u, P = u^dag diag(b) u.
-        gen = complex_hopping_generator(rng, n) if complex_h \
+        # v = exp(-i D t), c = a o P^T, a = u^dag rho u, P = u^dag diag(b) u,
+        # on the chain or on a random all-to-all XXZ network.
+        gen = random_network_generator(rng, n, 0.0) if network \
             else chain_generator(n)
         probe = random_blocked_state(rng, n)
         times = default_grid(n)
@@ -252,7 +252,7 @@ class TestOptimizeWaitingTime:
 
     def test_scan_arrays_are_cached_on_the_generator(self):
         probe = self.post_first_swap_probe(n=4)
-        times = default_grid(4, 0.05)
+        times = np.arange(81) * 0.05
         fresh = _exact_population_curve(probe, chain_generator(4), times)
         gen = chain_generator(4, 0.5)
         cold = _exact_population_curve(probe, gen, times)
@@ -309,12 +309,12 @@ class TestCertifiedScan:
     """The coarse-to-fine scan evaluates only the grid times its curvature
     bound cannot rule out, and must pick the full scan's wait."""
 
-    @pytest.mark.parametrize("kind", ["chain", "complex"])
+    @pytest.mark.parametrize("kind", ["chain", "network"])
     @pytest.mark.parametrize("grid_kind", ["uniform", "random", "sparse"])
     def test_wait_matches_full_scan(self, rng, kind, grid_kind):
         for _ in range(12):
             n = int(rng.integers(2, 9))
-            gen = complex_hopping_generator(rng, n) if kind == "complex" \
+            gen = random_network_generator(rng, n, 0.0) if kind == "network" \
                 else chain_generator(n)
             probe = random_blocked_state(rng, n)
             grid = random_grid(rng, grid_kind, n)
@@ -338,20 +338,20 @@ class TestCertifiedScan:
     @pytest.mark.parametrize("size", [1, 2, 3])
     @pytest.mark.parametrize("grid_kind", ["uniform", "random"])
     def test_tiny_grids(self, rng, size, grid_kind):
-        for kind in ("chain", "complex"):
-            gen = complex_hopping_generator(rng, 4) if kind == "complex" \
+        for kind in ("chain", "network"):
+            gen = random_network_generator(rng, 4, 0.0) if kind == "network" \
                 else chain_generator(4)
             probe = cold_mixed_probe(rng, 4)
             grid = random_grid(rng, grid_kind, 4, size)
             index, _, _ = full_scan(probe, gen, grid)
             assert optimize_waiting_time(probe, gen, grid)[0] == grid[index]
 
-    @pytest.mark.parametrize("kind", ["chain", "complex"])
+    @pytest.mark.parametrize("kind", ["chain", "network"])
     def test_stationary_probe_is_evaluated_everywhere(self, rng, kind):
         # A uniform thermal product commutes with H: p1 is flat, every grid
         # time ties with the maximum, so none may be skipped.
         for n in (2, 4, 6):
-            gen = complex_hopping_generator(rng, n) if kind == "complex" \
+            gen = random_network_generator(rng, n, 0.0) if kind == "network" \
                 else chain_generator(n)
             probe = thermal_product_state([0.3] * n)
             pruned = _exact_population_curve(probe, gen, default_grid(n))
@@ -602,7 +602,7 @@ class TestCoolStep:
         spec = SwapSpec.partial(5.0)
         probe = cold_mixed_probe(rng, n)
         h = dynamics.xxz_network_hamiltonian(SpinNetwork(
-            SpinRegister.with_qubit(n), {(0, 1): 5.0, **net.couplings})).matrix
+            SpinRegister.with_qubit(n), {(0, 1): 5.0, **net.couplings}))
         w = mp.expm(-1j * mp.mpf(spec.window_duration) * mp.matrix(
             [[mp.mpc(complex(x)) for x in row] for row in h]))
         p0, p1 = thermal_populations(bath)
