@@ -70,9 +70,11 @@ class SpinNetwork:
                 raise DomainError(f"coupling ({n},{m}) outside register {labels}")
             if not math.isfinite(j):
                 raise DomainError(f"coupling J[{n},{m}] = {j} is not finite")
-        for key in self.anisotropies:
-            if key not in self.couplings:
-                raise DomainError(f"anisotropy for absent coupling {key}")
+        for (n, m), delta in self.anisotropies.items():
+            if (n, m) not in self.couplings:
+                raise DomainError(f"anisotropy for absent coupling {(n, m)}")
+            if not math.isfinite(delta):
+                raise DomainError(f"anisotropy Delta[{n},{m}] = {delta} is not finite")
 
     @classmethod
     def uniform_chain(cls, count: int, coupling: float) -> "SpinNetwork":
@@ -154,6 +156,10 @@ class LindbladGenerator:
     dephased route's data one entry per coherence block (`_pair_dephasing`);
     both belong to this generator, so keys carry no rate.
     """
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a LindbladGenerator with "
+                        "LindbladGenerator.from_network(net, rate)")
 
     @classmethod
     def from_network(cls, net: SpinNetwork, dephasing_rate: float = 0.0

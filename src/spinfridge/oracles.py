@@ -8,17 +8,21 @@ reproducible bit for bit.
 
 The claims, in the order exercised here:
 
-* always cools   -- a qubit attached at the bath temperature and swapped
-                    (perfectly or partially) with a probe whose sites all
-                    started at least as cold never comes out hotter.
-* stationarity   -- the bath-temperature product state is an exact fixed
-                    point of wait-plus-swap, and nearby product states at a
-                    different temperature are not.
+* always cools   -- a round of a probe whose sites all started at least as
+                    cold as the bath, with a unital z-conserving wait and a
+                    perfect or partial swap, never emits a qubit hotter
+                    than the bath.
+* stationarity   -- a round maps the bath product chi(bath)^N to itself
+                    and emits chi(bath); a product at another temperature
+                    moves.
 * entropy bounds -- per step the probe's entropy gain covers the emitted
                     qubit's entropy drop, and the cumulative drop never
                     exceeds the probe's capacity N*S_T.
 * majorization   -- within every excitation sector, the spectrum before a
                     unital z-conserving channel majorizes the one after.
+
+The first two run the round the protocol ships, `cool_step`, after an
+exact wait (`_round`), and read its next probe and emitted qubit.
 """
 
 from __future__ import annotations
@@ -26,37 +30,20 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
-from .dynamics import (
-    LindbladGenerator,
-    SpinNetwork,
-    SwapSpec,
-    conserves_z_excitation,
-    evolve_exact,
-    is_unital,
-    perfect_swap,
-    window_generator,
-)
+from .dynamics import (LindbladGenerator, SpinNetwork, SwapSpec,
+                       conserves_z_excitation, evolve_exact, is_unital,
+                       window_generator)
 from .errors import DomainError
-from .protocol import (
-    ProtocolConfig,
-    ProtocolReport,
-    _prepend_site,
-    attach_thermal_qubit,
-    entropy_accounting,
-    run_protocol,
-)
+from .protocol import (ProtocolConfig, ProtocolReport, StepRecord,
+                       _prepend_site, cool_step, entropy_accounting,
+                       run_protocol)
 from .registers import SpinRegister
-from .states import (
-    QuantumState,
-    partial_trace,
-    temperature_of,
-    thermal_product_state,
-    trace_distance,
-)
+from .states import (QuantumState, partial_trace, thermal_product_state,
+                     trace_distance)
 from . import sectors
 
 _COOL_TOL = 1e-9
@@ -73,6 +60,20 @@ def _check_run(trials: int, max_sites: int, oracle: str) -> None:
     if max_sites < 2:
         raise DomainError(f"{oracle} oracle draws probes of 2..max_sites "
                           f"sites, got max_sites = {max_sites}")
+
+
+def _round(probe: QuantumState, bath_beta_tilde: float,
+           gen: LindbladGenerator, swap: SwapSpec, tau: float
+           ) -> tuple[QuantumState, QuantumState, StepRecord]:
+    """`cool_step`'s (next probe, emitted qubit, record) after a wait tau.
+
+    `cool_step` still waits by RKF45 at Gamma > 0, and the oracles stay off
+    the integrator, so they wait by `evolve_exact` (`cool_step`'s own wait
+    at Gamma = 0) and run `cool_step` at tau = 0: the shipped attach, swap
+    and detach. Once dephased waits take `evolve_exact`, this is
+    `cool_step(probe, bath_beta_tilde, gen, swap, tau)`."""
+    return cool_step(evolve_exact(probe, gen, tau), bath_beta_tilde, gen,
+                     swap, 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -106,38 +107,21 @@ class OracleResult:
 
 @dataclass
 class ChannelSample:
-    """One randomly drawn wait-plus-swap channel on qubit + probe.
+    """One randomly drawn round: the wait generator `gen` on the probe's
+    register, `swap` and the wait `tau`. `params` describes them plainly.
 
-    `apply` maps a joint state (labels 0..N) through the channel. The
-    factory verifies unitality and z-excitation conservation on random
-    states before releasing the sample, since those two properties are the
-    hypotheses of the cooling guarantee.
+    `apply(probe, bath)` runs the round (`_round`) and returns the next
+    probe, the emitted qubit and the record.
     """
 
     params: dict
-    joint_register: SpinRegister
-    apply: Callable[[QuantumState], QuantumState]
+    gen: LindbladGenerator
+    swap: SwapSpec
+    tau: float
 
-
-def _wait_then_swap(net: SpinNetwork, gamma: float, j_i: float | None = None
-                    ) -> Callable[[QuantumState, float], QuantumState]:
-    """(joint, tau) -> the joint state after waiting tau under `net`'s
-    couplings on qubit + probe, the probe sites dephased at `gamma`, then a
-    perfect swap (`j_i` None) or the J_I window of the probe generator
-    (`net`, `gamma`). Both propagate exactly through `evolve_exact`."""
-    joint_reg = SpinRegister.with_qubit(net.register.count)
-    wait_gen = LindbladGenerator.from_network(
-        SpinNetwork(joint_reg, net.couplings, net.anisotropies), gamma)
-    if j_i is None:
-        def swap(s):
-            return perfect_swap(s, 0, 1)
-    else:
-        spec = SwapSpec.partial(j_i)
-        window = window_generator(net, gamma, spec)
-
-        def swap(s):
-            return evolve_exact(s, window, spec.window_duration)
-    return lambda joint, tau: swap(evolve_exact(joint, wait_gen, tau))
+    def apply(self, probe: QuantumState, bath_beta_tilde: float
+              ) -> tuple[QuantumState, QuantumState, StepRecord]:
+        return _round(probe, bath_beta_tilde, self.gen, self.swap, self.tau)
 
 
 def _random_network(rng: np.random.Generator, reg: SpinRegister
@@ -158,8 +142,11 @@ def random_channel_sample(rng: np.random.Generator, probe_size: int,
     Couplings are uniform in [-1, 1] on every pair, anisotropies uniform in
     [0, 2], so the Hamiltonian commutes with total spin-z by construction.
     The dephasing rate mixes point masses at 0 and J with a uniform draw so
-    both edge regimes always appear across a batch. The wait and the swap
-    window both propagate exactly through `evolve_exact`.
+    both edge regimes always appear across a batch. The cooling theorem's
+    hypotheses, z-excitation conservation and unitality, are checked on
+    what the round applies: the wait channel `evolve_exact(., gen, tau)` on
+    the probe's register and, for a partial swap, the window's
+    `evolve_exact` channel on qubit + probe. A perfect swap permutes sites.
     """
     net = _random_network(rng, SpinRegister.of_size(probe_size))
     draw = rng.random()
@@ -168,9 +155,19 @@ def random_channel_sample(rng: np.random.Generator, probe_size: int,
     tau = float(rng.uniform(0.0, probe_size))
     j_i = None if rng.random() < 0.5 else \
         float(math.exp(rng.uniform(math.log(0.5), math.log(100.0))))
-    channel = _wait_then_swap(net, gamma, j_i)
-    joint_reg = SpinRegister.with_qubit(probe_size)
-    sample = ChannelSample(
+    swap = SwapSpec.perfect() if j_i is None else SwapSpec.partial(j_i)
+    gen = LindbladGenerator.from_network(net, gamma)
+    channels = [(gen, tau)] if j_i is None else \
+        [(gen, tau), (window_generator(net, gamma, swap), swap.window_duration)]
+    for channel_gen, duration in channels:
+        def channel(state, g=channel_gen, t=duration):
+            return evolve_exact(state, g, t)
+        if not conserves_z_excitation(channel, channel_gen.register, trials=1,
+                                      seed=check_seed):
+            raise DomainError("drawn channel failed z-conservation check")
+        if not is_unital(channel, channel_gen.register):
+            raise DomainError("drawn channel failed unitality check")
+    return ChannelSample(
         params={
             "probe_size": probe_size,
             "couplings": {f"{a},{b}": j
@@ -181,15 +178,7 @@ def random_channel_sample(rng: np.random.Generator, probe_size: int,
             "tau": tau,
             "swap": "perfect" if j_i is None else f"partial J_I={j_i:.4g}",
         },
-        joint_register=joint_reg,
-        apply=lambda joint: channel(joint, tau),
-    )
-    if not conserves_z_excitation(sample.apply, joint_reg, trials=1,
-                                  seed=check_seed):
-        raise DomainError("drawn channel failed z-conservation check")
-    if not is_unital(sample.apply, joint_reg):
-        raise DomainError("drawn channel failed unitality check")
-    return sample
+        gen=gen, swap=swap, tau=tau)
 
 
 # --------------------------------------------------------------------------
@@ -232,10 +221,8 @@ def oracle_always_cools(trials: int = 500, max_sites: int = 4,
         probe = thermal_product_state(temps)
         rounds = int(rng.integers(1, 4))
         for step in range(1, rounds + 1):
-            joint = attach_thermal_qubit(probe, bath)
-            out = sample.apply(joint)
-            qubit = partial_trace(out, keep=(0,))
-            beta_out = temperature_of(qubit).beta_tilde
+            probe, _, record = sample.apply(probe, bath)
+            beta_out = record.qubit_out.beta_tilde
             coldest = min(coldest, beta_out - bath)
             if beta_out < bath - _COOL_TOL:
                 return OracleResult(
@@ -253,7 +240,6 @@ def oracle_always_cools(trials: int = 500, max_sites: int = 4,
                         "channel": sample.params,
                     },
                 )
-            probe = partial_trace(out, keep=probe.register.labels)
     return OracleResult(
         name="always_cools",
         passed=True,
@@ -273,9 +259,10 @@ def oracle_stationary_state(net: SpinNetwork | None = None,
     """Fixed-point and displacement check for the bath product state.
 
     For each dephasing rate (0 and 0.3), each sampled waiting time, and
-    each swap flavor (perfect and a partial J_I = 5 window with the network
-    as background), one full round applied to chi(bath)^(N+1) must return it
-    to within 1e-8. A probe at twice the bath beta_tilde must move by more
+    each swap flavor (perfect and a partial J_I = 5 window of the network's
+    generator), one round (`_round`) of chi(bath)^N must return it as the
+    next probe and emit chi(bath), the larger of the two trace distances
+    within 1e-8. A probe at twice the bath beta_tilde must move by more
     than 1e-6 after one round for at least one sampled waiting time.
     """
     if net is None:
@@ -286,20 +273,23 @@ def oracle_stationary_state(net: SpinNetwork | None = None,
     start = time.perf_counter()
     stationary = thermal_product_state([bath_beta_tilde] * n)
     perturbed = thermal_product_state([2.0 * bath_beta_tilde] * n)
+    bath_qubit = _prepend_site(None, 0, bath_beta_tilde)
 
     trials = 0
     worst_fixed = 0.0
     best_displacement = 0.0
     witness = None
     for gamma in _STATIONARY_RATES:
-        channels = [("perfect", _wait_then_swap(net, gamma)),
-                    ("partial J_I=5", _wait_then_swap(net, gamma, 5.0))]
+        gen = LindbladGenerator.from_network(net, gamma)
+        swaps = [("perfect", SwapSpec.perfect()),
+                 ("partial J_I=5", SwapSpec.partial(5.0))]
         for tau in taus:
-            for swap_name, channel in channels:
+            for swap_name, swap in swaps:
                 trials += 1
-                fixed_in = attach_thermal_qubit(stationary, bath_beta_tilde)
-                fixed_out = channel(fixed_in, tau)
-                dev = trace_distance(fixed_out, fixed_in)
+                probe, qubit, _ = _round(stationary, bath_beta_tilde, gen,
+                                         swap, tau)
+                dev = max(trace_distance(probe, stationary),
+                          trace_distance(qubit, bath_qubit))
                 worst_fixed = max(worst_fixed, dev)
                 if dev > _FIXED_POINT_TOL and witness is None:
                     witness = {
@@ -310,24 +300,21 @@ def oracle_stationary_state(net: SpinNetwork | None = None,
                         "swap": swap_name,
                         "trace_distance": float(dev),
                     }
-                moved = channel(
-                    attach_thermal_qubit(perturbed, bath_beta_tilde), tau)
-                probe_after = partial_trace(moved, keep=net.register.labels)
+                moved, _, _ = _round(perturbed, bath_beta_tilde, gen, swap,
+                                     tau)
                 best_displacement = max(
-                    best_displacement,
-                    trace_distance(probe_after, perturbed))
+                    best_displacement, trace_distance(moved, perturbed))
     if witness is None and best_displacement <= _DISPLACEMENT_MIN:
         witness = {
             "seed": seed,
             "kind": "perturbed state did not move",
             "max_displacement": float(best_displacement),
         }
-    elapsed = time.perf_counter() - start
     return OracleResult(
         name="stationary_state",
         passed=witness is None,
         trials=trials,
-        duration_s=elapsed,
+        duration_s=time.perf_counter() - start,
         witness=witness,
         details={
             "worst_fixed_point_distance": float(worst_fixed),

@@ -1,9 +1,11 @@
-"""Shared fixtures: seeded RNGs, small random-state builders, and the
-spin-1 dipolar projection that independently checks the NV module."""
+"""Shared fixtures: seeded RNGs, small random-state builders, a call
+counter, and the spin-1 dipolar projection that independently checks the
+NV module."""
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -97,3 +99,18 @@ def random_network_generator(rng: np.random.Generator, n: int, gamma: float,
     net = SpinNetwork(reg, {p: float(rng.uniform(-1, 1)) for p in pairs},
                       {p: float(rng.uniform(0, 2)) for p in pairs})
     return LindbladGenerator.from_network(net, gamma)
+
+
+def count_calls(monkeypatch, targets) -> Counter:
+    """Count calls to each (module, name) binding for the test's duration."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls

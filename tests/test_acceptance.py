@@ -141,8 +141,9 @@ def test_criterion_2_randomized_cooling_never_heats():
 
 def test_criterion_3_bath_product_is_stationary():
     # One full round (wait + swap, any tau, either swap flavor, with or
-    # without dephasing) fixes chi(bath)^(N+1) to 1e-8 for every chain
-    # size up to 5, while a perturbed product moves by more than 1e-6.
+    # without dephasing) of chi(bath)^N returns it as the next probe and
+    # emits chi(bath), both to 1e-8, for every chain size up to 5, while a
+    # perturbed product moves by more than 1e-6.
     for n in range(2, 6):
         result = oracle_stationary_state(
             net=SpinNetwork.uniform_chain(n, 1.0), bath_beta_tilde=BATH,

@@ -79,9 +79,12 @@ class TestGeneratorConstruction:
     def test_sector_mixing_hamiltonian_rejected(self):
         # A generator is built from a network only, so no matrix, sector
         # mixing or not, is taken as a Hamiltonian.
+        # Called with no argument it fails at the call, not at first use.
         reg = SpinRegister.of_size(2)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="from_network"):
             LindbladGenerator(site_operator(reg, 1, PAULIS["x"]))
+        with pytest.raises(TypeError, match="from_network"):
+            LindbladGenerator()
 
 
 class TestApplyGenerator:

@@ -110,6 +110,17 @@ class TestSpinNetwork:
         with pytest.raises(DomainError):
             SpinNetwork(reg, {(1, 2): 1.0}, {(1, 3): 0.5})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["coupling", "anisotropy"])
+    def test_non_finite_value_rejected(self, field, value):
+        # A non-finite anisotropy used to pass and make every block NaN.
+        reg = SpinRegister.of_size(2)
+        couplings = {(1, 2): value if field == "coupling" else 1.0}
+        deltas = {(1, 2): value if field == "anisotropy" else 1.0}
+        name = "J" if field == "coupling" else "Delta"
+        with pytest.raises(DomainError, match=rf"{name}\[1,2\]"):
+            SpinNetwork(reg, couplings, deltas)
+
     def test_missing_anisotropy_defaults_to_one(self):
         net = SpinNetwork(SpinRegister.of_size(2), {(1, 2): 1.0})
         assert net.delta((1, 2)) == 1.0

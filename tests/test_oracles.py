@@ -18,7 +18,7 @@ from spinfridge import (
     thermal_product_state,
 )
 
-from conftest import random_blocked_state
+from conftest import count_calls, random_blocked_state
 
 
 class TestOracleResult:
@@ -39,16 +39,13 @@ class TestOracleResult:
 
 class TestChannelSamples:
     def test_sample_is_trace_preserving(self, rng):
+        # One round of the sample keeps the next probe's trace and emits a
+        # normalized qubit.
         sample = random_channel_sample(rng, probe_size=2)
-        state = random_blocked_state(rng, 3)  # qubit + 2-site probe
-        # relabel to the joint register (0, 1, 2)
-        from spinfridge import QuantumState, SpinRegister
-        joint = QuantumState(SpinRegister.with_qubit(2),
-                             blocks=list(state.blocks))
-        out = sample.apply(joint)
-        total = sum(float(np.trace(b).real) for b in out.blocks) \
-            if out.is_blocked else float(np.trace(out.matrix).real)
-        assert total == pytest.approx(1.0, abs=1e-10)
+        probe, qubit, _ = sample.apply(thermal_product_state([1.0, 2.0]), 0.4)
+        for state in (probe, qubit):
+            total = sum(float(np.trace(b).real) for b in state.blocks)
+            assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_params_are_serializable(self, rng):
         import json
@@ -127,12 +124,30 @@ class TestExactRoute:
         assert oracle_majorization(trials=40, max_sites=3)
         assert calls == []
 
-    def test_six_site_probes_pass_and_controls_fail(self):
-        assert oracle_always_cools(trials=10, max_sites=6, seed=7)
-        assert oracle_majorization(trials=10, max_sites=6, seed=11)
-        assert not oracle_always_cools(trials=10, max_sites=6, seed=7,
+    def test_oracles_run_the_shipped_round(self, monkeypatch):
+        # Both theorem oracles run cool_step, and neither the attach, swap
+        # and trace route nor the integrator.
+        from spinfridge import dynamics, integrate, oracles, protocol
+        names = ("cool_step", "attach_thermal_qubit", "perfect_swap",
+                 "partial_swap", "rkf45")
+        calls = count_calls(monkeypatch, [
+            (module, name) for module in (dynamics, integrate, oracles,
+                                          protocol)
+            for name in names if hasattr(module, name)])
+        assert oracle_always_cools(trials=20, max_sites=3)
+        cooling_rounds = calls["cool_step"]
+        assert oracle_stationary_state()
+        assert 0 < cooling_rounds < calls["cool_step"]
+        assert [calls[name] for name in names[1:]] == [0, 0, 0, 0]
+
+    def test_eight_site_probes_pass_and_controls_fail(self):
+        assert oracle_always_cools(trials=10, max_sites=8, seed=7)
+        assert oracle_stationary_state(net=SpinNetwork.uniform_chain(8, 1.0),
+                                       seed=3)
+        assert oracle_majorization(trials=10, max_sites=8, seed=11)
+        assert not oracle_always_cools(trials=10, max_sites=8, seed=7,
                                        inject_violation=True)
-        assert not oracle_majorization(trials=10, max_sites=6, seed=11,
+        assert not oracle_majorization(trials=10, max_sites=8, seed=11,
                                        negative_control=True)
 
     @pytest.mark.parametrize("trials", [0, -3])

@@ -4,7 +4,6 @@ runs, entropy bookkeeping, finite-shot thermometry."""
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -45,7 +44,8 @@ from spinfridge import (
 from spinfridge import dynamics, protocol, sectors
 from spinfridge.protocol import _exact_population_curve
 
-from conftest import random_blocked_state, random_network_generator
+from conftest import (count_calls, random_blocked_state,
+                      random_network_generator)
 
 BAD_COUPLINGS = [0.0, -1.0, math.nan, math.inf]
 TIGHT = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
@@ -64,21 +64,6 @@ def cold_mixed_probe(rng, n: int) -> QuantumState:
         [0.8 * a + 0.2 * b for a, b in
          zip(cold.blocks, random_blocked_state(rng, n).blocks)],
         cold.register)
-
-
-def count_calls(monkeypatch, targets) -> Counter:
-    """Count calls to each (module, name) binding for the test's duration."""
-    calls = Counter()
-
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    for module, name in targets:
-        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    return calls
 
 
 class TestProtocolConfig:
