@@ -274,6 +274,8 @@ def oracle_stationary_state(net: SpinNetwork | None = None,
     stationary = thermal_product_state([bath_beta_tilde] * n)
     perturbed = thermal_product_state([2.0 * bath_beta_tilde] * n)
     bath_qubit = _prepend_site(None, 0, bath_beta_tilde)
+    swaps = [("perfect", SwapSpec.perfect()),
+             ("partial J_I=5", SwapSpec.partial(5.0))]
 
     trials = 0
     worst_fixed = 0.0
@@ -281,8 +283,6 @@ def oracle_stationary_state(net: SpinNetwork | None = None,
     witness = None
     for gamma in _STATIONARY_RATES:
         gen = LindbladGenerator.from_network(net, gamma)
-        swaps = [("perfect", SwapSpec.perfect()),
-                 ("partial J_I=5", SwapSpec.partial(5.0))]
         for tau in taus:
             for swap_name, swap in swaps:
                 trials += 1
