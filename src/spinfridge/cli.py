@@ -21,7 +21,7 @@ Five experiment kinds, one per subcommand:
 Every artifact embeds the package version, the manifest's SHA-256, and the
 seed, so identical (manifest, seed, version) triples produce byte-identical
 files. Exit codes: 0 success, 1 oracle/experiment failure, 2 manifest or
-configuration error, 3 integration failure.
+configuration error.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import SwapSpec
-from .errors import IntegrationError, ManifestError, SpinFridgeError
+from .errors import ManifestError, SpinFridgeError
 from .nv import (
     DIAMOND_BOND_AXES,
     DipolarPair,
@@ -384,11 +384,6 @@ def _run_sweep(manifest: Manifest, out: Path, seed: int, threads: int) -> int:
         for value in sorted(failures):
             print(f"sweep point {value} failed: {failures[value]}",
                   file=sys.stderr)
-        worst = next((e for e in failures.values()
-                      if isinstance(e, IntegrationError)), None)
-        if worst is not None:
-            _print_integration_dump(worst)
-            return 3
         return 1
     return 0
 
@@ -522,12 +517,6 @@ _DEFAULT_VERIFY_MANIFEST = {
 }
 
 
-def _print_integration_dump(exc: IntegrationError) -> None:
-    print("integration failure:", exc, file=sys.stderr)
-    print(f"  at t={exc.t!r}, step={exc.step!r}, error ratio={exc.ratio!r}",
-          file=sys.stderr)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinfridge",
@@ -590,9 +579,6 @@ def main(argv=None) -> int:
     except ManifestError as exc:
         print(f"manifest error: {exc}", file=sys.stderr)
         return 2
-    except IntegrationError as exc:
-        _print_integration_dump(exc)
-        return 3
     except SpinFridgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

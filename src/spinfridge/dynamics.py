@@ -13,16 +13,16 @@ sectors.py). Generators are assembled sector by sector from a SpinNetwork,
 the partial-swap window included; a dense 2^N Hamiltonian is built (and
 cached) only when a state carrying inter-sector coherence is evolved.
 
-Two evolution routes, one per regime:
+Two evolution routes:
 
 * evolve_exact() -- exact, on the coherence blocks X_lm (rows in sector l,
                     columns in sector m): phases in the sector eigenbases
                     at Gamma = 0, a batched Taylor action of the block
                     Liouvillian in matrix form at Gamma > 0, at any
-                    register size. Every swap window, the protocol's
-                    coherent waits and every oracle use it.
-* evolve()       -- adaptive RKF4(5); the protocol's dephased waits, and
-                    the reference the exact route is checked against.
+                    register size. Every wait and swap window of the
+                    protocol and every oracle use it.
+* evolve()       -- adaptive RKF4(5); the independent reference the exact
+                    route is checked against.
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ The claims, in the order exercised here:
 * majorization   -- within every excitation sector, the spectrum before a
                     unital z-conserving channel majorizes the one after.
 
-The first two run the round the protocol ships, `cool_step`, after an
-exact wait (`_round`), and read its next probe and emitted qubit.
+The first two run the round the protocol ships, `cool_step`, and read its
+next probe and emitted qubit.
 """
 
 from __future__ import annotations
@@ -62,20 +62,6 @@ def _check_run(trials: int, max_sites: int, oracle: str) -> None:
                           f"sites, got max_sites = {max_sites}")
 
 
-def _round(probe: QuantumState, bath_beta_tilde: float,
-           gen: LindbladGenerator, swap: SwapSpec, tau: float
-           ) -> tuple[QuantumState, QuantumState, StepRecord]:
-    """`cool_step`'s (next probe, emitted qubit, record) after a wait tau.
-
-    `cool_step` still waits by RKF45 at Gamma > 0, and the oracles stay off
-    the integrator, so they wait by `evolve_exact` (`cool_step`'s own wait
-    at Gamma = 0) and run `cool_step` at tau = 0: the shipped attach, swap
-    and detach. Once dephased waits take `evolve_exact`, this is
-    `cool_step(probe, bath_beta_tilde, gen, swap, tau)`."""
-    return cool_step(evolve_exact(probe, gen, tau), bath_beta_tilde, gen,
-                     swap, 0.0)
-
-
 # --------------------------------------------------------------------------
 # verdicts and samples
 # --------------------------------------------------------------------------
@@ -110,7 +96,7 @@ class ChannelSample:
     """One randomly drawn round: the wait generator `gen` on the probe's
     register, `swap` and the wait `tau`. `params` describes them plainly.
 
-    `apply(probe, bath)` runs the round (`_round`) and returns the next
+    `apply(probe, bath)` runs the round (`cool_step`) and returns the next
     probe, the emitted qubit and the record.
     """
 
@@ -121,7 +107,8 @@ class ChannelSample:
 
     def apply(self, probe: QuantumState, bath_beta_tilde: float
               ) -> tuple[QuantumState, QuantumState, StepRecord]:
-        return _round(probe, bath_beta_tilde, self.gen, self.swap, self.tau)
+        return cool_step(probe, bath_beta_tilde, self.gen, self.swap,
+                         self.tau)
 
 
 def _random_network(rng: np.random.Generator, reg: SpinRegister
@@ -260,7 +247,7 @@ def oracle_stationary_state(net: SpinNetwork | None = None,
 
     For each dephasing rate (0 and 0.3), each sampled waiting time, and
     each swap flavor (perfect and a partial J_I = 5 window of the network's
-    generator), one round (`_round`) of chi(bath)^N must return it as the
+    generator), one round (`cool_step`) of chi(bath)^N must return it as the
     next probe and emit chi(bath), the larger of the two trace distances
     within 1e-8. A probe at twice the bath beta_tilde must move by more
     than 1e-6 after one round for at least one sampled waiting time.
@@ -286,8 +273,8 @@ def oracle_stationary_state(net: SpinNetwork | None = None,
         for tau in taus:
             for swap_name, swap in swaps:
                 trials += 1
-                probe, qubit, _ = _round(stationary, bath_beta_tilde, gen,
-                                         swap, tau)
+                probe, qubit, _ = cool_step(stationary, bath_beta_tilde,
+                                            gen, swap, tau)
                 dev = max(trace_distance(probe, stationary),
                           trace_distance(qubit, bath_qubit))
                 worst_fixed = max(worst_fixed, dev)
@@ -300,8 +287,8 @@ def oracle_stationary_state(net: SpinNetwork | None = None,
                         "swap": swap_name,
                         "trace_distance": float(dev),
                     }
-                moved, _, _ = _round(perturbed, bath_beta_tilde, gen, swap,
-                                     tau)
+                moved, _, _ = cool_step(perturbed, bath_beta_tilde, gen,
+                                        swap, tau)
                 best_displacement = max(
                     best_displacement, trace_distance(moved, perturbed))
     if witness is None and best_displacement <= _DISPLACEMENT_MIN:

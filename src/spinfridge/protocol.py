@@ -47,7 +47,6 @@ from .dynamics import (
     LindbladGenerator,
     SpinNetwork,
     SwapSpec,
-    evolve,
     evolve_exact,
     window_generator,
 )
@@ -94,7 +93,7 @@ class ProtocolConfig:
     provably never emits a qubit hotter than the bath. The bath must be
     resolvable: a beta_tilde so small that its populations round to 1/2
     is refused. Optimized waits come from the grid `default_grid(N)`
-    (J*tau spacing 0.01); dephased waits integrate at `IntegratorConfig()`.
+    (J*tau spacing 0.01); every wait, dephased or not, is `evolve_exact`.
     """
 
     probe_size: int
@@ -408,9 +407,9 @@ def cool_step(
     the probe's sectors if coherent, else by `evolve_exact` of the joint
     blocks p0 rho_L (+) p1 rho_{L-1}; both are read as the two partial
     traces. The next probe's sector spectra give its entropy and distance.
-    A dephased wait integrates by RKF45 at `IntegratorConfig()`. The window
-    is `gen`'s (`window_generator`: its network and rate, plus the J_I
-    hop). What a round reads of it, the unitaries or a dephased window's
+    The wait is `evolve_exact` at every dephasing rate. The window is
+    `gen`'s (`window_generator`: its network and rate, plus the J_I hop).
+    What a round reads of it, the unitaries or a dephased window's
     generator, is kept on `gen` for the next round with the same swap: a
     direct round is `run_protocol`'s.
     """
@@ -424,13 +423,7 @@ def cool_step(
         # Built on the first round that needs it, before the wait: the
         # build's arrays and the waited probe are never held at once.
         window = gen._memo("window", swap, lambda: _window_route(gen, swap))
-    if tau > 0:
-        if gen.dephasing_rate == 0:
-            waited = evolve_exact(probe, gen, tau)
-        else:
-            waited = evolve(probe, gen, tau)
-    else:
-        waited = probe
+    waited = evolve_exact(probe, gen, tau) if tau > 0 else probe
     labels = probe.register.labels
     p0, p1 = thermal_populations(bath_beta_tilde)
     if swap.mode == "perfect":

@@ -426,27 +426,22 @@ class TestSweeps:
 
 
 class TestIntegrationFailure:
-    """An integration failure exits 3 and prints its replayable witness:
-    t, step and error ratio at full precision."""
-
-    WITNESS = {"t": 0.12345678901234566, "step": 1.2345678901234567e-09,
-               "ratio": 3.141592653589793}
+    """An integration failure is a `SpinFridgeError`: it exits 1 and prints
+    its message, which carries t, step and error ratio."""
 
     def failing_run(self, cfg, initial_probe=None):
-        raise IntegrationError("step size underflow", **self.WITNESS)
+        raise IntegrationError("step size underflow", t=0.125, step=1e-9,
+                               ratio=3.5)
 
-    def assert_witness(self, err):
-        w = self.WITNESS
-        assert (f"at t={w['t']!r}, step={w['step']!r}, "
-                f"error ratio={w['ratio']!r}") in err
+    MESSAGE = "step size underflow (t=0.125, step=1e-09, error ratio=3.5)"
 
-    def test_cool_exits_3(self, cool_manifest, monkeypatch, capsys):
+    def test_cool_exits_1(self, cool_manifest, monkeypatch, capsys):
         import spinfridge.cli as cli
         monkeypatch.setattr(cli, "run_protocol", self.failing_run)
-        assert main(["cool", "--manifest", str(cool_manifest)]) == 3
-        self.assert_witness(capsys.readouterr().err)
+        assert main(["cool", "--manifest", str(cool_manifest)]) == 1
+        assert f"error: {self.MESSAGE}" in capsys.readouterr().err
 
-    def test_sweep_exits_3(self, tmp_path, monkeypatch, capsys):
+    def test_sweep_exits_1(self, tmp_path, monkeypatch, capsys):
         import spinfridge.cli as cli
         monkeypatch.setattr(cli, "run_protocol", self.failing_run)
         manifest = write_manifest(
@@ -455,11 +450,10 @@ class TestIntegrationFailure:
             config={"probe_size": 2, "bath_beta_tilde": 0.2, "steps": 2,
                     "dephasing_rates": [0.0, 0.3]})
         assert main(["sweep", "--manifest", str(manifest),
-                     "--threads", "1"]) == 3
+                     "--threads", "1"]) == 1
         err = capsys.readouterr().err
-        assert "sweep point 0.0 failed" in err
-        assert "sweep point 0.3 failed" in err
-        self.assert_witness(err)
+        assert f"sweep point 0.0 failed: {self.MESSAGE}" in err
+        assert f"sweep point 0.3 failed: {self.MESSAGE}" in err
 
 
 class TestThermometry:

@@ -9,7 +9,8 @@ import pytest
 from scipy.linalg import expm
 
 from spinfridge import (DomainError, IntegrationError, IntegratorConfig,
-                        ProtocolConfig, dynamics, run_protocol)
+                        LindbladGenerator, SpinNetwork, SwapSpec, cool_step,
+                        dynamics, evolve, thermal_product_state)
 from spinfridge.integrate import rkf45
 
 
@@ -104,7 +105,9 @@ class TestStepCounts:
         assert (res.steps_taken, res.steps_rejected) == (taken, rejected)
 
     def test_dephased_fixed_protocol(self, monkeypatch):
-        # The dephased_fixed benchmark configuration at N = 3.
+        # The dephased_fixed benchmark configuration at N = 3, with each
+        # fixed J*tau = 1 wait integrated by `evolve` and the round's swap
+        # then run with no further wait.
         counts = []
 
         def counting(*args, **kwargs):
@@ -113,9 +116,12 @@ class TestStepCounts:
             return res
 
         monkeypatch.setattr(dynamics, "rkf45", counting)
-        run_protocol(ProtocolConfig(
-            probe_size=3, bath_beta_tilde=0.2, steps=8, dephasing_rate=0.5,
-            waiting_policy="fixed", fixed_jtau=1.0))
+        gen = LindbladGenerator.from_network(SpinNetwork.uniform_chain(3, 1.0),
+                                             0.5)
+        probe = thermal_product_state([math.inf] * 3)
+        for _ in range(8):
+            probe, _, _ = cool_step(evolve(probe, gen, 1.0), 0.2, gen,
+                                    SwapSpec.perfect(), 0.0)
         assert len(counts) == 26
         assert tuple(map(sum, zip(*counts))) == (1811, 0)
 

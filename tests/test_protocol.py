@@ -500,8 +500,7 @@ class TestCoolStep:
         next_probe, qubit, record = cool_step(probe, bath, gen,
                                               SwapSpec.perfect(), tau)
 
-        waited = evolve_exact(probe, gen, tau) if gamma == 0 \
-            else evolve(probe, gen, tau)
+        waited = evolve_exact(probe, gen, tau)
         swapped = perfect_swap(attach_thermal_qubit(waited, bath), 0, 1)
         ref_probe = partial_trace(swapped, keep=probe.register.labels)
         ref_qubit = partial_trace(swapped, keep=(0,))
@@ -517,14 +516,10 @@ class TestCoolStep:
 
     @staticmethod
     def joint_register_round(probe, bath, gen, spec, tau):
-        """Reference round: wait as `cool_step` waits, attach, evolve the
-        joint register (a dephased window by RKF45 at rel_tol 1e-13), two
-        partial traces."""
-        if tau == 0:
-            waited = probe
-        else:
-            waited = (evolve if gen.dephasing_rate else evolve_exact)(
-                probe, gen, tau)
+        """Reference round: wait as `cool_step` waits (`evolve_exact`),
+        attach, evolve the joint register (a dephased window by RKF45 at
+        rel_tol 1e-13), two partial traces."""
+        waited = evolve_exact(probe, gen, tau) if tau else probe
         joint = attach_thermal_qubit(waited, bath)
         if gen.dephasing_rate:
             swapped = evolve(joint, window_generator(
@@ -634,8 +629,8 @@ class TestSectorBlockedRounds:
         # |000> is sector 0, |001> sector 1 and |011> sector 2.
         probe = self.coherent_probe(pair)
         calls = count_calls(monkeypatch, (
-            (module, name) for module in (protocol, dynamics)
-            for name in ("evolve", "evolve_exact")))
+            (protocol, "evolve_exact"), (dynamics, "evolve_exact"),
+            (dynamics, "evolve")))
         with pytest.raises(SectorMixingError):
             cool_step(probe, 0.2, chain_generator(3, gamma), swap, 0.7)
         policies = ({}, {"waiting_policy": "fixed"},
@@ -700,7 +695,8 @@ class TestRunProtocol:
                                                         gamma):
         calls = count_calls(monkeypatch, ((dynamics, "perfect_swap"),
                                           (protocol, "attach_thermal_qubit"),
-                                          (protocol, "partial_trace")))
+                                          (protocol, "partial_trace"),
+                                          (dynamics, "rkf45")))
         # a perfect_swap bound into the protocol module is counted too
         monkeypatch.setattr(protocol, "perfect_swap", dynamics.perfect_swap,
                             raising=False)
@@ -709,6 +705,8 @@ class TestRunProtocol:
         run_protocol(cfg)
         assert calls["perfect_swap"] == calls["attach_thermal_qubit"] == 0
         assert calls["partial_trace"] == 2 * cfg.steps
+        # every wait is exact, dephased or not
+        assert calls["rkf45"] == 0
 
     @pytest.mark.parametrize("gamma", [0.0, 0.3])
     def test_window_run_builds_no_joint_register(self, monkeypatch, gamma):
@@ -723,8 +721,8 @@ class TestRunProtocol:
         run_protocol(cfg)
         assert calls["attach_thermal_qubit"] == calls["partial_swap"] == 0
         assert calls["partial_trace"] == 0
-        # only the dephased waits integrate
-        assert (calls["rkf45"] > 0) == (gamma > 0)
+        # every wait is exact, dephased or not
+        assert calls["rkf45"] == 0
 
     def test_ideal_run_rotates_once_per_round(self, monkeypatch):
         # The scan rotates each probe into the eigenbasis; the wait that
@@ -756,9 +754,11 @@ class TestRunProtocol:
         assert gen._rotated(state) is not first
 
     def test_dephased_waits_never_read_the_memo(self, monkeypatch):
-        # At Gamma > 0 the waits run RKF45; only the coherent scans rotate.
+        # At Gamma > 0 the waits take the Taylor action, not the rotation
+        # memo; only the coherent scans rotate.
         reads, waiting = [], []
-        rotated, evolve_wait = LindbladGenerator._rotated, protocol.evolve
+        rotated = LindbladGenerator._rotated
+        evolve_wait = protocol.evolve_exact
 
         def spying(gen, state):
             reads.append(bool(waiting))
@@ -772,13 +772,16 @@ class TestRunProtocol:
                 waiting.pop()
 
         monkeypatch.setattr(LindbladGenerator, "_rotated", spying)
-        monkeypatch.setattr(protocol, "evolve", wait)
-        calls = count_calls(monkeypatch, ((dynamics, "rkf45"),))
+        monkeypatch.setattr(protocol, "evolve_exact", wait)
+        calls = count_calls(monkeypatch, ((dynamics, "rkf45"),
+                                          (protocol, "evolve_exact")))
         cfg = ProtocolConfig(probe_size=5, bath_beta_tilde=0.2, steps=6,
                              dephasing_rate=0.3)
-        run_protocol(cfg)
+        report = run_protocol(cfg)
         assert reads == [False] * cfg.steps
-        assert calls["rkf45"] > 0
+        assert calls["evolve_exact"] == sum(r.wait_jtau > 0
+                                            for r in report.records) > 0
+        assert calls["rkf45"] == 0
 
     def test_two_site_ideal_run(self):
         report = run_protocol(ProtocolConfig(2, 0.2, steps=3))
@@ -882,6 +885,74 @@ class TestRunProtocol:
         noisy_total = noisy.cumulative_entropy_drop
         assert noisy_total[0] == pytest.approx(clean_total[0], abs=1e-12)
         assert np.all(noisy_total[1:] < clean_total[1:])
+
+    @pytest.mark.parametrize("policy", ["fixed", "optimized"])
+    def test_dephased_run_matches_extended_precision(self, policy):
+        # Six dephased rounds of a polarized three-site probe, replayed in
+        # 30-digit arithmetic at the package's own waits. Each sector block
+        # waits by the exponential of its Liouvillian L(X) = -i[H_l, X] +
+        # G o X, G_jk = -2 Gamma (number of sites where j and k differ);
+        # the site reset is chi(bath) (x) Tr_1 on the dense 8 x 8 state.
+        # Every wait is exact, so eta_k, entropy and distance hold to 1e-13.
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 30
+        n, bath, gamma = 3, 0.2, 0.5
+        report = run_protocol(ProtocolConfig(
+            probe_size=n, bath_beta_tilde=bath, steps=6, dephasing_rate=gamma,
+            waiting_policy=policy))
+        dim, half = 1 << n, 1 << (n - 1)
+        h = dynamics.xxz_network_hamiltonian(SpinNetwork.uniform_chain(n, 1.0))
+        bases = [[i for i in range(dim) if bin(i).count("1") == l]
+                 for l in range(n + 1)]
+        p1 = mp.exp(bath) / (1 + mp.exp(bath))
+        pops = (1 - p1, p1)
+
+        def liouvillian(b):
+            d = len(b)
+            big = mp.zeros(d * d, d * d)
+            for j in range(d):
+                for k in range(d):
+                    r = j + d * k
+                    big[r, r] = -2 * gamma * bin(b[j] ^ b[k]).count("1")
+                    for m in range(d):
+                        big[r, m + d * k] += mp.mpc(0, -h[b[j], b[m]].real)
+                        big[r, j + d * m] += mp.mpc(0, h[b[m], b[k]].real)
+            return big
+
+        generators = [liouvillian(b) for b in bases]
+        rho = mp.zeros(dim, dim)
+        rho[dim - 1, dim - 1] = 1   # every site |1>: beta_tilde = +inf
+        for record in report.records:
+            for b, big in zip(bases, generators):
+                d = len(b)
+                x = mp.matrix([rho[b[j], b[k]] for k in range(d)
+                               for j in range(d)])
+                y = mp.expm(mp.mpf(record.wait_jtau) * big) * x
+                for j in range(d):
+                    for k in range(d):
+                        rho[b[j], b[k]] = y[j + d * k]
+            q1 = sum(rho[half + i, half + i].real for i in range(half))
+            q0 = 1 - q1
+            eta = 1 - bath / mp.log(q1 / q0) if q0 else mp.mpf(1)
+            rest = [[rho[i, j] + rho[half + i, half + j] for j in range(half)]
+                    for i in range(half)]
+            rho = mp.zeros(dim, dim)
+            for a, p in enumerate(pops):
+                for i in range(half):
+                    for j in range(half):
+                        rho[a * half + i, a * half + j] = p * rest[i][j]
+            entropy = distance = mp.mpf(0)
+            for l, b in enumerate(bases):
+                block = mp.matrix([[rho[i, j] for j in b] for i in b])
+                for lam in mp.eigh(block, eigvals_only=True):
+                    if lam > 1e-25:
+                        entropy -= lam * mp.log(lam)
+                    distance += abs(lam - pops[0] ** (n - l) * pops[1] ** l)
+            assert abs(record.eta - eta) <= 1e-13
+            assert abs(record.probe_entropy - entropy) <= 1e-13
+            assert abs(record.distance_to_pseudothermal - distance / 2) \
+                <= 1e-13
 
     @pytest.mark.parametrize("bath", [745.0, 1e300])
     @pytest.mark.parametrize("kw", [
