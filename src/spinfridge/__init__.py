@@ -67,7 +67,6 @@ from .protocol import (
 from .oracles import (
     ChannelSample,
     OracleResult,
-    SectorSpectrum,
     oracle_always_cools,
     oracle_entropy_bounds,
     oracle_majorization,

@@ -283,11 +283,13 @@ def _run_cool(manifest: Manifest, out: Path, seed: int) -> int:
         raise ManifestError(
             "cool config needs exactly one of 'probe_sizes' or "
             "'bath_beta_tildes' (the swept axis)")
-    field, axis = (("probe_size", sizes) if temps is None
-                   else ("bath_beta_tilde", temps))
-    configs = [_protocol_config({**cfg, field: v}) for v in axis]
+    key, field, axis = (("probe_sizes", "probe_size", sizes) if temps is None
+                        else ("bath_beta_tildes", "bath_beta_tilde", temps))
     if not axis:
         raise ManifestError("cool sweep axis is empty")
+    if len(set(axis)) != len(axis):
+        raise ManifestError(f"cool axis '{key}' has duplicate values")
+    configs = [_protocol_config({**cfg, field: v}) for v in axis]
 
     eta_rows: list[list] = []
     dist_rows: list[list] = []

@@ -616,11 +616,15 @@ def partial_swap(joint_state: QuantumState, gen: LindbladGenerator,
 
 @dataclass
 class CheckResult:
-    """Boolean witness for a channel property check."""
+    """Boolean witness for a channel property check: it passes exactly when
+    it holds no counterexample."""
 
-    passed: bool
     deviation: float
     counterexample: QuantumState | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
     def __bool__(self) -> bool:
         return self.passed
@@ -652,8 +656,8 @@ def conserves_z_excitation(channel: Callable[[QuantumState], QuantumState],
         dev = abs(after - before)
         worst = max(worst, dev)
         if dev > CHANNEL_CHECK_TOL:
-            return CheckResult(False, dev, state)
-    return CheckResult(True, worst)
+            return CheckResult(dev, state)
+    return CheckResult(worst)
 
 
 def is_unital(channel: Callable[[QuantumState], QuantumState],
@@ -665,5 +669,4 @@ def is_unital(channel: Callable[[QuantumState], QuantumState],
         np.eye(len(basis), dtype=complex) / register.dim
         for basis in sectors.sector_bases(register.count)])
     dev = trace_distance(eye, channel(eye))
-    passed = dev <= CHANNEL_CHECK_TOL
-    return CheckResult(passed, dev, None if passed else eye)
+    return CheckResult(dev, None if dev <= CHANNEL_CHECK_TOL else eye)

@@ -22,7 +22,8 @@ The claims, in the order exercised here:
                     unital z-conserving channel majorizes the one after.
 
 The first two run the round the protocol ships, `cool_step`, and read its
-next probe and emitted qubit.
+next probe and emitted qubit. Every verdict is built by `_verdict`: it
+passes exactly when it holds no witness.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from .dynamics import (LindbladGenerator, SpinNetwork, SwapSpec,
                        conserves_z_excitation, evolve_exact, is_unital,
                        window_generator)
 from .errors import DomainError
-from .protocol import (ProtocolConfig, ProtocolReport, StepRecord,
-                       _prepend_site, cool_step, entropy_accounting,
+from .protocol import (ProtocolConfig, ProtocolReport, _prepend_site,
+                       _window_route, cool_step, entropy_accounting,
                        run_protocol)
 from .registers import SpinRegister
 from .states import (QuantumState, partial_trace, thermal_product_state,
@@ -68,7 +69,8 @@ def _check_run(trials: int, max_sites: int, oracle: str) -> None:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Outcome of one oracle run; falsy when the property failed."""
+    """Outcome of one oracle run; falsy when the property failed, which is
+    when it carries a `witness` (`_verdict`)."""
 
     name: str
     passed: bool
@@ -91,24 +93,38 @@ class OracleResult:
         }
 
 
+def _verdict(name: str, start: float, trials: int,
+             witness: dict | None = None, **details) -> OracleResult:
+    """The oracle result after `trials` trials begun at `start`
+    (`time.perf_counter`): passed exactly when there is no witness."""
+    return OracleResult(name, witness is None, trials,
+                        time.perf_counter() - start, witness, details)
+
+
 @dataclass
 class ChannelSample:
     """One randomly drawn round: the wait generator `gen` on the probe's
-    register, `swap` and the wait `tau`. `params` describes them plainly.
+    register, `swap` and the wait `tau`, run as
+    `cool_step(probe, bath, gen, swap, tau)`. `params` describes them
+    plainly."""
 
-    `apply(probe, bath)` runs the round (`cool_step`) and returns the next
-    probe, the emitted qubit and the record.
-    """
-
-    params: dict
     gen: LindbladGenerator
     swap: SwapSpec
     tau: float
 
-    def apply(self, probe: QuantumState, bath_beta_tilde: float
-              ) -> tuple[QuantumState, QuantumState, StepRecord]:
-        return cool_step(probe, bath_beta_tilde, self.gen, self.swap,
-                         self.tau)
+    @property
+    def params(self) -> dict:
+        net, j_i = self.gen.network, self.swap.interaction_strength
+        return {
+            "probe_size": net.register.count,
+            "couplings": {f"{a},{b}": j
+                          for (a, b), j in net.couplings.items()},
+            "anisotropies": {f"{a},{b}": d
+                             for (a, b), d in net.anisotropies.items()},
+            "gamma": self.gen.dephasing_rate,
+            "tau": self.tau,
+            "swap": "perfect" if j_i is None else f"partial J_I={j_i:.4g}",
+        }
 
 
 def _random_network(rng: np.random.Generator, reg: SpinRegister
@@ -134,6 +150,8 @@ def random_channel_sample(rng: np.random.Generator, probe_size: int,
     what the round applies: the wait channel `evolve_exact(., gen, tau)` on
     the probe's register and, for a partial swap, the window's
     `evolve_exact` channel on qubit + probe. A perfect swap permutes sites.
+    The window is built once: the one checked is kept on `gen` for the
+    sample's rounds.
     """
     net = _random_network(rng, SpinRegister.of_size(probe_size))
     draw = rng.random()
@@ -144,8 +162,9 @@ def random_channel_sample(rng: np.random.Generator, probe_size: int,
         float(math.exp(rng.uniform(math.log(0.5), math.log(100.0))))
     swap = SwapSpec.perfect() if j_i is None else SwapSpec.partial(j_i)
     gen = LindbladGenerator.from_network(net, gamma)
-    channels = [(gen, tau)] if j_i is None else \
-        [(gen, tau), (window_generator(net, gamma, swap), swap.window_duration)]
+    window = None if j_i is None else window_generator(net, gamma, swap)
+    channels = [(gen, tau)] if window is None else \
+        [(gen, tau), (window, swap.window_duration)]
     for channel_gen, duration in channels:
         def channel(state, g=channel_gen, t=duration):
             return evolve_exact(state, g, t)
@@ -154,18 +173,9 @@ def random_channel_sample(rng: np.random.Generator, probe_size: int,
             raise DomainError("drawn channel failed z-conservation check")
         if not is_unital(channel, channel_gen.register):
             raise DomainError("drawn channel failed unitality check")
-    return ChannelSample(
-        params={
-            "probe_size": probe_size,
-            "couplings": {f"{a},{b}": j
-                          for (a, b), j in net.couplings.items()},
-            "anisotropies": {f"{a},{b}": d
-                             for (a, b), d in net.anisotropies.items()},
-            "gamma": gamma,
-            "tau": tau,
-            "swap": "perfect" if j_i is None else f"partial J_I={j_i:.4g}",
-        },
-        gen=gen, swap=swap, tau=tau)
+    if window is not None:
+        gen._memo("window", swap, lambda: _window_route(window, swap))
+    return ChannelSample(gen, swap, tau)
 
 
 # --------------------------------------------------------------------------
@@ -208,32 +218,22 @@ def oracle_always_cools(trials: int = 500, max_sites: int = 4,
         probe = thermal_product_state(temps)
         rounds = int(rng.integers(1, 4))
         for step in range(1, rounds + 1):
-            probe, _, record = sample.apply(probe, bath)
+            probe, _, record = cool_step(probe, bath, sample.gen,
+                                         sample.swap, sample.tau)
             beta_out = record.qubit_out.beta_tilde
             coldest = min(coldest, beta_out - bath)
             if beta_out < bath - _COOL_TOL:
-                return OracleResult(
-                    name="always_cools",
-                    passed=False,
-                    trials=trial + 1,
-                    duration_s=time.perf_counter() - start,
-                    witness={
-                        "seed": seed,
-                        "trial": trial,
-                        "step": step,
-                        "bath_beta_tilde": bath,
-                        "probe_beta_tildes": [float(t) for t in temps],
-                        "beta_tilde_out": float(beta_out),
-                        "channel": sample.params,
-                    },
-                )
-    return OracleResult(
-        name="always_cools",
-        passed=True,
-        trials=trials,
-        duration_s=time.perf_counter() - start,
-        details={"min_margin": float(coldest)},
-    )
+                return _verdict("always_cools", start, trial + 1, {
+                    "seed": seed,
+                    "trial": trial,
+                    "step": step,
+                    "bath_beta_tilde": bath,
+                    "probe_beta_tildes": [float(t) for t in temps],
+                    "beta_tilde_out": float(beta_out),
+                    "channel": sample.params,
+                })
+    return _verdict("always_cools", start, trials,
+                    min_margin=float(coldest))
 
 
 # --------------------------------------------------------------------------
@@ -297,17 +297,9 @@ def oracle_stationary_state(net: SpinNetwork | None = None,
             "kind": "perturbed state did not move",
             "max_displacement": float(best_displacement),
         }
-    return OracleResult(
-        name="stationary_state",
-        passed=witness is None,
-        trials=trials,
-        duration_s=time.perf_counter() - start,
-        witness=witness,
-        details={
-            "worst_fixed_point_distance": float(worst_fixed),
-            "max_perturbed_displacement": float(best_displacement),
-        },
-    )
+    return _verdict("stationary_state", start, trials, witness,
+                    worst_fixed_point_distance=float(worst_fixed),
+                    max_perturbed_displacement=float(best_displacement))
 
 
 # --------------------------------------------------------------------------
@@ -369,13 +361,7 @@ def oracle_entropy_bounds(reports: Iterable[ProtocolReport] | None = None
                     "config": _config_summary(report.config),
                 }
                 break
-    return OracleResult(
-        name="entropy_bounds",
-        passed=witness is None,
-        trials=len(reports),
-        duration_s=time.perf_counter() - start,
-        witness=witness,
-    )
+    return _verdict("entropy_bounds", start, len(reports), witness)
 
 
 def _config_summary(cfg: ProtocolConfig) -> dict:
@@ -393,21 +379,15 @@ def _config_summary(cfg: ProtocolConfig) -> dict:
 # lemma: unital z-conserving channels flatten sector spectra
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SectorSpectrum:
+def _sector_spectra(state: QuantumState) -> list[np.ndarray]:
     """Per-sector spectra of a blocked state, each sorted descending."""
-
-    spectra: tuple[np.ndarray, ...]
-
-    @classmethod
-    def from_state(cls, state: QuantumState) -> "SectorSpectrum":
-        spectra = []
-        for block in state.blocks:
-            s = np.sort(np.linalg.eigvalsh(block))[::-1]
-            if s[-1] < -1e-12 or abs(np.trace(block).real - s.sum()) > 1e-10:
-                raise DomainError("inconsistent sector spectrum")
-            spectra.append(s)
-        return cls(tuple(spectra))
+    spectra = []
+    for block in state.blocks:
+        s = np.sort(np.linalg.eigvalsh(block))[::-1]
+        if s[-1] < -1e-12 or abs(np.trace(block).real - s.sum()) > 1e-10:
+            raise DomainError("inconsistent sector spectrum")
+        spectra.append(s)
+    return spectra
 
 
 def _majorizes(before: np.ndarray, after: np.ndarray,
@@ -460,36 +440,24 @@ def oracle_majorization(trials: int = 300, max_sites: int = 4,
                                 labels[0], math.inf)
         else:
             out = evolve_exact(state, gen, tau)
-        before = SectorSpectrum.from_state(state)
-        after = SectorSpectrum.from_state(out)
-        for l, (b, a) in enumerate(zip(before.spectra, after.spectra)):
+        before, after = _sector_spectra(state), _sector_spectra(out)
+        for l, (b, a) in enumerate(zip(before, after)):
             ok, worst_gap = _majorizes(b, a)
             if ok and gamma > 0:
                 strict = float((np.cumsum(b) - np.cumsum(a)).max())
                 strictest = max(strictest, strict)
             if not ok:
-                return OracleResult(
-                    name="majorization",
-                    passed=False,
-                    trials=trial + 1,
-                    duration_s=time.perf_counter() - start,
-                    witness={
-                        "seed": seed,
-                        "trial": trial,
-                        "sector": l,
-                        "worst_partial_sum_gap": worst_gap,
-                        "gamma": gamma,
-                        "tau": tau,
-                        "negative_control": negative_control,
-                    },
-                )
-    return OracleResult(
-        name="majorization",
-        passed=True,
-        trials=trials,
-        duration_s=time.perf_counter() - start,
-        details={"max_strict_dominance": float(strictest)},
-    )
+                return _verdict("majorization", start, trial + 1, {
+                    "seed": seed,
+                    "trial": trial,
+                    "sector": l,
+                    "worst_partial_sum_gap": worst_gap,
+                    "gamma": gamma,
+                    "tau": tau,
+                    "negative_control": negative_control,
+                })
+    return _verdict("majorization", start, trials,
+                    max_strict_dominance=float(strictest))
 
 
 def run_all_oracles(seed: int = 20260814) -> list[OracleResult]:

@@ -422,7 +422,8 @@ def cool_step(
     if swap.mode == "partial":
         # Built on the first round that needs it, before the wait: the
         # build's arrays and the waited probe are never held at once.
-        window = gen._memo("window", swap, lambda: _window_route(gen, swap))
+        window = gen._memo("window", swap, lambda: _window_route(
+            window_generator(gen.network, gen.dephasing_rate, swap), swap))
     waited = evolve_exact(probe, gen, tau) if tau > 0 else probe
     labels = probe.register.labels
     p0, p1 = thermal_populations(bath_beta_tilde)
@@ -488,11 +489,10 @@ def _probe_diagnostics(spectra: list[np.ndarray], bath_beta_tilde: float
 # full runs
 # --------------------------------------------------------------------------
 
-def _window_route(gen: LindbladGenerator, spec: SwapSpec
+def _window_route(window: LindbladGenerator, spec: SwapSpec
                   ) -> list[np.ndarray] | LindbladGenerator:
-    """What a round reads of `gen`'s swap window (see `cool_step`): its
-    sector unitaries if coherent, else its generator."""
-    window = window_generator(gen.network, gen.dephasing_rate, spec)
+    """What a round reads of a built swap window (see `cool_step`): its
+    sector unitaries if coherent, else the window itself."""
     return window if window.dephasing_rate else \
         window.blocked_propagators(spec.window_duration)
 
@@ -572,13 +572,17 @@ class EntropyAudit:
     Per step: the probe's entropy gain must cover the emitted qubit's
     entropy drop, and that drop must not be negative. Cumulatively: the
     total drop is capped by the probe's net entropy gain, itself capped by
-    N times the bath entropy. All with 1e-9 slack.
+    N times the bath entropy. All with 1e-9 slack. It passes exactly when
+    no step offends.
     """
 
-    passed: bool
     offending_step: int | None
     total_drop: float
     capacity: float
+
+    @property
+    def passed(self) -> bool:
+        return self.offending_step is None
 
 
 def entropy_accounting(report: ProtocolReport) -> EntropyAudit:
@@ -602,7 +606,6 @@ def entropy_accounting(report: ProtocolReport) -> EntropyAudit:
             offending = rec.index
         prev = rec.probe_entropy
     return EntropyAudit(
-        passed=offending is None,
         offending_step=offending,
         total_drop=cumulative,
         capacity=capacity,
@@ -622,13 +625,29 @@ class ThermometryResult:
     `record` is only set when the estimate lands in the physical range.
     """
 
-    beta_tilde: float
     stderr: float
-    record: TemperatureRecord | None
     excited_count: float
     ground_count: float
-    boundary: bool
-    inverted: bool
+
+    @property
+    def boundary(self) -> bool:
+        return self.ground_count == 0.0 or self.excited_count == 0.0
+
+    @property
+    def beta_tilde(self) -> float:
+        if self.ground_count == 0.0:
+            return math.inf
+        if self.excited_count == 0.0:
+            return -math.inf
+        return math.log(self.excited_count / self.ground_count)
+
+    @property
+    def inverted(self) -> bool:
+        return self.beta_tilde < 0
+
+    @property
+    def record(self) -> TemperatureRecord | None:
+        return None if self.inverted else TemperatureRecord(self.beta_tilde)
 
 
 def estimate_temperature(probe: QuantumState,
@@ -659,24 +678,4 @@ def estimate_temperature(probe: QuantumState,
         n0 = float(probe.register.count * shots_per_site - n1)
         stderr = math.sqrt(1.0 / n0 + 1.0 / n1) if n0 > 0 and n1 > 0 \
             else math.inf
-
-    boundary = n0 == 0.0 or n1 == 0.0
-    if n0 == 0.0:
-        beta = math.inf
-    elif n1 == 0.0:
-        beta = -math.inf
-    else:
-        beta = math.log(n1 / n0)
-    inverted = beta < 0
-    record = None
-    if not inverted:
-        record = TemperatureRecord(beta)
-    return ThermometryResult(
-        beta_tilde=beta,
-        stderr=stderr,
-        record=record,
-        excited_count=n1,
-        ground_count=n0,
-        boundary=boundary,
-        inverted=inverted,
-    )
+    return ThermometryResult(stderr=stderr, excited_count=n1, ground_count=n0)

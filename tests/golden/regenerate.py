@@ -7,7 +7,8 @@ for byte. Run from the repository root:
 
     PYTHONPATH=src python tests/golden/regenerate.py [case ...]
 
-with no case names to rewrite every case. Regenerate only for a change
+with no case names to rewrite every case; an unknown case name exits 2
+before any file is touched. Regenerate only for a change
 that moves bytes on purpose, and list in CHANGES.md each file that moved,
 how many lines moved and why the new values are right: the gate exists to
 make such moves visible, not to absorb them.
@@ -36,7 +37,12 @@ def run_case(case: Path, out: Path) -> int:
 
 
 def main(names: list[str]) -> int:
-    chosen = [c for c in cases() if not names or c.name in names]
+    known = cases()
+    unknown = [name for name in names if name not in {c.name for c in known}]
+    if unknown:
+        print(f"unknown golden cases: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [c for c in known if not names or c.name in names]
     for case in chosen:
         for old in case.iterdir():
             if old.name != "manifest.json":

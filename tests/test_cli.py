@@ -331,6 +331,28 @@ class TestCoolRuns:
                     "steps": 1})
         assert main(["cool", "--manifest", str(manifest)]) == 2
 
+    @pytest.mark.parametrize("axis, config", [
+        ("probe_sizes", {"probe_sizes": [2, 2], "bath_beta_tilde": 0.2}),
+        ("bath_beta_tildes", {"bath_beta_tildes": [0.2, 0.5, 0.2],
+                              "probe_size": 2}),
+    ])
+    def test_duplicate_axis_values_rejected(self, tmp_path, capsys,
+                                            monkeypatch, axis, config):
+        # A repeated value would run twice and write its rows twice; it is
+        # refused, naming the axis, before any run or output directory.
+        import spinfridge.cli as cli
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("ran a duplicated axis")
+
+        monkeypatch.setattr(cli, "run_protocol", refuse)
+        manifest = write_manifest(
+            tmp_path / "m.json", kind="cool", out=str(tmp_path / "o"),
+            config={**config, "steps": 1})
+        assert main(["cool", "--manifest", str(manifest)]) == 2
+        assert axis in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestSweeps:
     def sweep_manifest(self, tmp_path, **config):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import re
+import shutil
 
+from golden import regenerate
 from golden.regenerate import cases, run_case
 
 # `verify` reports each oracle's wall time, the one field no rerun repeats.
@@ -50,3 +52,25 @@ def test_cli_artifacts_match_golden_bytes(tmp_path):
             mismatches.append(f"{case.name}/{name} line {line + 1}:\n"
                               f"  golden: {golden}\n  now:    {now}")
     assert not mismatches, "\n".join(mismatches)
+
+
+def _snapshot() -> dict:
+    """Every golden file's bytes and modification time."""
+    return {p: (p.read_bytes(), p.stat().st_mtime_ns)
+            for case in cases() for p in case.iterdir()}
+
+
+def test_unknown_case_names_touch_nothing(tmp_path, monkeypatch, capsys):
+    """A case name that names no golden directory exits 2, naming it,
+    before any file is deleted or rewritten, also beside a known name."""
+    before = _snapshot()
+    assert regenerate.main(["no_such_case"]) == 2
+    assert "no_such_case" in capsys.readouterr().err
+    assert _snapshot() == before
+
+    shutil.copytree(regenerate.GOLDEN / "verify", tmp_path / "verify")
+    monkeypatch.setattr(regenerate, "GOLDEN", tmp_path)
+    copied = _snapshot()
+    assert regenerate.main(["verify", "verfy"]) == 2
+    assert "verfy" in capsys.readouterr().err
+    assert _snapshot() == copied

@@ -8,8 +8,8 @@ import pytest
 from spinfridge import (
     DomainError,
     OracleResult,
-    SectorSpectrum,
     SpinNetwork,
+    cool_step,
     oracle_always_cools,
     oracle_entropy_bounds,
     oracle_majorization,
@@ -17,6 +17,8 @@ from spinfridge import (
     random_channel_sample,
     thermal_product_state,
 )
+
+from spinfridge.oracles import _sector_spectra
 
 from conftest import count_calls, random_blocked_state
 
@@ -42,7 +44,8 @@ class TestChannelSamples:
         # One round of the sample keeps the next probe's trace and emits a
         # normalized qubit.
         sample = random_channel_sample(rng, probe_size=2)
-        probe, qubit, _ = sample.apply(thermal_product_state([1.0, 2.0]), 0.4)
+        probe, qubit, _ = cool_step(thermal_product_state([1.0, 2.0]), 0.4,
+                                    sample.gen, sample.swap, sample.tau)
         for state in (probe, qubit):
             total = sum(float(np.trace(b).real) for b in state.blocks)
             assert total == pytest.approx(1.0, abs=1e-10)
@@ -51,6 +54,82 @@ class TestChannelSamples:
         import json
         sample = random_channel_sample(rng, probe_size=3)
         json.dumps(sample.params)
+
+    @pytest.mark.parametrize("seed, params", [
+        (0, {"probe_size": 2, "couplings": {"1,2": 0.2739233746429086},
+             "anisotropies": {"1,2": 0.5395734275277406}, "gamma": 0.0,
+             "tau": 0.03305527105705819, "swap": "partial J_I=62.99"}),
+        (1, {"probe_size": 2, "couplings": {"1,2": 0.023643249400513433},
+             "anisotropies": {"1,2": 1.9009273926518706}, "gamma": 0.0,
+             "tau": 1.8972988942744877, "swap": "perfect"}),
+        (2, {"probe_size": 2, "couplings": {"1,2": -0.4767757315013672},
+             "anisotropies": {"1,2": 0.5969822868282466},
+             "gamma": 0.0919159421350969, "tau": 1.200201051931308,
+             "swap": "partial J_I=1.353"}),
+    ])
+    def test_params_are_the_drawn_round(self, seed, params):
+        # A witness quotes `params`, read off the round it describes; these
+        # are the draws' plain values, key order included.
+        import json
+        sample = random_channel_sample(np.random.default_rng(seed), 2)
+        assert json.dumps(sample.params) == json.dumps(params)
+
+    def test_one_window_build_per_partial_sample(self, monkeypatch):
+        # The window whose hypotheses a sample checks is the one its rounds
+        # apply, so each partial-swap sample builds exactly one.
+        from spinfridge import dynamics, oracles, protocol
+        samples = []
+        draw = oracles.random_channel_sample
+
+        def kept(*args, **kwargs):
+            samples.append(draw(*args, **kwargs))
+            return samples[-1]
+
+        monkeypatch.setattr(oracles, "random_channel_sample", kept)
+        calls = count_calls(monkeypatch, [
+            (module, "window_generator")
+            for module in (dynamics, oracles, protocol)])
+        assert oracle_always_cools(trials=100)
+        partial = sum(s.swap.mode == "partial" for s in samples)
+        assert (len(samples), partial) == (100, 62)
+        assert calls["window_generator"] == partial
+
+    @pytest.mark.parametrize("seed", [0, 2])   # coherent, dephased window
+    def test_rounds_apply_the_checked_window(self, monkeypatch, seed):
+        from spinfridge import oracles, protocol
+        built, evolved, routed = [], [], []
+
+        def spy(fn, log, entry):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                log.append(entry(args, out))
+                return out
+            return wrapped
+
+        monkeypatch.setattr(oracles, "window_generator", spy(
+            oracles.window_generator, built, lambda args, out: out))
+        monkeypatch.setattr(oracles, "evolve_exact", spy(
+            oracles.evolve_exact, evolved, lambda args, out: args[1]))
+        monkeypatch.setattr(oracles, "_window_route", spy(
+            oracles._window_route, routed, lambda args, out: (args[0], out)))
+        sample = random_channel_sample(np.random.default_rng(seed), 2)
+        (window,) = built
+        # the z-conservation and unitality checks each ran on `window`
+        assert sum(g is window for g in evolved) == 2
+        ((route_of, route),) = routed
+        assert route_of is window
+
+        calls = count_calls(monkeypatch, [(protocol, "window_generator")])
+        probe = thermal_product_state([1.0, 2.0])
+        for _ in range(2):
+            probe, _, _ = cool_step(probe, 0.4, sample.gen, sample.swap,
+                                    sample.tau)
+        assert calls["window_generator"] == 0
+
+        def rebuilt():
+            raise AssertionError("the round built another window")
+
+        assert sample.gen._memo("window", sample.swap, rebuilt) is route
 
 
 class TestAlwaysCools:
@@ -174,15 +253,14 @@ class TestExactRoute:
 class TestSectorSpectrum:
     def test_from_blocked_state(self, rng):
         state = random_blocked_state(rng, 3)
-        spec = SectorSpectrum.from_state(state)
-        assert len(spec.spectra) == 4
-        total = sum(sum(s) for s in spec.spectra)
+        spectra = _sector_spectra(state)
+        assert len(spectra) == 4
+        total = sum(sum(s) for s in spectra)
         assert total == pytest.approx(1.0, abs=1e-10)
-        for s in spec.spectra:
+        for s in spectra:
             assert list(s) == sorted(s, reverse=True)
 
     def test_thermal_state_spectra_are_flat(self):
         state = thermal_product_state([0.5] * 3)
-        spec = SectorSpectrum.from_state(state)
-        for s in spec.spectra:
+        for s in _sector_spectra(state):
             assert max(s) == pytest.approx(min(s), abs=1e-14)
