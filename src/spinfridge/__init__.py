@@ -2,11 +2,11 @@
 
 A chain of interacting spins (the probe) cools a stream of thermal qubits:
 each cycle waits under free dissipative dynamics, then swaps the probe's
-target spin with a fresh qubit. The package simulates that loop exactly or
-with an adaptive integrator, verifies the protocol's structural guarantees
-(cooling, stationarity, entropy bounds, majorization) by brute force at
-small sizes, and computes the dipolar couplings for the diamond-defect
-implementation.
+target spin with a fresh qubit. The package simulates that loop exactly
+(an adaptive integrator is kept only as the tests' reference for the exact
+route), verifies the protocol's structural guarantees (cooling,
+stationarity, entropy bounds, majorization) by brute force at small sizes,
+and computes the dipolar couplings for the diamond-defect implementation.
 """
 
 from .errors import (

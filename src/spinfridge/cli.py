@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import hashlib
 import json
 import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -179,6 +180,24 @@ def _take_list(cfg: dict, field: str, kind: type, default=None):
         _checked(v, kind, f"{field}[{i}]") for i, v in enumerate(items)]
 
 
+def _swept_axis(cfg: dict, where: str, **axes: type) -> tuple[str, list]:
+    """Pop the swept axis of a `where` config: exactly one of the list
+    fields `axes` (name -> entry kind), non-empty and without duplicates.
+    Returns its name and values."""
+    found = {name: values for name, kind in axes.items()
+             if (values := _take_list(cfg, name, kind)) is not None}
+    if len(found) != 1:
+        raise ManifestError(
+            f"{where} config needs exactly one of "
+            f"{' or '.join(map(repr, axes))} (the swept axis)")
+    (name, values), = found.items()
+    if not values:
+        raise ManifestError(f"{where} axis '{name}' is empty")
+    if len(set(values)) != len(values):
+        raise ManifestError(f"{where} axis '{name}' has duplicate values")
+    return name, values
+
+
 def _reject_unknown(cfg: dict, where: str):
     if cfg:
         raise ManifestError(
@@ -277,18 +296,10 @@ def _write_json(path: Path, manifest: Manifest, seed: int, payload) -> None:
 
 def _run_cool(manifest: Manifest, out: Path, seed: int) -> int:
     cfg = manifest.config()
-    sizes = _take_list(cfg, "probe_sizes", int)
-    temps = _take_list(cfg, "bath_beta_tildes", float)
-    if (sizes is None) == (temps is None):
-        raise ManifestError(
-            "cool config needs exactly one of 'probe_sizes' or "
-            "'bath_beta_tildes' (the swept axis)")
-    key, field, axis = (("probe_sizes", "probe_size", sizes) if temps is None
-                        else ("bath_beta_tildes", "bath_beta_tilde", temps))
-    if not axis:
-        raise ManifestError("cool sweep axis is empty")
-    if len(set(axis)) != len(axis):
-        raise ManifestError(f"cool axis '{key}' has duplicate values")
+    key, axis = _swept_axis(cfg, "cool", probe_sizes=int,
+                            bath_beta_tildes=float)
+    field = {"probe_sizes": "probe_size",
+             "bath_beta_tildes": "bath_beta_tilde"}[key]
     configs = [_protocol_config({**cfg, field: v}) for v in axis]
 
     eta_rows: list[list] = []
@@ -307,10 +318,14 @@ def _run_cool(manifest: Manifest, out: Path, seed: int) -> int:
     return 0
 
 
-def _sweep_point(args: tuple) -> list[list]:
-    value, cfg_dict = args
-    pcfg = _protocol_config(cfg_dict, where="sweep point")
-    report = run_protocol(pcfg)
+def _sweep_point(point: tuple) -> list[list] | SpinFridgeError:
+    """The rows of one (grid value, ProtocolConfig) point, or the
+    SpinFridgeError its run raised."""
+    value, pcfg = point
+    try:
+        report = run_protocol(pcfg)
+    except SpinFridgeError as exc:
+        return exc
     drops = report.cumulative_entropy_drop
     return [[value, r.index, r.eta, float(total), r.probe_entropy,
              r.distance_to_pseudothermal]
@@ -321,73 +336,51 @@ def _run_sweep(manifest: Manifest, out: Path, seed: int, threads: int) -> int:
     if threads < 0:
         raise ManifestError("--threads must be >= 0")
     cfg = manifest.config()
-    gammas = _take_list(cfg, "dephasing_rates", float)
-    strengths = _take_list(cfg, "swap_strengths", float)
-    if (gammas is None) == (strengths is None):
-        raise ManifestError(
-            "sweep config needs exactly one of 'dephasing_rates' or "
-            "'swap_strengths' (the grid)")
-    if gammas is not None:
-        grid, filename = gammas, "fig4.csv"
-        points = [(g, {**cfg, "dephasing_rate": g}) for g in grid]
-    else:
-        grid, filename = strengths, "fig5.csv"
-        base_swap = _take(cfg, "swap", dict, {})
-        points = [(j, {**cfg, "swap": {**base_swap, "mode": "partial",
-                                       "interaction_strength": j}})
-                  for j in grid]
-    if not grid:
-        raise ManifestError("sweep grid is empty")
-    if len(set(grid)) != len(grid):
-        raise ManifestError("sweep grid has duplicate values")
+    key, grid = _swept_axis(cfg, "sweep", dephasing_rates=float,
+                            swap_strengths=float)
+    gamma = key == "dephasing_rates"
+    base_swap = {} if gamma else _take(cfg, "swap", dict, {})
+    base = _protocol_config(cfg)
+
+    # Build and check every point before spending any compute on the grid.
+    points = []
+    for value in sorted(grid):
+        try:
+            pcfg = replace(base, dephasing_rate=value) if gamma else replace(
+                base, swap=_swap_from_manifest({
+                    **base_swap, "mode": "partial",
+                    "interaction_strength": value}))
+        except SpinFridgeError as exc:
+            raise ManifestError(
+                f"invalid 'sweep point {value}' section: {exc}") from exc
+        points.append((value, pcfg))
 
     # A comparison sweep must wait at the same moments on every grid point,
     # so the default per-step optimization is resolved once on the
     # noise-free configuration and replayed as a fixed schedule. Manifests
     # that pin 'fixed' (or an explicit schedule) are left untouched.
-    if cfg.get("waiting_policy", "optimized") == "optimized":
-        base = _protocol_config(dict(cfg), where="config")
-        schedule = list(ideal_waiting_schedule(base))
-        for _, point in points:
-            point["waiting_policy"] = "schedule"
-            point["tau_schedule"] = schedule
-
-    # Validate every point before spending any compute on the grid.
-    for value, point in points:
-        _protocol_config(dict(point), where=f"sweep point {value}")
+    if base.waiting_policy == "optimized":
+        schedule = ideal_waiting_schedule(base)
+        points = [(value, replace(pcfg, waiting_policy="schedule",
+                                  tau_schedule=schedule))
+                  for value, pcfg in points]
 
     workers = threads if threads > 0 else (os.cpu_count() or 1)
     workers = max(1, min(workers, len(points)))
-    results: dict[float, list[list]] = {}
-    failures: dict[float, BaseException] = {}
-    if workers == 1:
-        for task in points:
-            try:
-                results[task[0]] = _sweep_point(task)
-            except SpinFridgeError as exc:
-                failures[task[0]] = exc
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_sweep_point, task): task[0]
-                       for task in points}
-            for future in concurrent.futures.as_completed(futures):
-                value = futures[future]
-                try:
-                    results[value] = future.result()
-                except SpinFridgeError as exc:
-                    failures[value] = exc
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+          if workers > 1 else contextlib.nullcontext()) as pool:
+        outcomes = list((pool.map if pool else map)(_sweep_point, points))
 
-    rows = [row for value in sorted(results) for row in results[value]]
-    column = "gamma" if gammas is not None else "J_I"
-    _write_csv(out / filename, manifest, seed,
-               [column, "k", "eta_k", "dS_total", "S_probe", "trace_distance"],
-               rows)
-    if failures:
-        for value in sorted(failures):
-            print(f"sweep point {value} failed: {failures[value]}",
-                  file=sys.stderr)
-        return 1
-    return 0
+    failed = [(value, exc) for (value, _), exc in zip(points, outcomes)
+              if isinstance(exc, SpinFridgeError)]
+    rows = [row for result in outcomes if isinstance(result, list)
+            for row in result]
+    _write_csv(out / ("fig4.csv" if gamma else "fig5.csv"), manifest, seed,
+               ["gamma" if gamma else "J_I", "k", "eta_k", "dS_total",
+                "S_probe", "trace_distance"], rows)
+    for value, exc in failed:
+        print(f"sweep point {value} failed: {exc}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _run_thermometry(manifest: Manifest, out: Path, seed: int) -> int:

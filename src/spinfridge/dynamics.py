@@ -11,7 +11,7 @@ excitation sector, a blocked state stays blocked, each block evolves on its
 own, and per-site dephasing collapses to one Hadamard product per block (see
 sectors.py). Generators are assembled sector by sector from a SpinNetwork,
 the partial-swap window included; a dense 2^N Hamiltonian is built (and
-cached) only when a state carrying inter-sector coherence is evolved.
+cached) only when `evolve` integrates a dense state.
 
 Two evolution routes:
 
@@ -21,8 +21,9 @@ Two evolution routes:
                     Liouvillian in matrix form at Gamma > 0, at any
                     register size. Every wait and swap window of the
                     protocol and every oracle use it.
-* evolve()       -- adaptive RKF4(5); the independent reference the exact
-                    route is checked against.
+* evolve()       -- adaptive RKF4(5) over the state's own blocks, keeping
+                    its form; the independent reference the exact route
+                    is checked against.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ from .errors import DomainError, IntegrationError
 from .integrate import IntegratorConfig, rkf45
 from .operators import PAULIS, site_operator
 from .registers import SpinRegister
-from .states import (INTERSECTOR_TOL, QuantumState, sector_decompose,
-                     trace_distance)
+from .states import QuantumState, trace_distance
 
 CHANNEL_CHECK_TOL = 1e-9
 
@@ -140,7 +140,7 @@ class LindbladGenerator:
 
     The Hamiltonian is held as its real sector blocks, which is all the
     blocked routes read; `hamiltonian` scatters them into a dense matrix on
-    first use (only states with inter-sector coherence need it). Built from
+    first use (only `evolve` on a dense state needs it). Built from
     a network, H conserves the total spin-z exactly, which every guarantee
     the package checks assumes.
 
@@ -323,11 +323,13 @@ def _repair_positivity(blocks: list[np.ndarray], cfg: IntegratorConfig,
 
 def evolve(state: QuantumState, gen: LindbladGenerator, duration: float,
            cfg: IntegratorConfig | None = None) -> QuantumState:
-    """Adaptive RKF4(5) integration of the master equation.
+    """Adaptive RKF4(5) integration of the master equation, returning the
+    input's form.
 
-    Blocked states, and dense states without inter-sector coherence, evolve
-    sector by sector; a state with inter-sector coherence goes through the
-    dense route.
+    One loop runs over the state's Hermitian blocks: a blocked state's
+    sector blocks (`_block_rhs`), or a dense state's matrix as one block
+    (`_dense_rhs`). Zero blocks stay zero; the results then go through
+    `_repair_positivity`.
     """
     if gen.register.labels != state.register.labels:
         raise DomainError("generator and state registers do not match")
@@ -335,37 +337,19 @@ def evolve(state: QuantumState, gen: LindbladGenerator, duration: float,
         raise DomainError(f"duration must be finite and >= 0, got {duration}")
     cfg = cfg or IntegratorConfig()
 
-    if not state.is_blocked:
-        # A dense input without inter-sector coherence stays blocked under a
-        # z-conserving generator, so route it through the blocked path.
-        coherence = sectors.max_intersector_coherence(
-            state.matrix, state.register.count)
-        if coherence <= INTERSECTOR_TOL:
-            state = sector_decompose(state)
+    def rhs(l):
+        if not state.is_blocked:
+            return _dense_rhs(gen)
+        return _block_rhs(gen, gen.hamiltonian_blocks()[l],
+                          sectors.spin_signs(gen.register.count, l))
+
+    blocks = state.blocks if state.is_blocked else [state.matrix]
+    out = [rkf45(rhs(l), 0.5 * (b + b.conj().T), duration, cfg).y if b.any()
+           else np.zeros_like(b) for l, b in enumerate(blocks)]
+    out = _repair_positivity(out, cfg, duration)
     if state.is_blocked:
-        return _evolve_blocked(state, gen, duration, cfg)
-    rho0 = 0.5 * (state.matrix + state.matrix.conj().T)
-    result = rkf45(_dense_rhs(gen), rho0, duration, cfg)
-    repaired, = _repair_positivity([result.y], cfg, duration)
-    return QuantumState._adopt(state.register, dense=repaired)
-
-
-def _evolve_blocked(state, gen, duration, cfg):
-    n = state.register.count
-    h_blocks = gen.hamiltonian_blocks()
-    out_blocks = []
-    for l, block in enumerate(state.blocks):
-        if not block.any():
-            # An empty sector stays empty (the generator is linear and
-            # sector-preserving); skip the integrator entirely.
-            out_blocks.append(np.zeros_like(block))
-            continue
-        y0 = 0.5 * (block + block.conj().T)
-        result = rkf45(_block_rhs(gen, h_blocks[l], sectors.spin_signs(n, l)),
-                       y0, duration, cfg)
-        out_blocks.append(result.y)
-    out_blocks = _repair_positivity(out_blocks, cfg, duration)
-    return QuantumState._adopt(state.register, blocks=out_blocks)
+        return QuantumState._adopt(state.register, blocks=out)
+    return QuantumState._adopt(state.register, dense=out[0])
 
 
 # Taylor degree of the dephased action and the largest step norm it covers
@@ -562,6 +546,9 @@ class SwapSpec:
     def __post_init__(self):
         if self.mode not in ("perfect", "partial"):
             raise DomainError(f"unknown swap mode {self.mode!r}")
+        if self.mode == "perfect" and self.interaction_strength is not None:
+            raise DomainError(f"a perfect swap takes no J_I, got "
+                              f"{self.interaction_strength}")
         if self.mode == "partial":
             j = self.interaction_strength
             if j is None or not math.isfinite(j) or j <= 0:

@@ -250,8 +250,12 @@ def oracle_stationary_state(net: SpinNetwork | None = None,
     generator), one round (`cool_step`) of chi(bath)^N must return it as the
     next probe and emit chi(bath), the larger of the two trace distances
     within 1e-8. A probe at twice the bath beta_tilde must move by more
-    than 1e-6 after one round for at least one sampled waiting time.
+    than 1e-6 after one round for at least one sampled waiting time, so a
+    bath at 0 or infinity, where twice beta_tilde is beta_tilde, is refused.
     """
+    if 2.0 * bath_beta_tilde == bath_beta_tilde:
+        raise DomainError(f"bath beta_tilde {bath_beta_tilde} is its own "
+                          f"double: the perturbed probe would not differ")
     if net is None:
         net = SpinNetwork.uniform_chain(4, 1.0)
     n = net.register.count

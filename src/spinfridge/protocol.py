@@ -668,9 +668,11 @@ def estimate_temperature(probe: QuantumState,
         n1 = float(pops[:, 1].sum())
         stderr = 0.0
     else:
-        if shots_per_site < 1:
-            raise DomainError(f"shots per site must be >= 1, got "
-                              f"{shots_per_site}")
+        if isinstance(shots_per_site, bool) \
+                or not isinstance(shots_per_site, (int, np.integer)) \
+                or shots_per_site < 1:
+            raise DomainError(f"shots per site must be an integer >= 1, got "
+                              f"{shots_per_site!r}")
         rng = np.random.default_rng(seed)
         p1 = np.clip(pops[:, 1], 0.0, 1.0)
         excited = rng.binomial(shots_per_site, p1)

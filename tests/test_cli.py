@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import spinfridge
-from spinfridge import (IntegrationError, OracleResult, __version__,
-                        thermal_product_state)
+from spinfridge import (DomainError, IntegrationError, OracleResult,
+                        __version__, thermal_product_state)
 from spinfridge.cli import main
 
 
@@ -420,6 +420,50 @@ class TestSweeps:
                                        dephasing_rates=[0.1, math.nan])
         assert main(["sweep", "--manifest", str(manifest)]) == 2
         assert not (tmp_path / "out" / "fig4.csv").exists()
+
+    def test_bad_point_rejected_before_the_ideal_schedule(
+            self, tmp_path, monkeypatch, capsys):
+        # Every grid point is built and checked before the noise-free
+        # schedule runs; the error names the point.
+        import spinfridge.cli as cli
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("ran the ideal schedule")
+
+        monkeypatch.setattr(cli, "ideal_waiting_schedule", refuse)
+        manifest = self.sweep_manifest(tmp_path,
+                                       dephasing_rates=[0.1, math.nan])
+        assert main(["sweep", "--manifest", str(manifest)]) == 2
+        assert "sweep point nan" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failing_point_keeps_the_other_rows(self, tmp_path, monkeypatch,
+                                                capsys, threads):
+        # Serial and pooled points run through one ordered map: a point's
+        # error is reported and the other points' rows are written as a
+        # clean run writes them. The pool forks, so the patched run
+        # reaches its workers; a DomainError survives pickling.
+        import spinfridge.cli as cli
+        manifest = self.sweep_manifest(tmp_path,
+                                       dephasing_rates=[0.2, 0.1, 0.0])
+        assert main(["sweep", "--manifest", str(manifest)]) == 0
+        _, _, clean = read_rows(tmp_path / "out" / "fig4.csv")
+        real_run = cli.run_protocol
+
+        def failing(cfg, initial_probe=None):
+            if cfg.dephasing_rate == 0.1:
+                raise DomainError("no run at 0.1")
+            return real_run(cfg, initial_probe)
+
+        monkeypatch.setattr(cli, "run_protocol", failing)
+        assert main(["sweep", "--manifest", str(manifest),
+                     "--threads", threads]) == 1
+        _, _, rows = read_rows(tmp_path / "out" / "fig4.csv")
+        assert rows == [r for r in clean if float(r[0]) != 0.1]
+        assert len(rows) == 4
+        assert "sweep point 0.1 failed: no run at 0.1" \
+            in capsys.readouterr().err
 
     def test_duplicate_grid_rejected(self, tmp_path):
         manifest = self.sweep_manifest(tmp_path,

@@ -415,6 +415,18 @@ class TestEvolveAdaptive:
         assert trace_distance(
             blocked, QuantumState(state.register, dense=dense)) < 1e-8
 
+    def test_dense_input_stays_dense(self, rng):
+        # A dense state without inter-sector coherence is integrated as one
+        # dense block: the output keeps the input's form and matches the
+        # blocked route at tight tolerances.
+        gen = chain_generator(3, 0.5)
+        state = random_blocked_state(rng, 3)
+        tight = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
+        dense = evolve(state.to_dense(), gen, 2.0, tight)
+        blocked = evolve(state, gen, 2.0, tight)
+        assert not dense.is_blocked and blocked.is_blocked
+        assert np.abs(dense.matrix - blocked.to_dense().matrix).max() <= 1e-12
+
     def test_register_mismatch_rejected(self, rng):
         gen = chain_generator(3)
         with pytest.raises(DomainError):
@@ -467,6 +479,11 @@ class TestSwapSpec:
     def test_unknown_mode_rejected(self):
         with pytest.raises(DomainError):
             SwapSpec(mode="instant")
+
+    def test_perfect_takes_no_strength(self):
+        with pytest.raises(DomainError):
+            SwapSpec("perfect", 5.0)
+        assert SwapSpec.perfect().interaction_strength is None
 
     def test_partial_needs_positive_strength(self):
         for bad in (0.0, -1.0, math.inf, None):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -273,7 +274,6 @@ class TestWahuhaAverage:
     def test_generic_pair_matches_extended_precision(self):
         # The same cycle and ideal unitaries, log and spectral norms, in
         # 30-digit arithmetic; the spin-1/2 products are exact in binary.
-        mpmath = pytest.importorskip("mpmath")
         mp = mpmath.mp.clone()
         mp.dps = 30
         pair, tau = self.generic_pair(), 1e-6

@@ -166,6 +166,14 @@ class TestStationaryState:
         assert result.details["max_perturbed_displacement"] > 1e-6
 
 
+    @pytest.mark.parametrize("bath", [0.0, np.inf])
+    def test_bath_equal_to_its_double_refused(self, bath):
+        # There 2 beta_tilde = beta_tilde, so the perturbed probe is the
+        # bath and the displacement check could never pass.
+        with pytest.raises(DomainError):
+            oracle_stationary_state(bath_beta_tilde=bath)
+
+
 class TestEntropyBounds:
     def test_standard_battery_passes(self):
         result = oracle_entropy_bounds()

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -574,7 +575,6 @@ class TestCoolStep:
         # One window round on a three-site probe, with exp(-i t H_w) and both
         # partial traces taken in 30-digit arithmetic on the dense 16 x 16
         # joint register.
-        mpmath = pytest.importorskip("mpmath")
         mp = mpmath.mp.clone()
         mp.dps = 30
         n, bath = 3, 0.3
@@ -894,7 +894,6 @@ class TestRunProtocol:
         # G o X, G_jk = -2 Gamma (number of sites where j and k differ);
         # the site reset is chi(bath) (x) Tr_1 on the dense 8 x 8 state.
         # Every wait is exact, so eta_k, entropy and distance hold to 1e-13.
-        mpmath = pytest.importorskip("mpmath")
         mp = mpmath.mp.clone()
         mp.dps = 30
         n, bath, gamma = 3, 0.2, 0.5
@@ -1053,6 +1052,20 @@ class TestEstimateTemperature:
         probe = thermal_product_state([0.2])
         with pytest.raises(DomainError):
             estimate_temperature(probe, shots_per_site=0)
+
+    @pytest.mark.parametrize("shots", [2.5, 3.0, True])
+    def test_non_integer_shots_rejected(self, shots):
+        # A fractional shot count would give fractional pooled counts.
+        probe = thermal_product_state([0.2] * 3)
+        with pytest.raises(DomainError):
+            estimate_temperature(probe, shots_per_site=shots, seed=1)
+
+    def test_numpy_integer_shots_accepted(self):
+        probe = thermal_product_state([0.2] * 3)
+        a = estimate_temperature(probe, shots_per_site=np.int64(200), seed=4)
+        b = estimate_temperature(probe, shots_per_site=200, seed=4)
+        assert (a.excited_count, a.ground_count) \
+            == (b.excited_count, b.ground_count)
 
     def test_pure_probe_hits_boundary(self):
         probe = thermal_product_state([math.inf] * 2)
