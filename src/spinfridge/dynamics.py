@@ -19,8 +19,8 @@ Two evolution routes:
                     columns in sector m): phases in the sector eigenbases
                     at Gamma = 0, a batched Taylor action of the block
                     Liouvillian in matrix form at Gamma > 0, at any
-                    register size. Every wait and swap window of the
-                    protocol and every oracle use it.
+                    register size. Waits and dephased windows use it; a
+                    coherent window round applies the wait's phases itself.
 * evolve()       -- adaptive RKF4(5) over the state's own blocks, keeping
                     its form; the independent reference the exact route
                     is checked against.
@@ -239,8 +239,8 @@ class LindbladGenerator:
             for (_, u), b in zip(self.block_eigensystems(), state.blocks)])
 
     def blocked_propagators(self, duration: float) -> list[np.ndarray]:
-        """Per-sector unitaries exp(-i H_l t): a coherent partial-swap
-        window's Kraus blocks, built once per protocol run."""
+        """Per-sector unitaries exp(-i H_l t). No round reads them: a coherent
+        window's round reads `protocol._window_route`'s quadrants instead."""
         return [(u * np.exp(-1j * d * duration)) @ u.T
                 for d, u in self.block_eigensystems()]
 

@@ -7,6 +7,8 @@ through numpy internals.
 
 from __future__ import annotations
 
+from functools import partial
+
 
 class SpinFridgeError(Exception):
     """Base class for all package errors."""
@@ -48,9 +50,11 @@ class IntegrationError(SpinFridgeError, RuntimeError):
         super().__init__(
             f"{message} (t={t:.6g}, step={step:.3g}, error ratio={ratio:.3g})"
         )
-        self.t = t
-        self.step = step
-        self.ratio = ratio
+        self._message, self.t, self.step, self.ratio = message, t, step, ratio
+
+    def __reduce__(self):  # pickle passes no keyword-only arguments
+        return partial(IntegrationError, t=self.t, step=self.step,
+                       ratio=self.ratio), (self._message,)
 
 
 class ManifestError(SpinFridgeError, ValueError):

@@ -174,7 +174,7 @@ def random_channel_sample(rng: np.random.Generator, probe_size: int,
         if not is_unital(channel, channel_gen.register):
             raise DomainError("drawn channel failed unitality check")
     if window is not None:
-        gen._memo("window", swap, lambda: _window_route(window, swap))
+        gen._memo("window", swap, lambda: _window_route(window, swap, gen))
     return ChannelSample(gen, swap, tau)
 
 

@@ -10,11 +10,11 @@ the probe pays for it by creeping toward the bath's product state.
 
 A perfect swap followed by the detach is a site reset: the emitted qubit is
 site 1's marginal, and the next probe is chi(beta_bath) (x) Tr_1 rho_waited.
-A coherent (Gamma = 0) window W on a blocked probe is the channel
-rho -> sum_{q,q'} p_q K_{q'q} rho K_{q'q}^dag, K_{q'q} = <q'|W|q> read off
-W's sector unitaries; a dephased window evolves the joint sector blocks
-p0 rho_L (+) p1 rho_{L-1} exactly. Both read the next probe and qubit off
-the qubit-|0>/|1> quadrants: no round traces out a joint register. Probes
+A coherent (Gamma = 0) window W and the wait are one Kraus map on the
+rotated probe X_l (phases applied, zero blocks skipped): sum_q p_q B X_{L-q}
+B^dag, B_{q'q} = <q'|W_L|q> u_{L-q}. A dephased window evolves the waited
+joint blocks p0 rho_L (+) p1 rho_{L-1} exactly. Both read the next probe and
+qubit off the qubit-|0>/|1> quadrants: no round traces out a register. Probes
 start as thermal products and every map conserves z, so rounds run on
 sector blocks only: a dense probe is decomposed on entry, and one with
 inter-sector coherence raises `SectorMixingError` before anything evolves,
@@ -402,16 +402,16 @@ def cool_step(
     `coupling`. The emitted qubit carries label 0; the probe keeps labels
     1..N. A perfect swap is a site reset: the emitted qubit is site 1's
     marginal of the waited probe, and site 1 is re-prepared in chi(bath).
-    A window yields each joint sector's qubit-|0>/|1> quadrants: through
-    its Kraus blocks <q'|W|q> (quadrants of the joint sector unitaries) on
-    the probe's sectors if coherent, else by `evolve_exact` of the joint
-    blocks p0 rho_L (+) p1 rho_{L-1}; both are read as the two partial
-    traces. The next probe's sector spectra give its entropy and distance.
-    The wait is `evolve_exact` at every dephasing rate. The window is
-    `gen`'s (`window_generator`: its network and rate, plus the J_I hop).
-    What a round reads of it, the unitaries or a dephased window's
-    generator, is kept on `gen` for the next round with the same swap: a
-    direct round is `run_protocol`'s.
+    A window yields each joint sector's qubit-|0>/|1> quadrants, read as
+    the two partial traces: if coherent, by one Kraus map with the wait
+    (its phases on `gen._rotated`, then `_window_route`'s B, zero blocks
+    skipped); else the waits are `evolve_exact` and a dephased window is
+    `evolve_exact` of the joint blocks p0 rho_L (+) p1 rho_{L-1}. The next
+    probe's sector spectra (zeros for a zero block) give its entropy and
+    distance. The window is `gen`'s (`window_generator`: its network and
+    rate, plus the J_I hop). What a round reads of it, the B or a dephased
+    window's generator, is kept on `gen` for the next round with the same
+    swap: a direct round is `run_protocol`'s.
     """
     if not (math.isfinite(tau) and tau >= 0):
         raise DomainError(f"waiting time must be finite and >= 0, got {tau}")
@@ -420,46 +420,44 @@ def cool_step(
         raise DomainError("generator and probe registers do not match")
     probe = sector_decompose(probe)  # raises if inter-sector coherence
     if swap.mode == "partial":
-        # Built on the first round that needs it, before the wait: the
-        # build's arrays and the waited probe are never held at once.
+        # Built before any wait: its arrays and a waited probe never coexist
         window = gen._memo("window", swap, lambda: _window_route(
-            window_generator(gen.network, gen.dephasing_rate, swap), swap))
-    waited = evolve_exact(probe, gen, tau) if tau > 0 else probe
+            window_generator(gen.network, gen.dephasing_rate, swap), swap, gen))
     labels = probe.register.labels
     p0, p1 = thermal_populations(bath_beta_tilde)
+    if swap.mode == "partial" and not gen.dephasing_rate:
+        # X_l = Phi_l o a_l, None for a zero block and for xs[-1], xs[N + 1]
+        xs = [None if a is None else np.outer(f := np.exp(-1j * d * tau), f.conj()) * a
+              for a, (d, _) in zip(gen._rotated(probe), gen.block_eigensystems())] + [None]
+        kept = [[_kraus(row, (xs[big_l], xs[big_l - 1]), (p0, p1))
+                 for row in quads] for big_l, quads in enumerate(window)]
+    else:
+        waited = evolve_exact(probe, gen, tau) if tau > 0 else probe
     if swap.mode == "perfect":
         site = partial_trace(waited, keep=labels[:1])
         qubit = QuantumState._adopt(SpinRegister((0,)), blocks=site.blocks)
         rest = partial_trace(waited, keep=labels[1:]) if labels[1:] else None
         next_probe = _prepend_site(rest, labels[0], bath_beta_tilde)
         # block l of the next probe is p0 rest_l (+) p1 rest_{l-1}
-        mu = [np.linalg.eigvalsh(b) for b in rest.blocks] \
-            if rest is not None else [np.ones(1)]
+        mu = [np.linalg.eigvalsh(b) if b.any() else np.zeros(len(b))
+              for b in rest.blocks] if rest is not None else [np.ones(1)]
         spectra = [np.concatenate((p0 * up, p1 * down)) for up, down
                    in zip(mu + [np.zeros(0)], [np.zeros(0)] + mu)]
     else:
         # Joint sector L lists its qubit-|0> states first (site 0 is the most
         # significant bit); `kept` holds its |0>/|1> quadrants, cut at C(N, L).
-        rho, empty = waited.blocks, np.zeros((0, 0))
-        if isinstance(window, LindbladGenerator):
+        if gen.dephasing_rate:
             joint = evolve_exact(_prepend_site(waited, 0, bath_beta_tilde),
                                  window, swap.window_duration)
-            kept = [(y[:len(a), :len(a)], y[len(a):, len(a):])
-                    for y, a in zip(joint.blocks, rho + (empty,))]
-        else:
-            kept = []
-            for w, a, b in zip(window, rho + (empty,), (empty,) + rho):
-                d = len(a)
-                kept.append(tuple(
-                    p0 * (k0 @ a @ k0.conj().T) + p1 * (k1 @ b @ k1.conj().T)
-                    for k0, k1 in ((w[:d, :d], w[:d, d:]),
-                                   (w[d:, :d], w[d:, d:]))))
+            kept = [(y[:len(a), :len(a)], y[len(a):, len(a):]) for y, a
+                    in zip(joint.blocks, waited.blocks + (np.zeros((0, 0)),))]
         next_probe = QuantumState._adopt(probe.register, blocks=[
             z + o for (z, _), (_, o) in zip(kept[:-1], kept[1:])])
         qubit = QuantumState._adopt(SpinRegister((0,)), blocks=[
             np.reshape(sum(np.trace(k[q]) for k in kept), (1, 1))
             for q in (0, 1)])
-        spectra = [np.linalg.eigvalsh(b) for b in next_probe.blocks]
+        spectra = [np.linalg.eigvalsh(b) if b.any() else np.zeros(len(b))
+                   for b in next_probe.blocks]
     entropy, distance = _probe_diagnostics(spectra, bath_beta_tilde)
 
     out = temperature_of(qubit)
@@ -485,16 +483,35 @@ def _probe_diagnostics(spectra: list[np.ndarray], bath_beta_tilde: float
     return entropy, distance
 
 
+def _kraus(row: list[np.ndarray], xs: tuple, ps: tuple) -> np.ndarray:
+    """sum_q p_q B_q X_q B_q^dag over the X_q that are not None."""
+    out = np.zeros((len(row[0]),) * 2, complex)
+    for b, x, p in zip(row, xs, ps):
+        if x is not None:
+            out += p * ((b @ x) @ b.conj().T)
+    return out
+
+
 # --------------------------------------------------------------------------
 # full runs
 # --------------------------------------------------------------------------
 
-def _window_route(window: LindbladGenerator, spec: SwapSpec
-                  ) -> list[np.ndarray] | LindbladGenerator:
-    """What a round reads of a built swap window (see `cool_step`): its
-    sector unitaries if coherent, else the window itself."""
-    return window if window.dephasing_rate else \
-        window.blocked_propagators(spec.window_duration)
+def _window_route(window: LindbladGenerator, spec: SwapSpec,
+                  gen: LindbladGenerator) -> list | LindbladGenerator:
+    """What a round reads of a built swap window (see `cool_step`): a dephased
+    window itself, else per joint sector L, B[q'][q] = <q'|W_L|q> u_{L-q} (u_l:
+    `gen`'s, zero-size past either end) as row cuts of v e^{-iDt} v_q^T u."""
+    if window.dephasing_rate:
+        return window
+    us = [u for _, u in gen.block_eigensystems()] + [np.zeros((0, 0))]
+    out = []
+    for big_l, h in enumerate(window.hamiltonian_blocks()):
+        d, v = np.linalg.eigh(h)
+        cut, phases = len(us[big_l]), np.exp(-1j * d * spec.window_duration)
+        cols = [v @ (phases[:, None] * (v[c].T @ u)) for c, u in
+                ((np.s_[:cut], us[big_l]), (np.s_[cut:], us[big_l - 1]))]
+        out.append([[b[:cut] for b in cols], [b[cut:] for b in cols]])
+    return out
 
 
 def run_protocol(cfg: ProtocolConfig,

@@ -521,6 +521,32 @@ class TestIntegrationFailure:
         assert f"sweep point 0.0 failed: {self.MESSAGE}" in err
         assert f"sweep point 0.3 failed: {self.MESSAGE}" in err
 
+    def test_pooled_sweep_reports_the_failing_point(self, tmp_path,
+                                                    monkeypatch, capsys):
+        # The error travels back from a pool worker by pickle; the other
+        # point still runs and writes its rows.
+        import spinfridge.cli as cli
+        real_run = cli.run_protocol
+
+        def failing(cfg, initial_probe=None):
+            if cfg.dephasing_rate == 0.3:
+                self.failing_run(cfg)
+            return real_run(cfg, initial_probe)
+
+        monkeypatch.setattr(cli, "run_protocol", failing)
+        manifest = write_manifest(
+            tmp_path / "sweep.json", kind="sweep", seed=9,
+            out=str(tmp_path / "out"),
+            config={"probe_size": 2, "bath_beta_tilde": 0.2, "steps": 2,
+                    "dephasing_rates": [0.0, 0.3]})
+        assert main(["sweep", "--manifest", str(manifest),
+                     "--threads", "2"]) == 1
+        err = capsys.readouterr().err
+        assert f"sweep point 0.3 failed: {self.MESSAGE}" in err
+        assert "sweep point 0.0" not in err
+        _, _, rows = read_rows(tmp_path / "out" / "fig4.csv")
+        assert {float(r[0]) for r in rows} == {0.0}
+
 
 class TestThermometry:
     def test_columns_and_coverage_flag(self, tmp_path):

@@ -2,21 +2,14 @@
 
 from __future__ import annotations
 
-import re
 import shutil
 
 from golden import regenerate
 from golden.regenerate import cases, run_case
 
-# `verify` reports each oracle's wall time, the one field no rerun repeats.
-_DURATION = re.compile(r'"duration_s": [^,\n]*')
-
 
 def _lines(path) -> list[str]:
-    text = path.read_text(encoding="utf-8")
-    if path.name == "oracle_verdicts.json":
-        text = _DURATION.sub('"duration_s": null', text)
-    return text.splitlines()
+    return regenerate.lines(path.name, path.read_bytes())
 
 
 def test_cli_artifacts_match_golden_bytes(tmp_path):
@@ -74,3 +67,24 @@ def test_unknown_case_names_touch_nothing(tmp_path, monkeypatch, capsys):
     assert regenerate.main(["verify", "verfy"]) == 2
     assert "verfy" in capsys.readouterr().err
     assert _snapshot() == copied
+
+
+def test_regeneration_reports_what_moved(tmp_path, monkeypatch, capsys):
+    """On a copy: a regenerated case names each file whose bytes changed
+    and how many lines moved, and leaves the committed files alone."""
+    before, committed = _snapshot(), regenerate.GOLDEN
+    shutil.copytree(committed / "cool_window", tmp_path / "cool_window")
+    monkeypatch.setattr(regenerate, "GOLDEN", tmp_path)
+    csv = tmp_path / "cool_window" / "fig3.csv"
+    rows = csv.read_text(encoding="utf-8").splitlines(keepends=True)
+    rows[5] = rows[5].replace("e-01", "e-02")
+    csv.write_text("".join(rows) + "3,99,0.0\n", encoding="utf-8")
+    assert regenerate.main(["cool_window"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["cool_window: ['fig2a.csv', 'fig3.csv', 'manifest.json']",
+                   f"  cool_window/fig3.csv: 2 of {len(rows) + 1} lines "
+                   f"moved"]
+    assert csv.read_bytes() == (committed / "cool_window" / "fig3.csv"
+                                ).read_bytes()
+    monkeypatch.undo()
+    assert _snapshot() == before

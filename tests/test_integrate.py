@@ -179,3 +179,13 @@ class TestFailureModes:
             assert hasattr(exc, "ratio")
         else:
             pytest.fail("expected IntegrationError")
+
+    def test_error_survives_pickling(self):
+        # A sweep's pool returns a point's error by pickle.
+        import pickle
+        err = IntegrationError("x", t=0.1, step=1e-9, ratio=3.5)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is IntegrationError
+        assert str(back) == str(err) == \
+            "x (t=0.1, step=1e-09, error ratio=3.5)"
+        assert (back.t, back.step, back.ratio) == (0.1, 1e-9, 3.5)

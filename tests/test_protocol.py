@@ -469,8 +469,10 @@ class TestCoolStep:
     @pytest.mark.parametrize("gamma", [0.0, 0.3])
     def test_window_is_kept_on_the_generator(self, monkeypatch, gamma):
         # Rounds on one generator build its window once and keep what they
-        # read of it: a coherent window's sector unitaries only, or a
-        # dephased window's generator. A new swap replaces the entry.
+        # read of it: a coherent window's quadrants B[q'][q] per joint
+        # sector L (probe sectors L - q' by L - q, zero-size past either
+        # end), or a dephased window's generator. A new swap replaces the
+        # entry.
         calls = count_calls(monkeypatch, ((protocol, "window_generator"),))
         gen = chain_generator(3, gamma)
         probe = thermal_product_state([2.0] * 3)
@@ -483,8 +485,11 @@ class TestCoolStep:
         if gamma:
             assert isinstance(kept, LindbladGenerator)
         else:
-            assert [u.shape for u in kept] == [(1, 1), (4, 4), (6, 6),
-                                               (4, 4), (1, 1)]
+            sizes = (1, 3, 3, 1, 0)  # C(3, l); sizes[-1] is l = -1's
+            assert [[[b.shape for b in row] for row in quads]
+                    for quads in kept] == [
+                [[(sizes[big_l - r], sizes[big_l - c]) for c in (0, 1)]
+                 for r in (0, 1)] for big_l in range(5)]
 
     @pytest.mark.parametrize("dense", [False, True])
     @pytest.mark.parametrize("gamma", [0.0, 0.3])
@@ -570,6 +575,41 @@ class TestCoolStep:
             assert np.abs(got - want).max() <= 1e-12
         assert record.probe_entropy == pytest.approx(
             von_neumann_entropy(ref_probe), abs=1e-12)
+
+    @pytest.mark.parametrize("strength", [1.7, 5.0])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_window_round_on_empty_sectors_matches_joint_register(
+            self, monkeypatch, n, strength):
+        # A polarized probe fills sector 0 only and each round adds at most
+        # one excitation, so its first rounds skip the empty sectors: no
+        # product and no eigvalsh on them. The joint register is the
+        # reference, round after round.
+        bath, gen, spec = 0.3, chain_generator(n), SwapSpec.partial(strength)
+        zero_spectra = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spying(b):
+            # the emitted qubit's 1 x 1 blocks reach eigvalsh through
+            # von_neumann_entropy, and a qubit can be exactly polarized
+            zero_spectra.append(len(b) > 1 and not b.any())
+            return eigvalsh(b)
+
+        probe = thermal_product_state([math.inf] * n)
+        for tau in (0.0, 0.7, 2.9):
+            ref_probe, ref_qubit = self.joint_register_round(
+                probe, bath, gen, spec, tau)
+            monkeypatch.setattr(np.linalg, "eigvalsh", spying)
+            next_probe, qubit, record = cool_step(probe, bath, gen, spec, tau)
+            monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+            for got, want in zip(next_probe.blocks + qubit.blocks,
+                                 ref_probe.blocks + ref_qubit.blocks):
+                assert np.abs(got - want).max() <= 1e-14
+            assert record.probe_entropy == pytest.approx(
+                von_neumann_entropy(ref_probe), abs=1e-13)
+            if tau == 0.0:  # round 1 fills sectors 0 and 1 only
+                assert sum(not b.any() for b in next_probe.blocks) == n - 1
+            probe = next_probe
+        assert zero_spectra and not any(zero_spectra)
 
     def test_window_round_matches_extended_precision(self, rng):
         # One window round on a three-site probe, with exp(-i t H_w) and both
@@ -723,6 +763,21 @@ class TestRunProtocol:
         assert calls["partial_trace"] == 0
         # every wait is exact, dephased or not
         assert calls["rkf45"] == 0
+
+    def test_coherent_window_run_makes_no_evolve_exact_call(self,
+                                                            monkeypatch):
+        # A coherent window and the wait before it are one Kraus map on
+        # the rotated probe: no round evolves, rotates back or builds the
+        # window's sector unitaries.
+        calls = count_calls(monkeypatch, (
+            (protocol, "evolve_exact"), (dynamics, "evolve_exact"),
+            (LindbladGenerator, "blocked_propagators")))
+        cfg = ProtocolConfig(probe_size=5, bath_beta_tilde=0.2, steps=6,
+                             swap=SwapSpec.partial(5.0),
+                             waiting_policy="fixed")
+        report = run_protocol(cfg)
+        assert len(report.records) == cfg.steps
+        assert calls["evolve_exact"] == calls["blocked_propagators"] == 0
 
     def test_ideal_run_rotates_once_per_round(self, monkeypatch):
         # The scan rotates each probe into the eigenbasis; the wait that
