@@ -67,6 +67,40 @@ def cold_mixed_probe(rng, n: int) -> QuantumState:
         cold.register)
 
 
+def mp_sector_propagators(mp, h, gamma, dephased, t):
+    """(basis, exp(t L)) per excitation sector of the dense Hamiltonian h,
+    in mp arithmetic: L(X) = -i[H, X] + G o X on the vec form X[j, k] ->
+    j + d k, with G_jk = -2 Gamma (number of sites in the bit mask
+    `dephased` where j and k differ)."""
+    dim = len(h)
+    out = []
+    for l in range(dim.bit_length()):
+        b = [i for i in range(dim) if bin(i).count("1") == l]
+        d = len(b)
+        big = mp.zeros(d * d, d * d)
+        for j in range(d):
+            for k in range(d):
+                r = j + d * k
+                big[r, r] = -2 * gamma * bin((b[j] ^ b[k]) & dephased).count("1")
+                for m in range(d):
+                    big[r, m + d * k] += mp.mpc(0, -h[b[j], b[m]].real)
+                    big[r, j + d * m] += mp.mpc(0, h[b[m], b[k]].real)
+        out.append((b, mp.expm(mp.mpf(t) * big)))
+    return out
+
+
+def mp_propagate(mp, rho, propagators):
+    """Apply `mp_sector_propagators` to the sector blocks of the dense mp
+    matrix rho in place (rho has no inter-sector coherence)."""
+    for b, e in propagators:
+        d = len(b)
+        y = e * mp.matrix([rho[b[j], b[k]] for k in range(d)
+                           for j in range(d)])
+        for j in range(d):
+            for k in range(d):
+                rho[b[j], b[k]] = y[j + d * k]
+
+
 class TestProtocolConfig:
     def test_defaults(self):
         cfg = ProtocolConfig(3, 0.2)
@@ -643,6 +677,52 @@ class TestCoolStep:
             assert np.abs(got_probe.matrix - want_probe).max() <= 1e-14
             assert abs(got_qubit.matrix[1, 1] - want_p1) <= 1e-14
 
+    def test_dephased_window_rounds_match_extended_precision(self, rng):
+        # Three rounds of a three-site probe at fixed J tau = 1, dephased at
+        # Gamma = 0.3, each ending in a J_I = 5 window, replayed in 30-digit
+        # arithmetic: the wait by the exponential of each probe sector's
+        # Liouvillian, the window by that of each sector of the dense
+        # 4-site joint register (at most 36 x 36; the qubit, the most
+        # significant bit, does not dephase), then both partial traces.
+        # Every route is exact, so the next probe and the emitted qubit hold
+        # to 1e-13 round after round.
+        mp = mpmath.mp.clone()
+        mp.dps = 30
+        n, bath, gamma, tau = 3, 0.3, 0.3, 1.0
+        dim = 1 << n
+        net = SpinNetwork.uniform_chain(n, 1.0)
+        spec = SwapSpec.partial(5.0)
+        wait = mp_sector_propagators(
+            mp, dynamics.xxz_network_hamiltonian(net), gamma, dim - 1, tau)
+        window = mp_sector_propagators(mp, dynamics.xxz_network_hamiltonian(
+            SpinNetwork(SpinRegister.with_qubit(n),
+                        {(0, 1): 5.0, **net.couplings})),
+            gamma, dim - 1, spec.window_duration)
+        p1 = mp.exp(bath) / (1 + mp.exp(bath))
+        pops = (1 - p1, p1)
+
+        gen = chain_generator(n, gamma)
+        probe = cold_mixed_probe(rng, n)
+        rho = mp.matrix([[mp.mpc(complex(x)) for x in row]
+                         for row in probe.matrix])
+        for _ in range(3):
+            probe, qubit, _ = cool_step(probe, bath, gen, spec, tau)
+            mp_propagate(mp, rho, wait)
+            joint = mp.zeros(2 * dim, 2 * dim)
+            for a, p in enumerate(pops):
+                for i in range(dim):
+                    for j in range(dim):
+                        joint[a * dim + i, a * dim + j] = p * rho[i, j]
+            mp_propagate(mp, joint, window)
+            rho = mp.matrix([[joint[i, j] + joint[dim + i, dim + j]
+                              for j in range(dim)] for i in range(dim)])
+            want_probe = np.array([[complex(x) for x in row]
+                                   for row in rho.tolist()])
+            want_p1 = float(mp.re(sum(joint[dim + i, dim + i]
+                                      for i in range(dim))))
+            assert np.abs(probe.matrix - want_probe).max() <= 1e-13
+            assert abs(qubit.matrix[1, 1] - want_p1) <= 1e-13
+
 
 SWAPS = {"perfect": SwapSpec.perfect(), "partial": SwapSpec.partial(5.0)}
 
@@ -961,31 +1041,11 @@ class TestRunProtocol:
                  for l in range(n + 1)]
         p1 = mp.exp(bath) / (1 + mp.exp(bath))
         pops = (1 - p1, p1)
-
-        def liouvillian(b):
-            d = len(b)
-            big = mp.zeros(d * d, d * d)
-            for j in range(d):
-                for k in range(d):
-                    r = j + d * k
-                    big[r, r] = -2 * gamma * bin(b[j] ^ b[k]).count("1")
-                    for m in range(d):
-                        big[r, m + d * k] += mp.mpc(0, -h[b[j], b[m]].real)
-                        big[r, j + d * m] += mp.mpc(0, h[b[m], b[k]].real)
-            return big
-
-        generators = [liouvillian(b) for b in bases]
         rho = mp.zeros(dim, dim)
         rho[dim - 1, dim - 1] = 1   # every site |1>: beta_tilde = +inf
         for record in report.records:
-            for b, big in zip(bases, generators):
-                d = len(b)
-                x = mp.matrix([rho[b[j], b[k]] for k in range(d)
-                               for j in range(d)])
-                y = mp.expm(mp.mpf(record.wait_jtau) * big) * x
-                for j in range(d):
-                    for k in range(d):
-                        rho[b[j], b[k]] = y[j + d * k]
+            mp_propagate(mp, rho, mp_sector_propagators(
+                mp, h, gamma, dim - 1, record.wait_jtau))
             q1 = sum(rho[half + i, half + i].real for i in range(half))
             q0 = 1 - q1
             eta = 1 - bath / mp.log(q1 / q0) if q0 else mp.mpf(1)
