@@ -17,10 +17,11 @@ Two evolution routes:
 
 * evolve_exact() -- exact, on the coherence blocks X_lm (rows in sector l,
                     columns in sector m): phases in the sector eigenbases
-                    at Gamma = 0, a batched Taylor action of the block
-                    Liouvillian in matrix form at Gamma > 0, at any
-                    register size. Waits and dephased windows use it; a
-                    coherent window round applies the wait's phases itself.
+                    at Gamma = 0, a batched Chebyshev expansion of the
+                    block Liouvillian's exponential in matrix form at
+                    Gamma > 0 (Tal-Ezer & Kosloff), at any register
+                    size. Waits and dephased windows use it; a coherent
+                    window round applies the wait's phases itself.
 * evolve()       -- adaptive RKF4(5) over the state's own blocks, keeping
                     its form; the independent reference the exact route
                     is checked against.
@@ -205,17 +206,19 @@ class LindbladGenerator:
             rows, cols = rows[:, 1:], cols[:, 1:]
         return self.dephasing_rate * (rows @ cols.T - rows.shape[1])
 
-    def _pair_dephasing(self, l: int, m: int) -> tuple[np.ndarray, float, float]:
+    def _pair_dephasing(self, l: int, m: int
+                        ) -> tuple[np.ndarray, float, float, float]:
         """What `_dephased_action` reads of the coherence block (l, m): i (G -
-        mu), mu and spread + max|G - mu|, for G = `_dephasing` between the
-        sectors and mu its mean. Kept per pair up to `_PADDED_ENTRIES`."""
+        mu), mu, the spread of the sector eigenvalues and max|G - mu|, for
+        G = `_dephasing` between the sectors and mu its mean. Kept per pair
+        up to `_PADDED_ENTRIES`."""
         if (l, m) not in self._pairs:
             (d_l, _), (d_m, _) = (self.block_eigensystems()[s] for s in (l, m))
             g = self._dephasing(*(sectors.spin_signs(self.register.count, s)
                                   for s in (l, m)))
             g -= (mu := g.mean())
-            entry = (1j * g, mu, max(d_l[-1] - d_m[0], d_m[-1] - d_l[0])
-                     + np.abs(g).max())
+            entry = (1j * g, mu, max(d_l[-1] - d_m[0], d_m[-1] - d_l[0]),
+                     np.abs(g).max())
             if g.size > _PADDED_ENTRIES:
                 return entry
             self._pairs[l, m] = entry
@@ -352,15 +355,30 @@ def evolve(state: QuantumState, gen: LindbladGenerator, duration: float,
     return QuantumState._adopt(state.register, dense=out[0])
 
 
-# Taylor degree of the dephased action and the largest step norm it covers
-# to double precision: theta_55 of Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-# 488 (2011), Table 3.1, as tabulated in scipy's expm_multiply.
-_TAYLOR_DEGREE = 55
-_TAYLOR_THETA = 9.9
+_STEP_GROWTH = 8 * math.log(2)  # t max|G - mu| of one Chebyshev step
 # Largest zero-padded stack (blocks x rows x cols) run as one batch. At
-# Gamma = 0.5 on 2 vCPUs, padding was 1.4-5x faster up to 2,800 entries, tied
-# at 11,200, and 1.5-2x slower from 9,800 (6x at an N = 10 window's 2.56e6).
+# Gamma = 0.5, t = 1, 2 vCPUs and 2 BLAS threads, padding was 1.7-8x faster
+# than one block per call up to 2,800 entries (2.6x at a six-site dense
+# state's 11,200), tied at 9,800 and 3.7x slower at 44,100 (blocked states).
 _PADDED_ENTRIES = 5000
+
+
+def _chebyshev_weights(x: float, count: int) -> np.ndarray:
+    """c_k J_k(x) for k < count (c_0 = 1, else 2), by Miller's backward
+    recurrence J_(k-1) = (2k/x) J_k - J_(k+1) from well past count and 2x,
+    rescaled before it overflows and normalised by J_0 + 2 sum J_2k = 1."""
+    if not x:
+        return np.eye(1, count).ravel()
+    start = max(count, int(2 * x)) + 16
+    j = [0.0] * (start + 2)
+    j[start] = 1.0
+    for k in range(start, 0, -1):
+        j[k - 1] = 2 * k / x * j[k] - j[k + 1]
+        if abs(j[k - 1]) > 1e250:
+            j = [v * 1e-250 for v in j]
+    weights = np.array(j[:count]) / (j[0] + 2 * math.fsum(j[2::2]))
+    weights[1:] *= 2
+    return weights
 
 
 def _dephased_action(gen: LindbladGenerator,
@@ -371,15 +389,19 @@ def _dephased_action(gen: LindbladGenerator,
     L(X) = -i (H_l X - X H_m) + G_lm o X with G_lm = `gen._dephasing`. The
     blocks are stacked zero-padded (L keeps the padding zero; a stack past
     `_PADDED_ENTRIES` goes one block per call), each shifted by the mean mu
-    of its G, and advanced by s steps of a truncated Taylor series, one
-    batched product per side and term; diagonal blocks stay Hermitian and
-    need one. A step ends once two successive terms fall below 2^-53 of the
-    partial sum, in largest entries over the stack (the sum's is reduced
-    only when a running upper bound on it lets the rule hold). s follows
-    from the norm bound t (spread + max|G - mu|) <= s theta_55, where the
-    spread max(max D_l - min D_m, max D_m - min D_l) of the sector
-    eigenvalues bounds the commutator; both are cached per pair
-    (`_pair_dephasing`). Diagonal blocks are made Hermitian both ways.
+    of its G: L - mu = -i K, K(y) = H_l y - y H_m + i (G - mu) o y. Each of
+    s steps of t max|G - mu| <= ln 2^8 sums the Chebyshev series of Tal-Ezer
+    & Kosloff, J. Chem. Phys. 81, 3967 (1984), sum_k c_k J_k(t S) V_k with
+    V_0 = X, V_1 = -i K(X)/S and V_(k+1) = -2i K(V_k)/S + V_(k-1), one
+    batched product per side and term (Hermitian diagonal blocks need one).
+    S, the largest spread max(max D_l - min D_m, max D_m - min D_l) of the
+    sector eigenvalues or max|G - mu| in the stack (both cached per pair,
+    `_pair_dephasing`), puts K's field of values in S ([-1, 1] + i [-1, 1]);
+    the split keeps the damping from letting a term outgrow the step's
+    result by much more than 2^8. A step ends, past k = t S, once two
+    successive terms fall below 2^-53 of the partial sum, in largest entries
+    over the stack (the sum's is reduced only when a running upper bound on
+    it lets the rule hold). Diagonal blocks are made Hermitian both ways.
     """
     k, h = len(blocks), gen.hamiltonian_blocks()
     shapes = [(len(h[l]), len(h[m])) for l, m in blocks]
@@ -389,37 +411,49 @@ def _dephased_action(gen: LindbladGenerator,
                 for y in _dephased_action(gen, dict([item]), duration)]
     h_l = np.zeros((k, rows, rows))
     h_m = np.zeros((k, cols, cols))  # H_m^T
-    ig, x = np.zeros((2, k, rows, cols), dtype=complex)  # i (G - mu), X
-    mu, bound = np.empty(k), np.empty(k)
+    ig, x, scratch = np.zeros((3, k, rows, cols), dtype=complex)  # i (G - mu), X
+    mu, spread, damping = np.empty((3, k))
     for i, ((l, m), block) in enumerate(blocks.items()):
         dl, dm = shapes[i]
-        ig[i, :dl, :dm], mu[i], bound[i] = gen._pair_dephasing(l, m)
+        ig[i, :dl, :dm], mu[i], spread[i], damping[i] = gen._pair_dephasing(l, m)
         h_l[i, :dl, :dl], h_m[i, :dm, :dm] = h[l], h[m].T
         x[i, :dl, :dm] = 0.5 * (block + block.conj().T) if l == m else block
     # Diagonal blocks stay Hermitian, so X H_l = (H_l X)^dag: one product.
     hermitian = all(l == m for l, m in blocks)
 
-    def term_after(y, scale):
-        """scale * i L(y) = scale * (H_l y - y H_m + i G o y)."""
-        hy = _times(h_l, y)
-        yh = hy.conj() if hermitian else _times(h_m, y.swapaxes(1, 2))
-        d = hy - yh.swapaxes(1, 2)
-        d += ig * y
+    def scaled_k(y, scale):
+        """scale * K(y) = scale * (H_l y - y H_m + i (G - mu) o y)."""
+        d = _times(h_l, y)
+        d -= (d.conj() if hermitian
+              else _times(h_m, y.swapaxes(1, 2))).swapaxes(1, 2)
+        d += np.multiply(ig, y, out=scratch)
         d *= scale
         return d
 
-    steps = max(1, math.ceil(abs(duration) * bound.max() / _TAYLOR_THETA))
+    s = max(spread.max(), damping.max())
+    steps = max(1, math.ceil(duration * damping.max() / _STEP_GROWTH))
     dt = duration / steps
+    arg = dt * s  # 0 only if K = 0 or t = 0: the series is X alone
+    weights = _chebyshev_weights(arg, int(2 * arg) + 32)  # more on demand
+    s = s or 1.0
     total = x
     for _ in range(steps):
-        term, last = total, float(np.abs(total).max())
-        total, reach = total.copy(), last
-        for j in range(1, _TAYLOR_DEGREE + 1):
-            term = term_after(term, -1j * dt / j)
-            total += term
-            now = float(np.abs(term).max())
+        v, w = 0.0, total  # V_(n-1), V_n at n = 0
+        last = abs(weights[0]) * float(np.abs(w).max())
+        reach = last * (1.0 + 1e-12)
+        total = weights[0] * w
+        n = 0
+        while True:
+            n += 1
+            if n == len(weights):
+                weights = _chebyshev_weights(arg, 2 * n)
+            u = scaled_k(w, (-2j if n > 1 else -1j) / s)
+            u += v
+            v, w = w, u
+            now = abs(weights[n]) * float(np.abs(w).max())
+            total += np.multiply(w, weights[n], out=scratch)
             reach = (reach + now) * (1.0 + 1e-12)  # >= max|total| despite rounding
-            if last + now <= 2.0 ** -53 * reach:
+            if n > arg and last + now <= 2.0 ** -53 * reach:
                 reach = float(np.abs(total).max())
                 if last + now <= 2.0 ** -53 * reach:
                     break
@@ -443,7 +477,7 @@ def evolve_exact(state: QuantumState, gen: LindbladGenerator,
     At Gamma = 0, X_lm -> u_l (Phi_lm o u_l^dag X_lm u_m) u_m^dag (H_l =
     u_l D_l u_l^dag, Phi_lm = e^{-i D_l t} (e^{-i D_m t})^dag; a blocked
     state's rotations are memoized for the scan). At Gamma > 0 the blocks
-    take the Taylor action of their Liouvillian (`_dephased_action`), at
+    take the Chebyshev action of their Liouvillian (`_dephased_action`), at
     any register size. Dephasing only runs forward, so a negative duration
     raises at Gamma > 0; at Gamma = 0 it is the backward unitary. A blocked
     state has the blocks l = m; a dense one every pair l <= m, with X_ml =

@@ -136,51 +136,14 @@ class TestBlockRhs:
         assert np.array_equal(got, got.conj().T)
 
 
-def plain_taylor_action(gen, blocks, tau):
-    """The dephased action as first written: the pair data built on every
-    call, and both exact max-|.| reductions taken on every Taylor term."""
-    n, h, eigs = gen.register.count, gen.hamiltonian_blocks(), \
-        gen.block_eigensystems()
-    shapes = [(len(h[l]), len(h[m])) for l, m in blocks]
-    k, (rows, cols) = len(blocks), (max(d) for d in zip(*shapes))
-    if k > 1 and k * rows * cols > dynamics._PADDED_ENTRIES:
-        return [y for item in blocks.items()
-                for y in plain_taylor_action(gen, dict([item]), tau)]
-    h_l, h_m = np.zeros((k, rows, rows)), np.zeros((k, cols, cols))
-    ig, x = (np.zeros((k, rows, cols), complex) for _ in range(2))
-    mu, bound = np.empty(k), np.empty(k)
-    for i, ((l, m), block) in enumerate(blocks.items()):
-        (dl, dm), d_l, d_m = shapes[i], eigs[l][0], eigs[m][0]
-        g = gen._dephasing(sectors.spin_signs(n, l), sectors.spin_signs(n, m))
-        mu[i] = g.mean()
-        g -= mu[i]
-        h_l[i, :dl, :dl], h_m[i, :dm, :dm] = h[l], h[m].T
-        ig[i, :dl, :dm] = 1j * g
-        x[i, :dl, :dm] = 0.5 * (block + block.conj().T) if l == m else block
-        bound[i] = max(d_l[-1] - d_m[0], d_m[-1] - d_l[0]) + np.abs(g).max()
-    hermitian = all(l == m for l, m in blocks)
-    steps = max(1, math.ceil(tau * bound.max() / dynamics._TAYLOR_THETA))
-    dt, total = tau / steps, x
-    for _ in range(steps):
-        term, last = total, float(np.abs(total).max())
-        total = total.copy()
-        for j in range(1, dynamics._TAYLOR_DEGREE + 1):
-            hy = dynamics._times(h_l, term)
-            yh = hy.conj() if hermitian \
-                else dynamics._times(h_m, term.swapaxes(1, 2))
-            d = hy - yh.swapaxes(1, 2)
-            d += ig * term
-            d *= -1j * dt / j
-            term = d
-            total += term
-            now = float(np.abs(term).max())
-            if last + now <= 2.0 ** -53 * float(np.abs(total).max()):
-                break
-            last = now
-        total *= np.exp(dt * mu)[:, None, None]
-    return [0.5 * (y[:dl, :dm] + y[:dl, :dm].conj().T) if l == m
-            else y[:dl, :dm].copy()
-            for (l, m), (dl, dm), y in zip(blocks, shapes, total)]
+def block_liouvillian(gen, l, m):
+    """The Liouvillian of the coherence block (l, m) on its row-major vec
+    form: -i (H_l (x) I - I (x) H_m^T) + diag(G_lm)."""
+    n, h = gen.register.count, gen.hamiltonian_blocks()
+    g = gen._dephasing(sectors.spin_signs(n, l), sectors.spin_signs(n, m))
+    liouvillian = -1j * (np.kron(h[l], np.eye(len(h[m])))
+                         - np.kron(np.eye(len(h[l])), h[m].T))
+    return liouvillian + np.diag(g.ravel())
 
 
 class TestEvolveExact:
@@ -205,26 +168,37 @@ class TestEvolveExact:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     @pytest.mark.parametrize("subset", [False, True])
     def test_dephased_matches_tight_rkf45_at_tau_n(self, rng, n, subset):
-        # Gamma = 1 and J tau = N: several Taylor steps on the larger
+        # Gamma = 1 and J tau = N: several Chebyshev steps on the larger
         # registers.
         assert self.gap_to_tight_rkf45(rng, n, subset, 1.0, float(n)) <= 1e-12
 
-    @pytest.mark.parametrize("norm", [0.0, 1e-3, 1.0, 30.0, 300.0, 1000.0])
-    def test_taylor_exponential_matches_scipy(self, rng, norm):
+    @pytest.mark.parametrize("gamma, pair, norm", [
+        *(pytest.param(0.005, (1, 2), norm, id=str(norm))
+          for norm in (0.0, 1e-3, 1.0, 30.0, 300.0, 1000.0)),
+        *(pytest.param(1.0, (2, 2), norm, id=f"split-{norm}")
+          for norm in (150.0, 400.0))])
+    def test_taylor_exponential_matches_scipy(self, rng, gamma, pair, norm):
         from scipy.linalg import expm
-        # The Taylor action on one coherence block X_lm of a four-site
+        # The dephased action on one coherence block X_lm of a four-site
         # register against scipy's expm of its vec-form Liouvillian, with
-        # tau scaled so that tau ||L||_1 = norm. The damping is weak, so
-        # exp(tau L) X stays of order one even at the largest norm.
-        n, l, m = 4, 1, 2
-        gen = random_network_generator(rng, n, 0.005)
-        h_l, h_m = gen.hamiltonian_blocks()[l], gen.hamiltonian_blocks()[m]
-        g = gen._dephasing(sectors.spin_signs(n, l), sectors.spin_signs(n, m))
-        liouvillian = -1j * (np.kron(h_l, np.eye(len(h_m)))
-                             - np.kron(np.eye(len(h_l)), h_m.T))
-        liouvillian += np.diag(g.ravel())
+        # tau scaled so that tau ||L||_1 = norm. At Gamma = 0.005 the
+        # damping is weak, so exp(tau L) X stays of order one even at the
+        # largest norm. At Gamma = 1 on a diagonal block, tau max|G - mu| is
+        # several times ln 2^8, so the wait splits into several Chebyshev
+        # steps; G vanishes on the diagonal, so the result stays of order
+        # one there too.
+        n, (l, m) = 4, pair
+        gen = random_network_generator(rng, n, gamma)
+        liouvillian = block_liouvillian(gen, l, m)
         tau = norm / np.abs(liouvillian).sum(axis=0).max()
-        x = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+        if gamma == 1.0:
+            g = liouvillian.diagonal().real
+            assert tau * np.abs(g - g.mean()).max() > 3 * math.log(2 ** 8)
+        shape = (len(liouvillian) // len(gen.hamiltonian_blocks()[m]),
+                 len(gen.hamiltonian_blocks()[m]))
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        if l == m:
+            x += x.conj().T
         got, = _dephased_action(gen, {(l, m): x}, tau)
         expected = (expm(tau * liouvillian) @ x.ravel()).reshape(x.shape)
         assert np.abs(got - expected).max() <= 1e-13 * max(1.0, norm)
@@ -232,22 +206,51 @@ class TestEvolveExact:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("gamma", [0.3, 1.0])
     @pytest.mark.parametrize("kind", ["blocked", "dense"])
-    def test_action_matches_the_plain_taylor_loop(self, rng, n, gamma, kind):
-        # The per-pair cache and the bounded stop check change no bit: the
-        # action equals a Taylor loop that builds every pair afresh and
-        # takes both exact reductions on every term.
+    def test_action_matches_the_block_exponential(self, rng, n, gamma, kind):
+        # The stacked action, with its cached pairs, one S per stack and its
+        # step split, against each block alone: scipy's expm of the block's
+        # vec-form Liouvillian up to four sites (to 1e-13), and tight RKF45
+        # at five and six (to 1e-12), on the block's own master equation or,
+        # for a dense state, on the whole matrix.
+        from scipy.linalg import expm
         gen = random_network_generator(rng, n, gamma)
+        h, bases = gen.hamiltonian_blocks(), sectors.sector_bases(n)
         if kind == "dense":
-            rho, bases = random_dense_state(rng, n).matrix, sectors.sector_bases(n)
+            rho = random_dense_state(rng, n).matrix
             blocks = {(l, m): rho[np.ix_(bases[l], bases[m])]
                       for l in range(n + 1) for m in range(l, n + 1)}
         else:
             blocks = dict(((l, l), b) for l, b
                           in enumerate(random_blocked_state(rng, n).blocks))
+        tight = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
         for tau in (0.37, float(n)):
             got = _dephased_action(gen, blocks, tau)
-            expected = plain_taylor_action(gen, blocks, tau)
-            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+            if n > 4 and kind == "dense":
+                dense = rkf45(_dense_rhs(gen), rho, tau, tight).y
+            for ((l, m), x), y in zip(blocks.items(), got):
+                if n <= 4:
+                    want = (expm(tau * block_liouvillian(gen, l, m))
+                            @ x.ravel()).reshape(x.shape)
+                    assert np.abs(y - want).max() <= 1e-13
+                    continue
+                want = dense[np.ix_(bases[l], bases[m])] if kind == "dense" \
+                    else rkf45(_block_rhs(gen, h[l], sectors.spin_signs(n, l)),
+                               x, tau, tight).y
+                assert np.abs(y - want).max() <= 1e-12
+
+    def test_weights_are_extended_before_the_stop_rule_holds(
+            self, rng, monkeypatch):
+        # A step that runs past the Bessel weights it was given gets more:
+        # no term cap ends a step before its stop rule holds.
+        gen = random_network_generator(rng, 4, 1.0)
+        state = random_blocked_state(rng, 4)
+        want = evolve_exact(state, gen, 3.0)
+        counts, weights = [], dynamics._chebyshev_weights
+        monkeypatch.setattr(dynamics, "_chebyshev_weights", lambda x, count: (
+            counts.append(count) or weights(x, count)[:None if counts[1:] else 3]))
+        got = evolve_exact(state, gen, 3.0)
+        assert counts[0] > 3 and len(counts) > 1
+        assert trace_distance(got, want) <= 1e-15
 
     def test_pairs_are_cached_on_the_generator(self, rng, monkeypatch):
         # A second call reads every pair from the generator's cache and
@@ -275,7 +278,7 @@ class TestEvolveExact:
 
     def test_stack_above_the_padding_cut_matches_tight_rkf45(self, rng):
         # Eight sites, 9 blocks padded to 70 x 70: past _PADDED_ENTRIES, so
-        # each block takes the Taylor action on its own.
+        # each block takes the Chebyshev action on its own.
         gen = random_network_generator(rng, 8, 0.5)
         assert 9 * 70 * 70 > dynamics._PADDED_ENTRIES
         state = random_blocked_state(rng, 8)

@@ -478,7 +478,7 @@ class TestCoolStep:
             swap=SwapSpec.partial(5.0), steps=1, waiting_policy="fixed",
             fixed_jtau=0.7))
         run = report.records[0]
-        assert direct.eta == run.eta == 0.8924214093055566
+        assert direct.eta == run.eta == 0.8924214093055567
         assert direct.probe_entropy == run.probe_entropy
         assert direct.distance_to_pseudothermal \
             == run.distance_to_pseudothermal
@@ -889,7 +889,7 @@ class TestRunProtocol:
         assert gen._rotated(state) is not first
 
     def test_dephased_waits_never_read_the_memo(self, monkeypatch):
-        # At Gamma > 0 the waits take the Taylor action, not the rotation
+        # At Gamma > 0 the waits take the Chebyshev action, not the rotation
         # memo; only the coherent scans rotate.
         reads, waiting = [], []
         rotated = LindbladGenerator._rotated
