@@ -194,8 +194,7 @@ class TestEvolveExact:
         if gamma == 1.0:
             g = liouvillian.diagonal().real
             assert tau * np.abs(g - g.mean()).max() > 3 * math.log(2 ** 8)
-        shape = (len(liouvillian) // len(gen.hamiltonian_blocks()[m]),
-                 len(gen.hamiltonian_blocks()[m]))
+        shape = tuple(len(gen.hamiltonian_blocks()[s]) for s in (l, m))
         x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         if l == m:
             x += x.conj().T
