@@ -136,6 +136,55 @@ class TestBlockRhs:
         assert np.array_equal(got, got.conj().T)
 
 
+def plain_taylor_action(gen, blocks, tau, degree=55, theta=9.9):
+    """The dephased action as first written, kept as an independent
+    reference: a truncated Taylor series of degree <= 55 in steps of
+    tau * bound <= 9.9, the pair data built on every call, and both exact
+    max-|.| reductions taken on every term."""
+    n, h, eigs = gen.register.count, gen.hamiltonian_blocks(), \
+        gen.block_eigensystems()
+    shapes = [(len(h[l]), len(h[m])) for l, m in blocks]
+    k, (rows, cols) = len(blocks), (max(d) for d in zip(*shapes))
+    if k > 1 and k * rows * cols > dynamics._PADDED_ENTRIES:
+        return [y for item in blocks.items()
+                for y in plain_taylor_action(gen, dict([item]), tau)]
+    h_l, h_m = np.zeros((k, rows, rows)), np.zeros((k, cols, cols))
+    ig, x = (np.zeros((k, rows, cols), complex) for _ in range(2))
+    mu, bound = np.empty(k), np.empty(k)
+    for i, ((l, m), block) in enumerate(blocks.items()):
+        (dl, dm), d_l, d_m = shapes[i], eigs[l][0], eigs[m][0]
+        g = gen._dephasing(sectors.spin_signs(n, l), sectors.spin_signs(n, m))
+        mu[i] = g.mean()
+        g -= mu[i]
+        h_l[i, :dl, :dl], h_m[i, :dm, :dm] = h[l], h[m].T
+        ig[i, :dl, :dm] = 1j * g
+        x[i, :dl, :dm] = 0.5 * (block + block.conj().T) if l == m else block
+        bound[i] = max(d_l[-1] - d_m[0], d_m[-1] - d_l[0]) + np.abs(g).max()
+    hermitian = all(l == m for l, m in blocks)
+    steps = max(1, math.ceil(tau * bound.max() / theta))
+    dt, total = tau / steps, x
+    for _ in range(steps):
+        term, last = total, float(np.abs(total).max())
+        total = total.copy()
+        for j in range(1, degree + 1):
+            hy = dynamics._times(h_l, term)
+            yh = hy.conj() if hermitian \
+                else dynamics._times(h_m, term.swapaxes(1, 2))
+            d = hy - yh.swapaxes(1, 2)
+            d += ig * term
+            d *= -1j * dt / j
+            term = d
+            total += term
+            now = float(np.abs(term).max())
+            if last + now <= 2.0 ** -53 * float(np.abs(total).max()):
+                break
+            last = now
+        total *= np.exp(dt * mu)[:, None, None]
+    return [0.5 * (y[:dl, :dm] + y[:dl, :dm].conj().T) if l == m
+            else y[:dl, :dm].copy()
+            for (l, m), (dl, dm), y in zip(blocks, shapes, total)]
+
+
 def block_liouvillian(gen, l, m):
     """The Liouvillian of the coherence block (l, m) on its row-major vec
     form: -i (H_l (x) I - I (x) H_m^T) + diag(G_lm)."""
@@ -236,6 +285,30 @@ class TestEvolveExact:
                     else rkf45(_block_rhs(gen, h[l], sectors.spin_signs(n, l)),
                                x, tau, tight).y
                 assert np.abs(y - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("gamma", [0.3, 1.0])
+    @pytest.mark.parametrize("kind", ["blocked", "dense"])
+    def test_action_matches_the_plain_taylor_loop(self, rng, n, gamma, kind):
+        # The Chebyshev action against a second series on the same stacks:
+        # the plain Taylor loop the action was first written as, which
+        # builds every pair afresh and takes both exact reductions on every
+        # term. The two expansions differ, so they agree to rounding, not
+        # to the bit.
+        gen = random_network_generator(rng, n, gamma)
+        if kind == "dense":
+            rho, bases = random_dense_state(rng, n).matrix, sectors.sector_bases(n)
+            blocks = {(l, m): rho[np.ix_(bases[l], bases[m])]
+                      for l in range(n + 1) for m in range(l, n + 1)}
+        else:
+            blocks = dict(((l, l), b) for l, b
+                          in enumerate(random_blocked_state(rng, n).blocks))
+        for tau in (0.37, float(n)):
+            got = _dephased_action(gen, blocks, tau)
+            expected = plain_taylor_action(gen, blocks, tau)
+            assert len(got) == len(expected) == len(blocks)
+            assert max(np.abs(a - b).max()
+                       for a, b in zip(got, expected)) <= 1e-13
 
     def test_weights_are_extended_before_the_stop_rule_holds(
             self, rng, monkeypatch):
