@@ -15,13 +15,14 @@ cached) only when `evolve` integrates a dense state.
 
 Two evolution routes:
 
-* evolve_exact() -- exact, on the coherence blocks X_lm (rows in sector l,
-                    columns in sector m): phases in the sector eigenbases
-                    at Gamma = 0, a batched Chebyshev expansion of the
-                    block Liouvillian's exponential in matrix form at
-                    Gamma > 0 (Tal-Ezer & Kosloff), at any register
-                    size. Waits and dephased windows use it; a coherent
-                    window round applies the wait's phases itself.
+* evolve_exact() -- exact, on the sector blocks rho_l of a state with no
+                    inter-sector coherence, returned blocked: phases in
+                    the sector eigenbases at Gamma = 0, a batched
+                    Chebyshev expansion of the block Liouvillian's
+                    exponential in matrix form at Gamma > 0 (Tal-Ezer &
+                    Kosloff), at any register size. Waits and dephased
+                    windows use it; a coherent window round applies the
+                    wait's phases itself.
 * evolve()       -- adaptive RKF4(5) over the state's own blocks, keeping
                     its form; the independent reference the exact route
                     is checked against.
@@ -40,7 +41,7 @@ from .errors import DomainError, IntegrationError
 from .integrate import IntegratorConfig, rkf45
 from .operators import PAULIS, site_operator
 from .registers import SpinRegister
-from .states import QuantumState, trace_distance
+from .states import QuantumState, sector_decompose, trace_distance
 
 CHANNEL_CHECK_TOL = 1e-9
 
@@ -154,8 +155,8 @@ class LindbladGenerator:
     Instances are immutable by convention and cache their eigendecompositions
     and scan arrays, so reuse the same generator across protocol steps. The
     cache keeps one entry per kind (`_memo`), each reading H alone, and the
-    dephased route's data one entry per coherence block (`_pair_dephasing`);
-    both belong to this generator, so keys carry no rate.
+    dephased route's data one entry per sector (`_sector_dephasing`); both
+    belong to this generator, so keys carry no rate.
     """
 
     def __init__(self, *args, **kwargs):
@@ -174,7 +175,7 @@ class LindbladGenerator:
         gen.dephasing_rate = float(dephasing_rate)
         gen.network = net
         gen._blocks = blocked_xxz_hamiltonian(net)
-        gen._cache, gen._pairs = {}, {}
+        gen._cache, gen._sector_cache = {}, {}
         return gen
 
     @property
@@ -206,23 +207,21 @@ class LindbladGenerator:
             rows, cols = rows[:, 1:], cols[:, 1:]
         return self.dephasing_rate * (rows @ cols.T - rows.shape[1])
 
-    def _pair_dephasing(self, l: int, m: int
-                        ) -> tuple[np.ndarray, float, float, float]:
-        """What `_dephased_action` reads of the coherence block (l, m): i (G -
-        mu), mu, the spread of the sector eigenvalues and max|G - mu|, for
-        G = `_dephasing` between the sectors and mu its mean. Kept per pair
-        up to `_PADDED_ENTRIES`."""
-        if (l, m) not in self._pairs:
-            (d_l, _), (d_m, _) = (self.block_eigensystems()[s] for s in (l, m))
-            g = self._dephasing(*(sectors.spin_signs(self.register.count, s)
-                                  for s in (l, m)))
+    def _sector_dephasing(self, l: int) -> tuple[np.ndarray, float, float, float]:
+        """What `_dephased_action` reads of sector l: i (G - mu), mu, the
+        spread d[-1] - d[0] of the sector's eigenvalues and max|G - mu|, for
+        G = `_dephasing` on the sector and mu its mean. Kept per sector up
+        to `_PADDED_ENTRIES`."""
+        if l not in self._sector_cache:
+            d, _ = self.block_eigensystems()[l]
+            signs = sectors.spin_signs(self.register.count, l)
+            g = self._dephasing(signs, signs)
             g -= (mu := g.mean())
-            entry = (1j * g, mu, max(d_l[-1] - d_m[0], d_m[-1] - d_l[0]),
-                     np.abs(g).max())
+            entry = (1j * g, mu, d[-1] - d[0], np.abs(g).max())
             if g.size > _PADDED_ENTRIES:
                 return entry
-            self._pairs[l, m] = entry
-        return self._pairs[l, m]
+            self._sector_cache[l] = entry
+        return self._sector_cache[l]
 
     def _memo(self, kind: str, key, build: Callable[[], object]):
         """The value `build` gives for `key`, kept as the one entry of its
@@ -356,10 +355,10 @@ def evolve(state: QuantumState, gen: LindbladGenerator, duration: float,
 
 
 _STEP_GROWTH = 8 * math.log(2)  # t max|G - mu| of one Chebyshev step
-# Largest zero-padded stack (blocks x rows x cols) run as one batch. At
-# Gamma = 0.5, t = 1, 2 vCPUs and 2 BLAS threads, padding was 1.7-8x faster
-# than one block per call up to 2,800 entries (2.6x at a six-site dense
-# state's 11,200), tied at 9,800 and 3.7x slower at 44,100 (blocked states).
+# Largest zero-padded stack (blocks x rows x cols) run as one batch. On
+# blocked states at Gamma = 0.5, t = 1, 2 vCPUs and 2 BLAS threads, padding
+# was 1.7-8x faster than one block per call up to 2,800 entries (six sites,
+# 7 x 20 x 20), tied at 9,800 (seven) and 3.7x slower at 44,100 (eight).
 _PADDED_ENTRIES = 5000
 
 
@@ -381,51 +380,45 @@ def _chebyshev_weights(x: float, count: int) -> np.ndarray:
     return weights
 
 
-def _dephased_action(gen: LindbladGenerator,
-                     blocks: dict[tuple[int, int], np.ndarray],
+def _dephased_action(gen: LindbladGenerator, blocks: dict[int, np.ndarray],
                      duration: float) -> list[np.ndarray]:
-    """exp(t L) X_lm for each coherence block (l, m) -> X_lm.
+    """exp(t L) rho_l for each sector block l -> rho_l.
 
-    L(X) = -i (H_l X - X H_m) + G_lm o X with G_lm = `gen._dephasing`. The
-    blocks are stacked zero-padded (L keeps the padding zero; a stack past
-    `_PADDED_ENTRIES` goes one block per call), each shifted by the mean mu
-    of its G: L - mu = -i K, K(y) = H_l y - y H_m + i (G - mu) o y. Each of
-    s steps of t max|G - mu| <= ln 2^8 sums the Chebyshev series of Tal-Ezer
-    & Kosloff, J. Chem. Phys. 81, 3967 (1984), sum_k c_k J_k(t S) V_k with
-    V_0 = X, V_1 = -i K(X)/S and V_(k+1) = -2i K(V_k)/S + V_(k-1), one
-    batched product per side and term (Hermitian diagonal blocks need one).
-    S, the largest spread max(max D_l - min D_m, max D_m - min D_l) of the
-    sector eigenvalues or max|G - mu| in the stack (both cached per pair,
-    `_pair_dephasing`), puts K's field of values in S ([-1, 1] + i [-1, 1]);
-    the split keeps the damping from letting a term outgrow the step's
+    L(X) = -i [H_l, X] + G_l o X with G_l = `gen._dephasing` on sector l.
+    The blocks are stacked zero-padded (L keeps the padding zero; a stack
+    past `_PADDED_ENTRIES` goes one block per call), each shifted by the
+    mean mu of its G: L - mu = -i K, K(y) = H y - (H y)^dag + i (G - mu) o y
+    on a Hermitian y, one batched product. Each of s steps of t max|G - mu|
+    <= ln 2^8 sums the Chebyshev series of Tal-Ezer & Kosloff, J. Chem.
+    Phys. 81, 3967 (1984), sum_k c_k J_k(t S) V_k with V_0 = X, V_1 = -i
+    K(X)/S and V_(k+1) = -2i K(V_k)/S + V_(k-1), where every V_k stays
+    Hermitian. S, the largest spread max D_l - min D_l of the sector
+    eigenvalues or max|G - mu| in the stack (both cached per sector,
+    `_sector_dephasing`), puts K's field of values in S ([-1, 1] + i [-1,
+    1]); the split keeps the damping from letting a term outgrow the step's
     result by much more than 2^8. A step ends, past k = t S, once two
     successive terms fall below 2^-53 of the partial sum, in largest entries
     over the stack (the sum's is reduced only when a running upper bound on
-    it lets the rule hold). Diagonal blocks are made Hermitian both ways.
+    it lets the rule hold). The blocks are made Hermitian both ways.
     """
     k, h = len(blocks), gen.hamiltonian_blocks()
-    shapes = [(len(h[l]), len(h[m])) for l, m in blocks]
-    rows, cols = (max(d) for d in zip(*shapes))
-    if k > 1 and k * rows * cols > _PADDED_ENTRIES:
+    dims = [len(h[l]) for l in blocks]
+    dim = max(dims)
+    if k > 1 and k * dim * dim > _PADDED_ENTRIES:
         return [y for item in blocks.items()
                 for y in _dephased_action(gen, dict([item]), duration)]
-    h_l = np.zeros((k, rows, rows))
-    h_m = np.zeros((k, cols, cols))  # H_m^T
-    ig, x, scratch = np.zeros((3, k, rows, cols), dtype=complex)  # i (G - mu), X
+    h_l = np.zeros((k, dim, dim))
+    ig, x, scratch = np.zeros((3, k, dim, dim), dtype=complex)  # i (G - mu), X
     mu, spread, damping = np.empty((3, k))
-    for i, ((l, m), block) in enumerate(blocks.items()):
-        dl, dm = shapes[i]
-        ig[i, :dl, :dm], mu[i], spread[i], damping[i] = gen._pair_dephasing(l, m)
-        h_l[i, :dl, :dl], h_m[i, :dm, :dm] = h[l], h[m].T
-        x[i, :dl, :dm] = 0.5 * (block + block.conj().T) if l == m else block
-    # Diagonal blocks stay Hermitian, so X H_l = (H_l X)^dag: one product.
-    hermitian = all(l == m for l, m in blocks)
+    for i, ((l, block), d) in enumerate(zip(blocks.items(), dims)):
+        ig[i, :d, :d], mu[i], spread[i], damping[i] = gen._sector_dephasing(l)
+        h_l[i, :d, :d] = h[l]
+        x[i, :d, :d] = 0.5 * (block + block.conj().T)
 
     def scaled_k(y, scale):
-        """scale * K(y) = scale * (H_l y - y H_m + i (G - mu) o y)."""
+        """scale * K(y) = scale * (H y - (H y)^dag + i (G - mu) o y)."""
         d = _times(h_l, y)
-        d -= (d.conj() if hermitian
-              else _times(h_m, y.swapaxes(1, 2))).swapaxes(1, 2)
+        d -= d.conj().swapaxes(1, 2)
         d += np.multiply(ig, y, out=scratch)
         d *= scale
         return d
@@ -459,9 +452,7 @@ def _dephased_action(gen: LindbladGenerator,
                     break
             last = now
         total *= np.exp(dt * mu)[:, None, None]
-    return [0.5 * (y[:dl, :dm] + y[:dl, :dm].conj().T) if l == m
-            else y[:dl, :dm].copy()
-            for (l, m), (dl, dm), y in zip(blocks, shapes, total)]
+    return [0.5 * (y[:d, :d] + y[:d, :d].conj().T) for d, y in zip(dims, total)]
 
 
 def _times(a: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -472,17 +463,18 @@ def _times(a: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def evolve_exact(state: QuantumState, gen: LindbladGenerator,
                  duration: float) -> QuantumState:
-    """Exact propagation of every nonzero coherence block X_lm.
+    """Exact propagation of every nonzero sector block rho_l, returned
+    blocked.
 
-    At Gamma = 0, X_lm -> u_l (Phi_lm o u_l^dag X_lm u_m) u_m^dag (H_l =
-    u_l D_l u_l^dag, Phi_lm = e^{-i D_l t} (e^{-i D_m t})^dag; a blocked
-    state's rotations are memoized for the scan). At Gamma > 0 the blocks
-    take the Chebyshev action of their Liouvillian (`_dephased_action`), at
-    any register size. Dephasing only runs forward, so a negative duration
-    raises at Gamma > 0; at Gamma = 0 it is the backward unitary. A blocked
-    state has the blocks l = m; a dense one every pair l <= m, with X_ml =
-    X_lm^dag, copied out of one sector-order permutation of its matrix (BLAS
-    rounds products over a strided view apart). Zero blocks are skipped.
+    The state is decomposed first (`sector_decompose`): a dense one with
+    inter-sector coherence raises `SectorMixingError` before anything
+    evolves. At Gamma = 0, rho_l -> u_l (Phi_l o u_l^dag rho_l u_l) u_l^dag
+    (H_l = u_l D_l u_l^dag, Phi_l = e^{-i D_l t} (e^{-i D_l t})^dag), the
+    rotations memoized for the scan (`gen._rotated`). At Gamma > 0 the
+    blocks take the Chebyshev action of their Liouvillian
+    (`_dephased_action`), at any register size. Dephasing only runs
+    forward, so a negative duration raises at Gamma > 0; at Gamma = 0 it is
+    the backward unitary. Zero blocks are skipped.
     """
     if gen.register.labels != state.register.labels:
         raise DomainError("generator and state registers do not match")
@@ -490,42 +482,21 @@ def evolve_exact(state: QuantumState, gen: LindbladGenerator,
         raise DomainError(f"duration must be finite, got {duration}")
     if gen.dephasing_rate > 0 and duration < 0:
         raise DomainError(f"dephased duration must be >= 0, got {duration}")
-    if state.is_blocked:
-        blocks = {(l, l): b for l, b in enumerate(state.blocks)}
-    else:
-        bases = sectors.sector_bases(state.register.count)
-        order, edges = np.concatenate(bases), np.cumsum([0] + list(map(len, bases)))
-        spans = [slice(a, b) for a, b in zip(edges, edges[1:])]
-        rho = state.matrix[np.ix_(order, order)]
-        blocks = {(l, m): rho[a, b].copy() for l, a in enumerate(spans)
-                  for m, b in enumerate(spans) if m >= l}
-    blocks = {lm: x for lm, x in blocks.items() if x.any()}
+    state = sector_decompose(state)
+    blocks = {l: b for l, b in enumerate(state.blocks) if b.any()}
     if gen.dephasing_rate == 0:
-        eigs = gen.block_eigensystems()
-        phases = [np.exp(-1j * d * duration) for d, _ in eigs]
-        rotated = gen._rotated(state) if state.is_blocked else None
+        rotated, eigs = gen._rotated(state), gen.block_eigensystems()
 
-        def propagate(l, m, x):
-            (_, u_l), (_, u_m) = eigs[l], eigs[m]
-            a = rotated[l] if rotated else _sandwich(u_l.T, x, u_m)
-            phi = np.outer(phases[l], phases[m].conj())
-            return _sandwich(u_l, phi * a, u_m.T)
-        out = [propagate(l, m, x) for (l, m), x in blocks.items()]
+        def propagate(l):
+            d, u = eigs[l]
+            phases = np.exp(-1j * d * duration)
+            return _sandwich(u, np.outer(phases, phases.conj()) * rotated[l], u.T)
+        out = [propagate(l) for l in blocks]
     else:
         out = _dephased_action(gen, blocks, duration)
-
-    if state.is_blocked:
-        new = dict(zip((l for l, _ in blocks), out))
-        return QuantumState._adopt(state.register, blocks=[
-            new.get(l, np.zeros_like(b)) for l, b in enumerate(state.blocks)])
-    ordered = np.zeros_like(rho)
-    for (l, m), y in zip(blocks, out):
-        ordered[spans[l], spans[m]] = y
-        if m != l:
-            ordered[spans[m], spans[l]] = y.conj().T
-    dense = np.empty_like(rho)
-    dense[np.ix_(order, order)] = ordered
-    return QuantumState._adopt(state.register, dense=dense)
+    new = dict(zip(blocks, out))
+    return QuantumState._adopt(state.register, blocks=[
+        new.get(l, np.zeros_like(b)) for l, b in enumerate(state.blocks)])
 
 
 # --------------------------------------------------------------------------
@@ -651,30 +622,41 @@ class CheckResult:
         return self.passed
 
 
-def _random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+def _random_blocked_state(rng: np.random.Generator, register: SpinRegister
+                          ) -> QuantumState:
+    """A random state with no inter-sector coherence: one Ginibre block
+    g g^dag per sector, all scaled by one total trace."""
+    blocks = []
+    for basis in sectors.sector_bases(register.count):
+        d = len(basis)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        blocks.append(g @ g.conj().T)
+    total = sum(np.trace(b).real for b in blocks)
+    return QuantumState._adopt(register, blocks=[b / total for b in blocks])
+
+
+def _sector_weights(state: QuantumState) -> np.ndarray:
+    """tr(rho_l) for every sector l, read off either form's diagonal."""
+    if state.is_blocked:
+        return np.array([np.trace(b).real for b in state.blocks])
+    return np.bincount(sectors.popcounts(state.register.count),
+                       weights=np.diag(state.matrix).real)
 
 
 def conserves_z_excitation(channel: Callable[[QuantumState], QuantumState],
                            register: SpinRegister, trials: int,
                            seed: int = 0) -> CheckResult:
-    """Check sum_n <sz_n> is preserved on random states to 1e-9; first
-    failure wins."""
+    """Check each sector's weight tr(rho_l) is kept to 1e-9 on random
+    blocked states (`_random_blocked_state`); first failure wins. On such
+    states, conserving the z-excitation is keeping every sector's weight."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    signs = sectors.dense_spin_signs(register.count)
-    total = signs.sum(axis=1)
     worst = 0.0
     for _ in range(trials):
-        state = QuantumState._adopt(register,
-                                    dense=_random_density(rng, register.dim))
-        before = float(np.real(np.diag(state.matrix)) @ total)
-        after_state = channel(state)
-        after = float(np.real(np.diag(after_state.matrix)) @ total)
-        dev = abs(after - before)
+        state = _random_blocked_state(rng, register)
+        dev = float(np.abs(_sector_weights(channel(state))
+                           - _sector_weights(state)).max())
         worst = max(worst, dev)
         if dev > CHANNEL_CHECK_TOL:
             return CheckResult(dev, state)

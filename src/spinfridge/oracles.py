@@ -36,8 +36,8 @@ from typing import Iterable
 import numpy as np
 
 from .dynamics import (LindbladGenerator, SpinNetwork, SwapSpec,
-                       conserves_z_excitation, evolve_exact, is_unital,
-                       window_generator)
+                       _random_blocked_state, conserves_z_excitation,
+                       evolve_exact, is_unital, window_generator)
 from .errors import DomainError
 from .protocol import (ProtocolConfig, ProtocolReport, _prepend_site,
                        _window_route, cool_step, entropy_accounting,
@@ -45,12 +45,12 @@ from .protocol import (ProtocolConfig, ProtocolReport, _prepend_site,
 from .registers import SpinRegister
 from .states import (QuantumState, partial_trace, thermal_product_state,
                      trace_distance)
-from . import sectors
 
 _COOL_TOL = 1e-9
 _FIXED_POINT_TOL = 1e-8
 _DISPLACEMENT_MIN = 1e-6
 _MAJORIZATION_TOL = 1e-10
+_UNITARITY_TOL = 1e-12
 _STATIONARY_TAUS = 10     # waits drawn per rate by the stationarity check
 _STATIONARY_RATES = (0.0, 0.3)  # its dephasing rates
 
@@ -148,10 +148,11 @@ def random_channel_sample(rng: np.random.Generator, probe_size: int,
     both edge regimes always appear across a batch. The cooling theorem's
     hypotheses, z-excitation conservation and unitality, are checked on
     what the round applies: the wait channel `evolve_exact(., gen, tau)` on
-    the probe's register and, for a partial swap, the window's
-    `evolve_exact` channel on qubit + probe. A perfect swap permutes sites.
-    The window is built once: the one checked is kept on `gen` for the
-    sample's rounds.
+    the probe's register and, for a partial swap, the window the sample
+    keeps on `gen` for its rounds. A dephased window is checked as its
+    `evolve_exact` channel on qubit + probe; a coherent one as the map its
+    rounds apply, each joint sector's quadrants, which must form a unitary
+    (`_check_window_unitary`). A perfect swap permutes sites.
     """
     net = _random_network(rng, SpinRegister.of_size(probe_size))
     draw = rng.random()
@@ -162,9 +163,15 @@ def random_channel_sample(rng: np.random.Generator, probe_size: int,
         float(math.exp(rng.uniform(math.log(0.5), math.log(100.0))))
     swap = SwapSpec.perfect() if j_i is None else SwapSpec.partial(j_i)
     gen = LindbladGenerator.from_network(net, gamma)
-    window = None if j_i is None else window_generator(net, gamma, swap)
-    channels = [(gen, tau)] if window is None else \
-        [(gen, tau), (window, swap.window_duration)]
+    channels = [(gen, tau)]
+    if j_i is not None:
+        window = window_generator(net, gamma, swap)
+        route = gen._memo("window", swap,
+                          lambda: _window_route(window, swap, gen))
+        if gamma:
+            channels.append((window, swap.window_duration))
+        else:
+            _check_window_unitary(route)
     for channel_gen, duration in channels:
         def channel(state, g=channel_gen, t=duration):
             return evolve_exact(state, g, t)
@@ -173,9 +180,20 @@ def random_channel_sample(rng: np.random.Generator, probe_size: int,
             raise DomainError("drawn channel failed z-conservation check")
         if not is_unital(channel, channel_gen.register):
             raise DomainError("drawn channel failed unitality check")
-    if window is not None:
-        gen._memo("window", swap, lambda: _window_route(window, swap, gen))
     return ChannelSample(gen, swap, tau)
+
+
+def _check_window_unitary(route: list) -> None:
+    """Raise `DomainError` unless every joint sector L's quadrants B[q'][q]
+    (`_window_route`) form M_L = [[B_00, B_01], [B_10, B_11]] =
+    W_L (u_L (+) u_(L-1)) with max|M_L^dag M_L - I| <= 1e-12: a unitary
+    per sector is trace-preserving, unital and z-conserving."""
+    for big_l, quads in enumerate(route):
+        m = np.hstack([np.vstack(column) for column in zip(*quads)])
+        dev = float(np.abs(m.conj().T @ m - np.eye(len(m))).max())
+        if dev > _UNITARITY_TOL:
+            raise DomainError(f"drawn window's sector L = {big_l} is not "
+                              f"unitary: max|M^dag M - I| = {dev:.3e}")
 
 
 # --------------------------------------------------------------------------
@@ -401,17 +419,6 @@ def _majorizes(before: np.ndarray, after: np.ndarray,
     return bool(np.all(gaps >= -tol)), float(gaps.min())
 
 
-def _random_blocked_state(rng: np.random.Generator, n: int) -> QuantumState:
-    blocks = []
-    for basis in sectors.sector_bases(n):
-        d = len(basis)
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        blocks.append(g @ g.conj().T)
-    total = sum(np.trace(b).real for b in blocks)
-    return QuantumState(SpinRegister.of_size(n),
-                        blocks=[b / total for b in blocks])
-
-
 def oracle_majorization(trials: int = 300, max_sites: int = 4,
                         seed: int = 99,
                         negative_control: bool = False) -> OracleResult:
@@ -430,7 +437,7 @@ def oracle_majorization(trials: int = 300, max_sites: int = 4,
     strictest = 0.0
     for trial in range(trials):
         n = int(rng.integers(2, max_sites + 1))
-        state = _random_blocked_state(rng, n)
+        state = _random_blocked_state(rng, SpinRegister.of_size(n))
         labels = state.register.labels
         net = _random_network(rng, state.register)
         draw = rng.random()

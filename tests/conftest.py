@@ -17,7 +17,7 @@ from spinfridge import (
     SpinNetwork,
     SpinRegister,
 )
-from spinfridge.sectors import sector_bases
+from spinfridge.dynamics import _random_blocked_state
 
 # Spin-1 operators in the local |m_s = +1, 0, -1> basis.
 _SPIN1 = (
@@ -75,17 +75,9 @@ def random_dense_state(rng: np.random.Generator, n: int) -> QuantumState:
 
 
 def random_blocked_state(rng: np.random.Generator, n: int) -> QuantumState:
-    """Random state with no inter-sector coherence (block-diagonal)."""
-    raw = []
-    total = 0.0
-    for basis in sector_bases(n):
-        d = len(basis)
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        b = g @ g.conj().T
-        raw.append(b)
-        total += float(np.trace(b).real)
-    return QuantumState(SpinRegister.of_size(n),
-                        blocks=[b / total for b in raw])
+    """Random state with no inter-sector coherence (block-diagonal) on
+    sites 1..n."""
+    return _random_blocked_state(rng, SpinRegister.of_size(n))
 
 
 def random_network_generator(rng: np.random.Generator, n: int, gamma: float,

@@ -12,6 +12,7 @@ from spinfridge import (
     IntegratorConfig,
     LindbladGenerator,
     QuantumState,
+    SectorMixingError,
     SpinNetwork,
     SpinRegister,
     SwapSpec,
@@ -36,7 +37,6 @@ from spinfridge.operators import PAULIS, site_operator
 from conftest import (
     random_blocked_state,
     random_dense_state,
-    random_density,
     random_network_generator,
 )
 
@@ -54,19 +54,30 @@ class TestGeneratorConstruction:
 
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_site_zero_never_dephases(self, adaptive):
-        # H = 0 on sites 0..2 with |+> on each: every coherence decays as
-        # e^(-2 Gamma t) except the thermal qubit's, which label 0 keeps,
-        # on the exact route and on the adaptive one (whose dense route
-        # this state takes: it carries inter-sector coherence).
+        # H = 0 on sites 0..2, where label 0 is the thermal qubit.
         gamma, t = 0.7, 0.9
         reg = SpinRegister.with_qubit(2)
         gen = LindbladGenerator.from_network(SpinNetwork(reg, {}), gamma)
-        plus = QuantumState(reg, dense=np.full((8, 8), 1 / 8, dtype=complex))
-        out = (evolve if adaptive else evolve_exact)(plus, gen, t)
         decay = math.exp(-2.0 * gamma * t)
+        if not adaptive:
+            # The pure sector-1 state (|a> + |b>)/sqrt 2, a = |0_0 1_1 0_2>
+            # and b = |1_0 0_1 0_2>: a and b differ on sites 0 and 1, so the
+            # coherence decays as e^(-2 Gamma t), as e^(-4 Gamma t) if site
+            # 0 dephased.
+            a, b = 0b010, 0b100
+            rho = np.zeros((8, 8), dtype=complex)
+            rho[np.ix_([a, b], [a, b])] = 0.5
+            out = evolve_exact(QuantumState(reg, dense=rho), gen, t)
+            assert abs(out.matrix[a, b] - 0.5 * decay) < 1e-14
+            return
+        # |+> on each site (the adaptive route's dense form: the state
+        # carries inter-sector coherence): every coherence decays as
+        # e^(-2 Gamma t) except the thermal qubit's, which label 0 keeps.
+        plus = QuantumState(reg, dense=np.full((8, 8), 1 / 8, dtype=complex))
+        out = evolve(plus, gen, t)
         for site, factor in ((0, 1.0), (1, decay), (2, decay)):
             coherence = partial_trace(out, keep=(site,)).matrix[0, 1]
-            assert abs(coherence - 0.5 * factor) < (1e-9 if adaptive else 1e-14)
+            assert abs(coherence - 0.5 * factor) < 1e-9
 
     def test_from_network_blocks_match_dense(self):
         gen = chain_generator(3)
@@ -139,28 +150,27 @@ class TestBlockRhs:
 def plain_taylor_action(gen, blocks, tau, degree=55, theta=9.9):
     """The dephased action as first written, kept as an independent
     reference: a truncated Taylor series of degree <= 55 in steps of
-    tau * bound <= 9.9, the pair data built on every call, and both exact
-    max-|.| reductions taken on every term."""
+    tau * bound <= 9.9, the sector data built on every call, and both
+    exact max-|.| reductions taken on every term."""
     n, h, eigs = gen.register.count, gen.hamiltonian_blocks(), \
         gen.block_eigensystems()
-    shapes = [(len(h[l]), len(h[m])) for l, m in blocks]
-    k, (rows, cols) = len(blocks), (max(d) for d in zip(*shapes))
-    if k > 1 and k * rows * cols > dynamics._PADDED_ENTRIES:
+    dims = [len(h[l]) for l in blocks]
+    k, dim = len(blocks), max(dims)
+    if k > 1 and k * dim * dim > dynamics._PADDED_ENTRIES:
         return [y for item in blocks.items()
                 for y in plain_taylor_action(gen, dict([item]), tau)]
-    h_l, h_m = np.zeros((k, rows, rows)), np.zeros((k, cols, cols))
-    ig, x = (np.zeros((k, rows, cols), complex) for _ in range(2))
+    h_l = np.zeros((k, dim, dim))
+    ig, x = (np.zeros((k, dim, dim), complex) for _ in range(2))
     mu, bound = np.empty(k), np.empty(k)
-    for i, ((l, m), block) in enumerate(blocks.items()):
-        (dl, dm), d_l, d_m = shapes[i], eigs[l][0], eigs[m][0]
-        g = gen._dephasing(sectors.spin_signs(n, l), sectors.spin_signs(n, m))
+    for i, ((l, block), d) in enumerate(zip(blocks.items(), dims)):
+        signs, d_l = sectors.spin_signs(n, l), eigs[l][0]
+        g = gen._dephasing(signs, signs)
         mu[i] = g.mean()
         g -= mu[i]
-        h_l[i, :dl, :dl], h_m[i, :dm, :dm] = h[l], h[m].T
-        ig[i, :dl, :dm] = 1j * g
-        x[i, :dl, :dm] = 0.5 * (block + block.conj().T) if l == m else block
-        bound[i] = max(d_l[-1] - d_m[0], d_m[-1] - d_l[0]) + np.abs(g).max()
-    hermitian = all(l == m for l, m in blocks)
+        h_l[i, :d, :d] = h[l]
+        ig[i, :d, :d] = 1j * g
+        x[i, :d, :d] = 0.5 * (block + block.conj().T)
+        bound[i] = d_l[-1] - d_l[0] + np.abs(g).max()
     steps = max(1, math.ceil(tau * bound.max() / theta))
     dt, total = tau / steps, x
     for _ in range(steps):
@@ -168,9 +178,7 @@ def plain_taylor_action(gen, blocks, tau, degree=55, theta=9.9):
         total = total.copy()
         for j in range(1, degree + 1):
             hy = dynamics._times(h_l, term)
-            yh = hy.conj() if hermitian \
-                else dynamics._times(h_m, term.swapaxes(1, 2))
-            d = hy - yh.swapaxes(1, 2)
+            d = hy - hy.conj().swapaxes(1, 2)
             d += ig * term
             d *= -1j * dt / j
             term = d
@@ -180,29 +188,28 @@ def plain_taylor_action(gen, blocks, tau, degree=55, theta=9.9):
                 break
             last = now
         total *= np.exp(dt * mu)[:, None, None]
-    return [0.5 * (y[:dl, :dm] + y[:dl, :dm].conj().T) if l == m
-            else y[:dl, :dm].copy()
-            for (l, m), (dl, dm), y in zip(blocks, shapes, total)]
+    return [0.5 * (y[:d, :d] + y[:d, :d].conj().T)
+            for d, y in zip(dims, total)]
 
 
-def block_liouvillian(gen, l, m):
-    """The Liouvillian of the coherence block (l, m) on its row-major vec
-    form: -i (H_l (x) I - I (x) H_m^T) + diag(G_lm)."""
-    n, h = gen.register.count, gen.hamiltonian_blocks()
-    g = gen._dephasing(sectors.spin_signs(n, l), sectors.spin_signs(n, m))
-    liouvillian = -1j * (np.kron(h[l], np.eye(len(h[m])))
-                         - np.kron(np.eye(len(h[l])), h[m].T))
-    return liouvillian + np.diag(g.ravel())
+def block_liouvillian(gen, l):
+    """The Liouvillian of sector block l on its row-major vec form:
+    -i (H_l (x) I - I (x) H_l^T) + diag(G_l)."""
+    n, h = gen.register.count, gen.hamiltonian_blocks()[l]
+    signs = sectors.spin_signs(n, l)
+    g = gen._dephasing(signs, signs)
+    eye = np.eye(len(h))
+    return -1j * (np.kron(h, eye) - np.kron(eye, h.T)) + np.diag(g.ravel())
 
 
 class TestEvolveExact:
     @staticmethod
     def gap_to_tight_rkf45(rng, n, subset, gamma, tau):
-        # Random dense states carry coherence between every pair of
-        # sectors, so every (l, m) coherence block is exercised. A subset
-        # register holds site 0, which does not dephase.
+        # Random blocked states fill every sector block; the reference
+        # integrates their dense matrix. A subset register holds site 0,
+        # which does not dephase.
         gen = random_network_generator(rng, n, gamma, with_qubit=subset)
-        state = QuantumState(gen.register, dense=random_density(rng, 1 << n))
+        state = dynamics._random_blocked_state(rng, gen.register)
         exact = evolve_exact(state, gen, tau).matrix
         tight = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
         reference = rkf45(_dense_rhs(gen), state.matrix, tau, tight).y
@@ -221,33 +228,31 @@ class TestEvolveExact:
         # registers.
         assert self.gap_to_tight_rkf45(rng, n, subset, 1.0, float(n)) <= 1e-12
 
-    @pytest.mark.parametrize("gamma, pair, norm", [
-        *(pytest.param(0.005, (1, 2), norm, id=str(norm))
+    @pytest.mark.parametrize("gamma, norm", [
+        *(pytest.param(0.005, norm, id=str(norm))
           for norm in (0.0, 1e-3, 1.0, 30.0, 300.0, 1000.0)),
-        *(pytest.param(1.0, (2, 2), norm, id=f"split-{norm}")
+        *(pytest.param(1.0, norm, id=f"split-{norm}")
           for norm in (150.0, 400.0))])
-    def test_taylor_exponential_matches_scipy(self, rng, gamma, pair, norm):
+    def test_taylor_exponential_matches_scipy(self, rng, gamma, norm):
         from scipy.linalg import expm
-        # The dephased action on one coherence block X_lm of a four-site
-        # register against scipy's expm of its vec-form Liouvillian, with
-        # tau scaled so that tau ||L||_1 = norm. At Gamma = 0.005 the
-        # damping is weak, so exp(tau L) X stays of order one even at the
-        # largest norm. At Gamma = 1 on a diagonal block, tau max|G - mu| is
-        # several times ln 2^8, so the wait splits into several Chebyshev
-        # steps; G vanishes on the diagonal, so the result stays of order
-        # one there too.
-        n, (l, m) = 4, pair
+        # The Chebyshev action on sector block 2 of a four-site register
+        # against scipy's expm of its vec-form Liouvillian, with tau scaled
+        # so that tau ||L||_1 = norm. At Gamma = 0.005 the damping is weak,
+        # so exp(tau L) X stays of order one even at the largest norm. At
+        # Gamma = 1, tau max|G - mu| is several times ln 2^8, so the wait
+        # splits into several Chebyshev steps; G vanishes on the diagonal,
+        # so the result stays of order one there too.
+        n, l = 4, 2
         gen = random_network_generator(rng, n, gamma)
-        liouvillian = block_liouvillian(gen, l, m)
+        liouvillian = block_liouvillian(gen, l)
         tau = norm / np.abs(liouvillian).sum(axis=0).max()
         if gamma == 1.0:
             g = liouvillian.diagonal().real
             assert tau * np.abs(g - g.mean()).max() > 3 * math.log(2 ** 8)
-        shape = tuple(len(gen.hamiltonian_blocks()[s]) for s in (l, m))
+        shape = (len(gen.hamiltonian_blocks()[l]),) * 2
         x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        if l == m:
-            x += x.conj().T
-        got, = _dephased_action(gen, {(l, m): x}, tau)
+        x += x.conj().T
+        got, = _dephased_action(gen, {l: x}, tau)
         expected = (expm(tau * liouvillian) @ x.ravel()).reshape(x.shape)
         assert np.abs(got - expected).max() <= 1e-13 * max(1.0, norm)
 
@@ -255,33 +260,32 @@ class TestEvolveExact:
     @pytest.mark.parametrize("gamma", [0.3, 1.0])
     @pytest.mark.parametrize("kind", ["blocked", "dense"])
     def test_action_matches_the_block_exponential(self, rng, n, gamma, kind):
-        # The stacked action, with its cached pairs, one S per stack and its
-        # step split, against each block alone: scipy's expm of the block's
-        # vec-form Liouvillian up to four sites (to 1e-13), and tight RKF45
-        # at five and six (to 1e-12), on the block's own master equation or,
-        # for a dense state, on the whole matrix.
+        # The stacked action, with its cached sectors, one S per stack and
+        # its step split, against each block alone: scipy's expm of the
+        # block's vec-form Liouvillian up to four sites (to 1e-13), and
+        # tight RKF45 at five and six (to 1e-12), on the block's own master
+        # equation or, for the state's dense form (which `evolve_exact`
+        # decomposes), on the whole matrix.
         from scipy.linalg import expm
         gen = random_network_generator(rng, n, gamma)
         h, bases = gen.hamiltonian_blocks(), sectors.sector_bases(n)
-        if kind == "dense":
-            rho = random_dense_state(rng, n).matrix
-            blocks = {(l, m): rho[np.ix_(bases[l], bases[m])]
-                      for l in range(n + 1) for m in range(l, n + 1)}
-        else:
-            blocks = dict(((l, l), b) for l, b
-                          in enumerate(random_blocked_state(rng, n).blocks))
+        state = random_blocked_state(rng, n)
+        blocks = dict(enumerate(state.blocks))
         tight = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
         for tau in (0.37, float(n)):
-            got = _dephased_action(gen, blocks, tau)
+            if kind == "dense":
+                got = evolve_exact(state.to_dense(), gen, tau).blocks
+            else:
+                got = _dephased_action(gen, blocks, tau)
             if n > 4 and kind == "dense":
-                dense = rkf45(_dense_rhs(gen), rho, tau, tight).y
-            for ((l, m), x), y in zip(blocks.items(), got):
+                dense = rkf45(_dense_rhs(gen), state.matrix, tau, tight).y
+            for (l, x), y in zip(blocks.items(), got):
                 if n <= 4:
-                    want = (expm(tau * block_liouvillian(gen, l, m))
+                    want = (expm(tau * block_liouvillian(gen, l))
                             @ x.ravel()).reshape(x.shape)
                     assert np.abs(y - want).max() <= 1e-13
                     continue
-                want = dense[np.ix_(bases[l], bases[m])] if kind == "dense" \
+                want = dense[np.ix_(bases[l], bases[l])] if kind == "dense" \
                     else rkf45(_block_rhs(gen, h[l], sectors.spin_signs(n, l)),
                                x, tau, tight).y
                 assert np.abs(y - want).max() <= 1e-12
@@ -292,19 +296,16 @@ class TestEvolveExact:
     def test_action_matches_the_plain_taylor_loop(self, rng, n, gamma, kind):
         # The Chebyshev action against a second series on the same stacks:
         # the plain Taylor loop the action was first written as, which
-        # builds every pair afresh and takes both exact reductions on every
-        # term. The two expansions differ, so they agree to rounding, not
-        # to the bit.
+        # builds every sector afresh and takes both exact reductions on
+        # every term. The two expansions differ, so they agree to rounding,
+        # not to the bit. The dense kind enters through `evolve_exact` as
+        # the state's dense form.
         gen = random_network_generator(rng, n, gamma)
-        if kind == "dense":
-            rho, bases = random_dense_state(rng, n).matrix, sectors.sector_bases(n)
-            blocks = {(l, m): rho[np.ix_(bases[l], bases[m])]
-                      for l in range(n + 1) for m in range(l, n + 1)}
-        else:
-            blocks = dict(((l, l), b) for l, b
-                          in enumerate(random_blocked_state(rng, n).blocks))
+        state = random_blocked_state(rng, n)
+        blocks = dict(enumerate(state.blocks))
         for tau in (0.37, float(n)):
-            got = _dephased_action(gen, blocks, tau)
+            got = evolve_exact(state.to_dense(), gen, tau).blocks \
+                if kind == "dense" else _dephased_action(gen, blocks, tau)
             expected = plain_taylor_action(gen, blocks, tau)
             assert len(got) == len(expected) == len(blocks)
             assert max(np.abs(a - b).max()
@@ -325,12 +326,14 @@ class TestEvolveExact:
         assert trace_distance(got, want) <= 1e-15
 
     def test_pairs_are_cached_on_the_generator(self, rng, monkeypatch):
-        # A second call reads every pair from the generator's cache and
-        # gives the bits of a fresh generator; blocks past _PADDED_ENTRIES
-        # are not kept.
+        # A second call reads every sector from the generator's cache and
+        # gives the bits of a fresh generator, for a blocked state and for
+        # a coherence-free dense one; blocks past _PADDED_ENTRIES are not
+        # kept.
         gen = random_network_generator(rng, 4, 0.5)
         fresh = LindbladGenerator.from_network(gen.network, 0.5)
-        states = (random_dense_state(rng, 4), random_blocked_state(rng, 4))
+        states = (random_blocked_state(rng, 4).to_dense(),
+                  random_blocked_state(rng, 4))
         first = [evolve_exact(s, gen, 1.3) for s in states]
         calls, original = [], LindbladGenerator._dephasing
         monkeypatch.setattr(LindbladGenerator, "_dephasing",
@@ -345,8 +348,8 @@ class TestEvolveExact:
         chain = chain_generator(10, 0.5)
         evolve_exact(thermal_product_state([0.3] * 10), chain, 0.1)
         sizes = [math.comb(10, l) ** 2 for l in range(11)]
-        assert set(chain._pairs) == {(l, l) for l, size in enumerate(sizes)
-                                     if size <= dynamics._PADDED_ENTRIES}
+        assert set(chain._sector_cache) == {
+            l for l, size in enumerate(sizes) if size <= dynamics._PADDED_ENTRIES}
 
     def test_stack_above_the_padding_cut_matches_tight_rkf45(self, rng):
         # Eight sites, 9 blocks padded to 70 x 70: past _PADDED_ENTRIES, so
@@ -379,9 +382,10 @@ class TestEvolveExact:
     def test_negative_duration_only_runs_the_unitary_backward(self, rng,
                                                               dense):
         # At Gamma = 0 a negative duration undoes a positive one; dephasing
-        # only runs forward, so the dephased route raises like `evolve`.
-        state = random_dense_state(rng, 3) if dense \
-            else random_blocked_state(rng, 3)
+        # only runs forward, so the dephased route raises like `evolve`,
+        # for a blocked state and for its dense form.
+        state = random_blocked_state(rng, 3)
+        state = state.to_dense() if dense else state
         unitary = random_network_generator(rng, 3, 0.0)
         back = evolve_exact(evolve_exact(state, unitary, 1.7), unitary, -1.7)
         assert trace_distance(back, state) < 1e-13
@@ -399,7 +403,8 @@ class TestEvolveExact:
 
     def test_dephased_composition(self, rng):
         gen = random_network_generator(rng, 3, 0.4)
-        for state in (random_dense_state(rng, 3), random_blocked_state(rng, 3)):
+        for state in (random_blocked_state(rng, 3).to_dense(),
+                      random_blocked_state(rng, 3)):
             one = evolve_exact(evolve_exact(state, gen, 0.8), gen, 1.1)
             two = evolve_exact(state, gen, 1.9)
             assert trace_distance(one, two) < 1e-12
@@ -407,10 +412,11 @@ class TestEvolveExact:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("chain", [False, True])
     def test_eigenbasis_route_matches_sector_unitaries(self, rng, n, chain):
-        # The reference is U_l X_lm U_m^dag with U_l = exp(-i H_l tau) from
-        # a complex eigh of each block, applied to every coherence block of
-        # a dense state at once through the direct sum of the U_l. The
-        # uniform chain's degenerate spectra leave the eigenbases free.
+        # The reference is U_l X_l U_l^dag with U_l = exp(-i H_l tau) from
+        # a complex eigh of each block, applied to each block of a blocked
+        # state and to a coherence-free dense state at once through the
+        # direct sum of the U_l. The uniform chain's degenerate spectra
+        # leave the eigenbases free.
         gen = chain_generator(n) if chain \
             else random_network_generator(rng, n, 0.0)
         eigs = [np.linalg.eigh(b.astype(complex))
@@ -421,11 +427,35 @@ class TestEvolveExact:
             got = evolve_exact(blocked, gen, tau)
             for u, x, y in zip(units, blocked.blocks, got.blocks):
                 assert np.abs(y - u @ x @ u.conj().T).max() <= 1e-13
-            dense = random_dense_state(rng, n)
+            dense = random_blocked_state(rng, n).to_dense()
             full = sectors.scatter_blocks(units, n)
             expected = full @ dense.matrix @ full.conj().T
             got = evolve_exact(dense, gen, tau).matrix
             assert np.abs(got - expected).max() <= 1e-13
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_coherence_free_dense_state_is_its_blocked_twin(self, rng, gamma):
+        # A dense state with no inter-sector coherence is decomposed on
+        # entry: its result is its blocked twin's, bit for bit, and blocked.
+        gen = random_network_generator(rng, 4, gamma)
+        blocked = random_blocked_state(rng, 4)
+        dense = QuantumState(blocked.register, dense=blocked.matrix)
+        got, want = (evolve_exact(s, gen, 1.3) for s in (dense, blocked))
+        assert got.is_blocked
+        assert all(np.array_equal(a, b) for a, b in zip(got.blocks, want.blocks))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_inter_sector_coherence_raises_before_evolving(
+            self, rng, monkeypatch, gamma):
+        gen = random_network_generator(rng, 3, gamma)
+
+        def evolved(*_args):
+            raise AssertionError("the state was evolved")
+
+        monkeypatch.setattr(dynamics, "_dephased_action", evolved)
+        monkeypatch.setattr(LindbladGenerator, "_rotated", evolved)
+        with pytest.raises(SectorMixingError):
+            evolve_exact(random_dense_state(rng, 3), gen, 0.9)
 
     def test_scan_cache_leaves_the_dephased_route_alone(self, rng):
         # The waiting-time scan caches its eigenbasis rotation and grid
@@ -688,6 +718,21 @@ class TestChannelChecks:
         for block in first.blocks:
             np.testing.assert_array_equal(
                 block, np.eye(len(block)) / reg.dim)
+
+    def test_z_check_input_is_blocked(self):
+        # The z-check draws random blocked states, so the channel sees no
+        # inter-sector coherence; each sector's weight is read off a blocked
+        # or a dense output alike.
+        reg = SpinRegister.with_qubit(3)
+        seen = []
+
+        def channel(state):
+            seen.append(state)
+            return state if len(seen) % 2 else state.to_dense()
+
+        assert conserves_z_excitation(channel, reg, trials=4, seed=3)
+        assert len(seen) == 4
+        assert all(s.is_blocked and s.register == reg for s in seen)
 
     def test_reset_channel_fails_both(self):
         reg = SpinRegister.of_size(2)

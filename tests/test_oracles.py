@@ -97,7 +97,7 @@ class TestChannelSamples:
     @pytest.mark.parametrize("seed", [0, 2])   # coherent, dephased window
     def test_rounds_apply_the_checked_window(self, monkeypatch, seed):
         from spinfridge import oracles, protocol
-        built, evolved, routed = [], [], []
+        built, evolved, routed, checked = [], [], [], []
 
         def spy(fn, log, entry):
             def wrapped(*args, **kwargs):
@@ -112,12 +112,17 @@ class TestChannelSamples:
             oracles.evolve_exact, evolved, lambda args, out: args[1]))
         monkeypatch.setattr(oracles, "_window_route", spy(
             oracles._window_route, routed, lambda args, out: (args[0], out)))
+        monkeypatch.setattr(oracles, "_check_window_unitary", spy(
+            oracles._check_window_unitary, checked, lambda args, out: args[0]))
         sample = random_channel_sample(np.random.default_rng(seed), 2)
         (window,) = built
-        # the z-conservation and unitality checks each ran on `window`
-        assert sum(g is window for g in evolved) == 2
         ((route_of, route),) = routed
         assert route_of is window
+        # A dephased window's z-conservation and unitality checks each ran
+        # its channel; a coherent one's quadrants, the map its rounds apply,
+        # were checked as one unitary per sector instead.
+        assert sum(g is window for g in evolved) == (2 if seed else 0)
+        assert [r is route for r in checked] == ([] if seed else [True])
 
         calls = count_calls(monkeypatch, [(protocol, "window_generator")])
         probe = thermal_product_state([1.0, 2.0])
@@ -130,6 +135,23 @@ class TestChannelSamples:
             raise AssertionError("the round built another window")
 
         assert sample.gen._memo("window", sample.swap, rebuilt) is route
+
+
+    def test_a_non_unitary_window_is_refused(self, monkeypatch):
+        # Scaling one quadrant of the coherent window that the rounds would
+        # apply by 1.01 breaks M_L^dag M_L = I in that joint sector, and the
+        # sample names it.
+        from spinfridge import oracles
+        route = oracles._window_route
+
+        def scaled(*args):
+            out = route(*args)
+            out[1][0][0] = 1.01 * out[1][0][0]
+            return out
+
+        monkeypatch.setattr(oracles, "_window_route", scaled)
+        with pytest.raises(DomainError, match="L = 1 is not unitary"):
+            random_channel_sample(np.random.default_rng(0), 2)
 
 
 class TestAlwaysCools:

@@ -468,7 +468,9 @@ class TestCoolStep:
 
     def test_unset_window_rate_is_the_generators(self):
         # A window dephases at the waits' rate, whether the round is called
-        # directly or by run_protocol.
+        # directly or by run_protocol: both give the same bits, at the
+        # 30-digit eta of the dephased round, which a round at rate 0 misses
+        # by more than 1e-6.
         n = 3
         probe = thermal_product_state([2.0] * n)
         _, _, direct = cool_step(
@@ -478,7 +480,11 @@ class TestCoolStep:
             swap=SwapSpec.partial(5.0), steps=1, waiting_policy="fixed",
             fixed_jtau=0.7))
         run = report.records[0]
-        assert direct.eta == run.eta == 0.8924214093055567
+        assert direct.eta == run.eta
+        assert abs(run.eta - 0.89242140930555662040) <= 1e-13
+        _, _, coherent = cool_step(
+            probe, 0.2, chain_generator(n), SwapSpec.partial(5.0), 0.7)
+        assert abs(coherent.eta - run.eta) > 1e-6
         assert direct.probe_entropy == run.probe_entropy
         assert direct.distance_to_pseudothermal \
             == run.distance_to_pseudothermal
